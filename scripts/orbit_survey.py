@@ -20,7 +20,6 @@ from orbitkit import (
     build_root_system,
     default_order,
     fundamental_weights,
-    generate_weyl_group,
     is_dominant,
     orbit_dimension,
     orbit_to_rep,
@@ -55,7 +54,6 @@ def main():
 
     rs = build_root_system(parse_series(args.series))
     order = default_order(rs)
-    group = generate_weyl_group(rs)
     lattice = LatticeSpec(SIMPLY_CONNECTED)
 
     ball = weight_lattice_ball(rs, order, args.bound)
@@ -66,7 +64,7 @@ def main():
 
     reps = {}
     for lam in ball:
-        verdict = orbit_to_rep(lam, lattice, rs, group)
+        verdict = orbit_to_rep(lam, lattice, rs)
         assert verdict.integral, "weight-lattice points must be integral"
         reps.setdefault(verdict.dominant_rep.coords, []).append(lam)
 

@@ -35,6 +35,8 @@ from .weyl import (
     generate_weyl_group,
     reflection,
     weyl_orbit,
+    weyl_orbit_size,
+    weyl_order,
 )
 from .orbit import (
     KKSMatrix,
@@ -95,6 +97,8 @@ __all__ = [
     "generate_weyl_group",
     "reflection",
     "weyl_orbit",
+    "weyl_orbit_size",
+    "weyl_order",
     "KKSMatrix",
     "Polarization",
     "StabilizerReport",

@@ -1,9 +1,10 @@
 """Command-line surface: orbit reports, Cech computations, oracle audits.
 
-Exit codes: 0 ok, 2 usage, 3 input parse, 4 cap exceeded, 5 internal
-theorem violation.  Rationals are serialized as "p/q" strings in lowest
-terms, never floats, and JSON output is canonical (sorted keys), so
-identical inputs are byte-identical across runs.
+Exit codes: 0 ok, 2 usage, 3 input parse, 4 cap exceeded (a series with
+more than rootsys.MAX_ROOTS roots), 5 internal theorem violation.
+Rationals are serialized as "p/q" strings in lowest terms, never floats,
+and JSON output is canonical (sorted keys), so identical inputs are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -55,6 +56,16 @@ class CliConfig:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_lambda(text: str) -> list[Fraction]:
@@ -282,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="numeric su(n) oracle cross-checks")
     p_audit.add_argument("--n", type=int, default=3, help="su(n) size, 2..5")
     p_audit.add_argument("--lambda", dest="lam", default=None)
-    p_audit.add_argument("--samples", type=int, default=20)
+    p_audit.add_argument("--samples", type=_positive_int, default=20)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--output", choices=("text", "json"), default="text")
     return parser

@@ -4,7 +4,7 @@ KKS blocks, integrality, and the highest-weight verdict, as one report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import orbit as orbit_mod
 from . import quantize
@@ -17,7 +17,12 @@ from .rootsys import (
     build_root_system,
     parse_series,
 )
-from .weyl import WeylGroup, generate_weyl_group, weyl_orbit
+from .weyl import weyl_orbit_size, weyl_order
+
+# Not called here.  The name stays bound in this module because
+# perfbench/test_perfbench.py looks it up to check that the tracer also wraps
+# functions imported under another module's name.
+from .weyl import generate_weyl_group  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,6 @@ def analyze_orbit(
     series: str | SeriesSpec,
     lam_coords: Sequence,
     lattice: quantize.LatticeSpec,
-    group: Optional[WeylGroup] = None,
-    cap: Optional[int] = None,
 ) -> OrbitReport:
     spec = parse_series(series) if isinstance(series, str) else series
     rs = build_root_system(spec)
@@ -99,13 +102,10 @@ def analyze_orbit(
         raise TheoremViolationError(
             f"polarization failed the isotropy check, witness {witness}"
         )
-    if group is None:
-        group = generate_weyl_group(rs, cap)
     # the verdict uses the fixed default chamber so that orbits of the same
     # dominant weight always report the same representative
-    verdict = quantize.orbit_to_rep(lam, lattice, rs, group)
+    verdict = quantize.orbit_to_rep(lam, lattice, rs)
     ext = quantize.extendability_certificate(lam, rs)
-    w_orbit = weyl_orbit(lam, group)
     return OrbitReport(
         series=spec,
         lam=lam,
@@ -116,6 +116,6 @@ def analyze_orbit(
         lagrangian=lagr,
         verdict=verdict,
         extendability=ext,
-        weyl_order=group.order,
-        weyl_orbit_size=len(w_orbit.points),
+        weyl_order=weyl_order(spec),
+        weyl_orbit_size=weyl_orbit_size(lam, spec),
     )

@@ -24,7 +24,7 @@ from .rootsys import (
     pairing,
 )
 from .orbit import singular_roots
-from .weyl import WeylGroup, dominant_representative
+from .weyl import dominant_representative
 
 SIMPLY_CONNECTED = "simply_connected"
 ADJOINT = "adjoint"
@@ -150,7 +150,6 @@ def orbit_to_rep(
     lam: Weight,
     lattice: LatticeSpec,
     rs: RootSystem,
-    group: WeylGroup,
     order: Optional[RootOrder] = None,
 ) -> RepVerdict:
     """Map the orbit of lam to its highest-weight verdict.
@@ -160,7 +159,7 @@ def orbit_to_rep(
     """
     if order is None:
         order = default_order(rs)
-    dom, word = dominant_representative(lam, order, group)
+    dom, word = dominant_representative(lam, order)
     integral = is_integral(lam, lattice, rs)
     # integrality is Weyl-invariant; re-verify on the representative
     if is_integral(dom, lattice, rs) != integral:

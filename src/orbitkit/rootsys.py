@@ -21,8 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .linalg import Mat, Vec, dot, identity, mat, solve, vec
+
+# build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
+# C22 and D22 are the largest single factors within it
+MAX_ROOTS = 1000
 
 AMBIENT = "ambient"
 FUNDAMENTAL = "fundamental"
@@ -54,6 +58,12 @@ class SeriesSpec:
         return sum(_factor_dim(l, r) for l, r in self.factors) + self.torus_rank
 
     @property
+    def root_count(self) -> int:
+        """|Phi|, counted without building a root: n(n+1) for A_n, 2n^2 for
+        B_n and C_n, 2n(n-1) for D_n."""
+        return sum(_factor_root_count(l, r) for l, r in self.factors)
+
+    @property
     def rank(self) -> int:
         """Dimension of the maximal torus (Cartan rank plus central torus)."""
         return sum(r for _, r in self.factors) + self.torus_rank
@@ -79,6 +89,12 @@ class SeriesSpec:
 
 def _factor_dim(letter: str, rank_: int) -> int:
     return rank_ + 1 if letter == "A" else rank_
+
+
+def _factor_root_count(letter: str, n: int) -> int:
+    if letter == "A":
+        return n * (n + 1)
+    return 2 * n * n if letter in ("B", "C") else 2 * n * (n - 1)
 
 
 def parse_series(text: str) -> SeriesSpec:
@@ -202,7 +218,15 @@ class RootOrder:
 
 
 def build_root_system(spec: SeriesSpec) -> RootSystem:
-    """Construct the full root list for spec; torus factors contribute none."""
+    """Construct the full root list for spec; torus factors contribute none.
+
+    Raises CapExceededError, before building any root, when spec has more
+    than MAX_ROOTS roots.
+    """
+    if spec.root_count > MAX_ROOTS:
+        raise CapExceededError(
+            f"{spec} has {spec.root_count} roots, above the bound of {MAX_ROOTS}"
+        )
     n = spec.ambient_dim
     roots: set[Vec] = set()
 

@@ -1,22 +1,29 @@
-"""Weyl group as exact reflection matrices acting on the ambient space.
+"""Weyl group: closed-form counts and exact reflection matrices.
 
-The group is generated by the reflections through the simple roots of the
-default positive system; element identity is exact matrix equality, which
-sidesteps any word problem.  Torus coordinates are fixed by every element.
+Reports use only :func:`weyl_order`, :func:`weyl_orbit_size` and
+:func:`dominant_representative`, none of which costs time proportional to
+|W|.  :func:`generate_weyl_group` enumerates the group generated by the
+reflections through the simple roots of the default positive system, up to
+a cap; it is the reference the closed forms are tested against.  Element
+identity is exact matrix equality, which sidesteps any word problem.  Torus
+coordinates are fixed by every element.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial, prod
 
 from .errors import CapExceededError, InputError
 from .linalg import Mat, Vec, identity, mat_mul, mat_vec
 from .rootsys import (
     RootOrder,
     RootSystem,
+    SeriesSpec,
     Weight,
     default_order,
     is_dominant,
@@ -25,6 +32,49 @@ from .rootsys import (
 
 DEFAULT_CAP = 10**6
 CAP_ENV_VAR = "ORBITKIT_WEYL_CAP"
+
+
+def _factor_order(letter: str, n: int) -> int:
+    """|W| of one simple factor, acting by (signed) permutations: (n+1)! for
+    A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n (even sign changes)."""
+    if letter == "A":
+        return factorial(n + 1)
+    signed = 2**n * factorial(n)
+    return signed if letter in ("B", "C") else signed // 2
+
+
+def weyl_order(spec: SeriesSpec) -> int:
+    """|W| from the factor types; torus factors contribute 1."""
+    return prod(_factor_order(letter, r) for letter, r in spec.factors)
+
+
+def weyl_orbit_size(lam: Weight, spec: SeriesSpec) -> int:
+    """|W.lam| = |W| / |W_lam|, with the stabilizer read off each factor block.
+
+    W_lam is generated by the reflections in the roots singular for lam
+    (Chevalley).  In this realization that is a symmetric group S_m on each
+    class of m equal coordinates (A) or of m equal nonzero |coordinates|
+    (B, C, D), times the Weyl group of the same type on the z zero
+    coordinates of a B, C or D block.
+    """
+    if len(lam.coords) != spec.ambient_dim:
+        raise InputError(
+            f"weight has {len(lam.coords)} coordinates, expected {spec.ambient_dim}"
+        )
+    stabilizer = 1
+    for letter, _, start, stop in spec.blocks():
+        if letter == "T":
+            continue
+        block = lam.coords[start:stop]
+        if letter == "A":
+            classes = Counter(block)
+        else:
+            classes = Counter(abs(c) for c in block)
+            zeros = classes.pop(0, 0)
+            if zeros:
+                stabilizer *= _factor_order(letter, zeros)
+        stabilizer *= prod(factorial(m) for m in classes.values())
+    return weyl_order(spec) // stabilizer
 
 
 def reflection(alpha: Weight, rs: RootSystem) -> Mat:
@@ -141,7 +191,7 @@ def weyl_orbit(lam: Weight, group: WeylGroup) -> WeylOrbit:
 
 
 def dominant_representative(
-    lam: Weight, order: RootOrder, group: WeylGroup
+    lam: Weight, order: RootOrder
 ) -> tuple[Weight, tuple[int, ...]]:
     """Unique dominant point of the orbit and a generator word reaching it.
 

@@ -265,7 +265,6 @@ def test_criterion_8_orbit_method_surjectivity_bounded_norm():
     for series in ("A1", "A2"):
         rs = build_root_system(parse_series(series))
         order = default_order(rs)
-        group = generate_weyl_group(rs)
         fw = fundamental_weights(order)
         radius = int(2 * bound) + 2
         lattice_points = set()
@@ -279,7 +278,7 @@ def test_criterion_8_orbit_method_surjectivity_bounded_norm():
                 lattice_points.add(lam.coords)
         via_orbits = set()
         for coords in lattice_points:
-            verdict = orbit_to_rep(Weight(coords), SC, rs, group)
+            verdict = orbit_to_rep(Weight(coords), SC, rs)
             assert verdict.integral
             via_orbits.add(verdict.dominant_rep.coords)
         direct = {

@@ -102,11 +102,29 @@ class TestOrbitCommand:
         code, _, _ = run(capsys, "orbit", "--series", "A1", "--lambda", "1/x,2")
         assert code == EXIT_PARSE
 
-    def test_cap_exceeded_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORBITKIT_WEYL_CAP", "3")
-        code, _, err = run(capsys, "orbit", "--series", "B3", "--lambda", "3,2,1")
+    def test_cap_exceeded_exit_code(self, capsys):
+        # A5000 has about 2.5e7 roots: refused before any root is built
+        code, _, err = run(capsys, "orbit", "--series", "A5000", "--lambda", "0")
         assert code == EXIT_CAP
         assert json.loads(err)["error"]["kind"] == "cap_exceeded"
+
+    def test_a9_weyl_counts_past_the_enumeration_cap(self, capsys):
+        # |W(A9)| = 10! exceeds the 10^6 enumeration cap; the report does not
+        # enumerate, so a regular point of A9 reports |W.lambda| = |W|
+        code, out, _ = run(
+            capsys,
+            "orbit",
+            "--series",
+            "A9",
+            "--lambda",
+            "9,8,7,6,5,4,3,2,1,0",
+            "--output",
+            "json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["weyl_order"] == 3628800
+        assert payload["weyl_orbit_size"] == 3628800
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -263,3 +281,10 @@ class TestAuditCommand:
         )
         assert code == EXIT_OK
         assert "ok" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_must_be_positive(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--n", "2", "--samples", samples])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err

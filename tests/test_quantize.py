@@ -162,22 +162,19 @@ class TestExtendability:
 
 class TestOrbitToRep:
     def test_a1_negative_fundamental(self, a1):
-        group = generate_weyl_group(a1)
-        verdict = orbit_to_rep(w("-1/2", "1/2"), SC, a1, group)
+        verdict = orbit_to_rep(w("-1/2", "1/2"), SC, a1)
         assert verdict.integral
         assert verdict.dominant_rep.coords == frac_vec(("1/2", "-1/2"))
         assert not verdict.is_dominant_input
         assert verdict.borel_weil == NONZERO_IRREDUCIBLE
 
     def test_a1_non_integral(self, a1):
-        group = generate_weyl_group(a1)
-        verdict = orbit_to_rep(w("1/6", "-1/6"), SC, a1, group)
+        verdict = orbit_to_rep(w("1/6", "-1/6"), SC, a1)
         assert not verdict.integral
         assert verdict.borel_weil == ZERO_SECTION_SPACE
 
     def test_zero_orbit(self, a2):
-        group = generate_weyl_group(a2)
-        verdict = orbit_to_rep(w(0, 0, 0), SC, a2, group)
+        verdict = orbit_to_rep(w(0, 0, 0), SC, a2)
         assert verdict.integral
         assert verdict.dominant_rep.is_zero()
         assert verdict.borel_weil == NONZERO_IRREDUCIBLE
@@ -189,7 +186,7 @@ class TestOrbitToRep:
             lam = Weight(
                 tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
             )
-            verdict = orbit_to_rep(lam, SC, b2, group)
+            verdict = orbit_to_rep(lam, SC, b2)
             assert (verdict.borel_weil == NONZERO_IRREDUCIBLE) == verdict.integral
             assert verdict.dominant_rep.coords in {
                 p.coords for p in weyl_orbit(lam, group).points
@@ -222,12 +219,11 @@ def test_bounded_norm_orbit_rep_bijection(series):
     # directly enumerated dominant integral weights, at bounded norm
     rs = build_root_system(parse_series(series))
     order = default_order(rs)
-    group = generate_weyl_group(rs)
     bound = Fraction(8)
     lattice_points = integral_weights_in_ball(rs, order, bound)
     via_orbits = set()
     for coords in lattice_points:
-        verdict = orbit_to_rep(Weight(coords), SC, rs, group)
+        verdict = orbit_to_rep(Weight(coords), SC, rs)
         assert verdict.integral
         via_orbits.add(verdict.dominant_rep.coords)
     direct = {

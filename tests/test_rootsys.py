@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitkit import (
+    CapExceededError,
     InputError,
     SeriesSpec,
     Weight,
@@ -17,7 +18,11 @@ from orbitkit import (
     positive_roots,
     weight_from_fundamental,
 )
-from orbitkit.rootsys import default_chamber_seed, simple_root_coefficients
+from orbitkit.rootsys import (
+    MAX_ROOTS,
+    default_chamber_seed,
+    simple_root_coefficients,
+)
 
 from models import frac_vec
 
@@ -74,8 +79,23 @@ class TestParseSeries:
     ],
 )
 def test_root_counts(series, count):
-    rs = build_root_system(parse_series(series))
+    spec = parse_series(series)
+    rs = build_root_system(spec)
     assert len(rs.roots) == count
+    assert spec.root_count == count
+
+
+def test_root_bound():
+    # the largest single factors within the bound build; one rank more is refused
+    for ok, over in [("A31", "A32"), ("B22", "B23"), ("C22", "C23"), ("D22", "D23")]:
+        spec = parse_series(ok)
+        assert spec.root_count <= MAX_ROOTS
+        assert len(build_root_system(spec).roots) == spec.root_count
+        assert parse_series(over).root_count > MAX_ROOTS
+        with pytest.raises(CapExceededError):
+            build_root_system(parse_series(over))
+    with pytest.raises(CapExceededError):
+        build_root_system(parse_series("A20xB20"))
 
 
 def test_torus_only_has_no_roots():

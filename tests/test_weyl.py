@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitkit import (
     CapExceededError,
     InputError,
     Weight,
+    ambient_weight,
     build_root_system,
     default_order,
     dominant_representative,
@@ -18,6 +21,8 @@ from orbitkit import (
     parse_series,
     reflection,
     weyl_orbit,
+    weyl_orbit_size,
+    weyl_order,
 )
 from orbitkit.linalg import identity, mat_mul, mat_vec
 
@@ -68,25 +73,80 @@ class TestReflection:
             reflection(w(1, 1, -2), a2)
 
 
+@lru_cache(maxsize=None)
+def _group(series):
+    return generate_weyl_group(build_root_system(parse_series(series)))
+
+
 # orders from the independent enumeration models in tests/models.py:
-#   W(A_{n-1}) = S_n, W(B_n) = W(C_n) = signed perms, W(D_n) = even-signed
+#   W(A_{n-1}) = S_n, W(B_n) = W(C_n) = signed perms, W(D_n) = even-signed;
+# the enumerated group and the closed form must both match
 @pytest.mark.parametrize(
     "series,expected",
     [
+        ("A1", symmetric_group_order(2)),
         ("A2", symmetric_group_order(3)),
         ("A3", symmetric_group_order(4)),
         ("A4", symmetric_group_order(5)),
         ("B2", hyperoctahedral_order(2)),
         ("B3", hyperoctahedral_order(3)),
+        ("B4", hyperoctahedral_order(4)),
         ("C2", hyperoctahedral_order(2)),
         ("C3", hyperoctahedral_order(3)),
+        ("C4", hyperoctahedral_order(4)),
+        ("D2", even_hyperoctahedral_order(2)),
         ("D3", even_hyperoctahedral_order(3)),
         ("D4", even_hyperoctahedral_order(4)),
+        ("A1xB2xT1", symmetric_group_order(2) * hyperoctahedral_order(2)),
+        ("T2", 1),
     ],
 )
 def test_group_orders_match_permutation_models(series, expected):
+    assert _group(series).order == expected
+    assert weyl_order(parse_series(series)) == expected
+
+
+CLOSED_FORM_SERIES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4",
+    "A1xT1", "D3xT2", "A1xB2xT1", "C2xD2", "A2xD2",
+]
+# zero, equal magnitudes of both signs, and a few distinct magnitudes
+COORDS = st.sampled_from([Fraction(x) for x in (0, 0, 1, -1, 2, -2, "1/2", "-1/2", 3)])
+
+
+@st.composite
+def series_and_weight(draw):
+    series = draw(st.sampled_from(CLOSED_FORM_SERIES))
     rs = build_root_system(parse_series(series))
-    assert generate_weyl_group(rs).order == expected
+    coords = draw(st.lists(COORDS, min_size=rs.ambient_dim, max_size=rs.ambient_dim))
+    return series, coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_and_weight())
+@example(("D4", [1, -1, 1, -1]))
+@example(("D4", [2, -2, 0, 0]))
+@example(("D3", [0, 0, 0]))
+@example(("D2", [1, -1]))
+@example(("D3xT2", [0, 1, -1, 5, 0]))
+def test_closed_form_orbit_size_matches_enumeration(case):
+    series, coords = case
+    spec = parse_series(series)
+    lam = ambient_weight(coords, build_root_system(spec))
+    size = weyl_orbit_size(lam, spec)
+    assert size == len(weyl_orbit(lam, _group(series)).points)
+    # per-factor (signed) permutation model; torus blocks are fixed
+    model = prod(
+        len(signed_permutation_images(lam.coords[start:stop], letter))
+        for letter, _, start, stop in spec.blocks()
+        if letter != "T"
+    )
+    assert size == model
+
+
+def test_orbit_size_dimension_checked():
+    with pytest.raises(InputError):
+        weyl_orbit_size(w(1, 0), parse_series("A2"))
 
 
 def test_d3_a3_exceptional_isomorphism():
@@ -212,16 +272,14 @@ class TestWeylOrbit:
 
 class TestDominantRepresentative:
     def test_idempotent_on_dominant(self, a2, a2_order):
-        group = generate_weyl_group(a2)
         omega1 = fundamental_weights(a2_order)[0]
-        dom, word = dominant_representative(omega1, a2_order, group)
+        dom, word = dominant_representative(omega1, a2_order)
         assert dom.coords == omega1.coords
         assert word == ()
 
     def test_a1_reflection(self, a1):
-        group = generate_weyl_group(a1)
         order = default_order(a1)
-        dom, word = dominant_representative(w("-1/2", "1/2"), order, group)
+        dom, word = dominant_representative(w("-1/2", "1/2"), order)
         assert dom.coords == frac_vec(("1/2", "-1/2"))
         assert len(word) == 1
 
@@ -236,17 +294,16 @@ class TestDominantRepresentative:
             [s.coords for s in a2_order.simple],
         )
         assert len(brute) == 1
-        dom, _ = dominant_representative(lam, a2_order, group)
+        dom, _ = dominant_representative(lam, a2_order)
         assert dom.coords == brute[0]
         assert dom.coords == fw[1].coords  # -omega1 straightens to omega2
 
     def test_word_maps_lambda_to_dominant(self, b2):
-        group = generate_weyl_group(b2)
         order = default_order(b2)
         rng = random.Random(5)
         for _ in range(20):
             lam = Weight(tuple(Fraction(rng.randint(-5, 5), 2) for _ in range(2)))
-            dom, word = dominant_representative(lam, order, group)
+            dom, word = dominant_representative(lam, order)
             current = lam.coords
             for i in word:
                 current = mat_vec(reflection(order.simple[i], b2), current)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
-from .linalg import mat, rank as rational_rank, smith_normal_form
+from .linalg import invariant_factors, mat, rank as rational_rank, smith_normal_form
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -238,9 +238,7 @@ def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
     free = n_k - rank_k - rank_km1
     if ring == RING_Q:
         return CohomologyGroup(k, free, ())
-    torsion = tuple(
-        d for d in _invariant_factors(d_km1) if d > 1
-    )
+    torsion = tuple(d for d in invariant_factors(d_km1) if d > 1) if d_km1 else ()
     return CohomologyGroup(k, free, torsion)
 
 
@@ -248,17 +246,6 @@ def _int_rank(m: list[list[int]]) -> int:
     if not m or not m[0]:
         return 0
     return rational_rank(mat(m))
-
-
-def _invariant_factors(m: list[list[int]]) -> list[int]:
-    if not m or not m[0]:
-        return []
-    d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(len(d), len(d[0]))):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
 
 
 @dataclass(frozen=True)

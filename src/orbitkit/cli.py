@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,21 +36,7 @@ EXIT_PARSE = 3
 EXIT_CAP = 4
 EXIT_THEOREM = 5
 
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    series: Optional[str] = None
-    lam: Optional[str] = None
-    lattice: str = "sc"
-    output: str = "text"
-    nerve: Optional[str] = None
-    cocycle: Optional[str] = None
-    k: Optional[int] = None
-    ring: str = "z"
-    n: int = 3
-    samples: int = 20
-    seed: int = 0
+PROJECTED_NOTE = "  note: lambda was projected onto the sum-zero hyperplane\n"
 
 
 def canonical_json(obj) -> str:
@@ -101,14 +86,13 @@ def _resolve_lattice(flag: str, rs) -> quantize.LatticeSpec:
     raise InputError(f"unknown lattice flag {flag!r}; use sc, adjoint or custom:FILE")
 
 
-def cmd_orbit(cfg: CliConfig) -> int:
-    spec = parse_series(cfg.series)
-    rs = build_root_system(spec)
-    lattice = _resolve_lattice(cfg.lattice, rs)
-    report = analyze_orbit(spec, _parse_lambda(cfg.lam), lattice)
+def cmd_orbit(args: argparse.Namespace) -> int:
+    rs = build_root_system(parse_series(args.series))
+    lattice = _resolve_lattice(args.lattice, rs)
+    report = analyze_orbit(rs, _parse_lambda(args.lam), lattice)
     payload = report.to_json_dict()
-    payload["lattice"] = cfg.lattice
-    if cfg.output == "json":
+    payload["lattice"] = args.lattice
+    if args.output == "json":
         sys.stdout.write(canonical_json(payload))
     else:
         _print_orbit_text(payload)
@@ -119,7 +103,7 @@ def _print_orbit_text(p: dict) -> None:
     out = sys.stdout
     out.write(f"orbit report for {p['series']}, lambda = ({', '.join(p['lambda'])})\n")
     if p["lambda_projected"]:
-        out.write("  note: lambda was projected onto the sum-zero hyperplane\n")
+        out.write(PROJECTED_NOTE)
     kind = "regular" if p["regular"] else "singular"
     out.write(f"  type: {kind}\n")
     out.write(
@@ -164,25 +148,25 @@ def _roots_inline(roots: list[list[str]]) -> str:
     return "; ".join("(" + ", ".join(r) + ")" for r in roots)
 
 
-def cmd_cech(cfg: CliConfig) -> int:
-    nerve = cech_mod.parse_nerve_lines(Path(cfg.nerve).read_text().splitlines())
-    if cfg.subcommand == "cech-h":
-        ring = cech_mod.RING_Z if cfg.ring == "z" else cech_mod.RING_Q
-        group = cech_mod.cohomology(nerve, cfg.k, ring)
+def cmd_cech(args: argparse.Namespace) -> int:
+    nerve = cech_mod.parse_nerve_lines(Path(args.nerve).read_text().splitlines())
+    if args.cech_command == "h":
+        ring = cech_mod.RING_Z if args.ring == "z" else cech_mod.RING_Q
+        group = cech_mod.cohomology(nerve, args.k, ring)
         payload = {
             "degree": group.degree,
-            "ring": cfg.ring,
+            "ring": args.ring,
             "free_rank": group.free_rank,
             "torsion": list(group.torsion),
             "description": group.describe(),
         }
-        if cfg.output == "json":
+        if args.output == "json":
             sys.stdout.write(canonical_json(payload))
         else:
-            sys.stdout.write(f"H^{cfg.k} = {group.describe()}\n")
+            sys.stdout.write(f"H^{args.k} = {group.describe()}\n")
         return EXIT_OK
     cocycle = cech_mod.parse_cochain_lines(
-        Path(cfg.cocycle).read_text().splitlines(), nerve, degree=2
+        Path(args.cocycle).read_text().splitlines(), nerve, degree=2
     )
     cls = cech_mod.chern_class(nerve, cocycle)
     payload = {
@@ -192,7 +176,7 @@ def cmd_cech(cfg: CliConfig) -> int:
         "torsion_coords": [[v, d] for v, d in cls.torsion_coords],
         "trivial": cls.is_trivial(),
     }
-    if cfg.output == "json":
+    if args.output == "json":
         sys.stdout.write(canonical_json(payload))
     elif not cls.valid:
         sys.stdout.write(
@@ -208,21 +192,21 @@ def cmd_cech(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_audit(cfg: CliConfig) -> int:
+def cmd_audit(args: argparse.Namespace) -> int:
     # imported lazily: numpy/scipy are only needed for the oracle surface
     from . import oracle
 
-    n = cfg.n
+    n = args.n
     alg = oracle.special_unitary_basis(n)
     rs = build_root_system(SeriesSpec((("A", n - 1),)))
     matches = oracle.match_roots(oracle.numeric_root_decomposition(alg), rs)
     max_match = max(res for _, _, res in matches)
     audit = oracle.root_property_audit(alg)
-    if cfg.lam:
-        lam = ambient_weight(_parse_lambda(cfg.lam), rs)
+    if args.lam:
+        lam = ambient_weight(_parse_lambda(args.lam), rs)
     else:
         lam = fundamental_weights(default_order(rs))[0]
-    kks = oracle.numeric_kks_check(lam, alg, samples=cfg.samples, seed=cfg.seed)
+    kks = oracle.numeric_kks_check(lam, alg, samples=args.samples, seed=args.seed)
     rank_ok = oracle.stabilizer_rank(lam, alg) == orbit_dimension(lam, rs)
     payload = {
         "algebra": f"su({n})",
@@ -233,12 +217,13 @@ def cmd_audit(cfg: CliConfig) -> int:
         "root_audit_checks": audit.checks,
         "root_audit_max_residual": audit.max_residual,
         "lambda": lam.to_strings(),
+        "lambda_projected": lam.projected,
         "kks_block_residual": kks.block_residual,
         "equivariance_residual": kks.equivariance_residual,
         "equivariance_samples": kks.samples,
         "stabilizer_rank_matches": rank_ok,
     }
-    if cfg.output == "json":
+    if args.output == "json":
         sys.stdout.write(canonical_json(payload))
     else:
         sys.stdout.write(f"audit of su({n}) against the exact engine\n")
@@ -248,6 +233,10 @@ def cmd_audit(cfg: CliConfig) -> int:
             f"{'ok' if audit.ok else 'FAILED'} ({audit.checks} checks, "
             f"max residual {audit.max_residual:.3e})\n"
             f"  lambda = ({', '.join(lam.to_strings())})\n"
+        )
+        if lam.projected:
+            sys.stdout.write(PROJECTED_NOTE)
+        sys.stdout.write(
             f"  kks block residual {kks.block_residual:.3e}\n"
             f"  equivariance residual {kks.equivariance_residual:.3e} "
             f"over {kks.samples} samples\n"
@@ -299,34 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    if args.command == "orbit":
-        return CliConfig(
-            subcommand="orbit",
-            series=args.series,
-            lam=args.lam,
-            lattice=args.lattice,
-            output=args.output,
-        )
-    if args.command == "cech":
-        return CliConfig(
-            subcommand=f"cech-{args.cech_command}",
-            nerve=args.nerve,
-            cocycle=getattr(args, "cocycle", None),
-            k=getattr(args, "k", None),
-            ring=getattr(args, "ring", "z"),
-            output=args.output,
-        )
-    return CliConfig(
-        subcommand="audit",
-        n=args.n,
-        lam=args.lam,
-        samples=args.samples,
-        seed=args.seed,
-        output=args.output,
-    )
-
-
 def _emit_error(kind: str, message: str, code: int) -> int:
     sys.stderr.write(
         canonical_json({"error": {"kind": kind, "message": message, "exit_code": code}})
@@ -337,13 +298,12 @@ def _emit_error(kind: str, message: str, code: int) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        if cfg.subcommand == "orbit":
-            return cmd_orbit(cfg)
-        if cfg.subcommand.startswith("cech"):
-            return cmd_cech(cfg)
-        return cmd_audit(cfg)
+        if args.command == "orbit":
+            return cmd_orbit(args)
+        if args.command == "cech":
+            return cmd_cech(args)
+        return cmd_audit(args)
     except InputError as exc:
         return _emit_error("input", str(exc), EXIT_PARSE)
     except CapExceededError as exc:

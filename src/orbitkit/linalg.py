@@ -8,6 +8,7 @@ the left transform to read off cohomology coordinates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -271,10 +272,7 @@ def in_integer_row_span(gens: Mat, target: Vec) -> bool:
     if len(target) != len(gens[0]):
         raise ValueError("dimension mismatch between generators and target")
     denoms = [x.denominator for row in gens for x in row]
-    denoms += [x.denominator for x in target]
-    scale_ = 1
-    for q in denoms:
-        scale_ = scale_ * q // _gcd(scale_, q)
+    scale_ = math.lcm(*denoms, *(x.denominator for x in target))
     a = [[int(x * scale_) for x in row] for row in gens]
     b = [int(x * scale_) for x in target]
     d, _, v = smith_normal_form(a)
@@ -290,8 +288,3 @@ def in_integer_row_span(gens: Mat, target: Vec) -> bool:
             return False
     return True
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

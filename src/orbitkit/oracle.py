@@ -22,7 +22,13 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, OrbitkitError
-from .orbit import KKSMatrix, admissible_positive_system, kks_matrix
+from .orbit import (
+    KKSMatrix,
+    admissible_positive_system,
+    kks_matrix,
+    polarization,
+    singular_roots,
+)
 from .rootsys import RootSystem, SeriesSpec, Weight, build_root_system
 
 CONSTRUCTION_TOL = 1e-12
@@ -264,8 +270,8 @@ def numeric_kks_check(
     v_lam = lambda_vector(lam, alg)
     rs = build_root_system(SeriesSpec((("A", alg.n - 1),)))
     if exact_blocks is None:
-        order, _ = admissible_positive_system(lam, rs)
-        exact_blocks = kks_matrix(lam, order)
+        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        exact_blocks = kks_matrix(lam, polarization(lam, order))
 
     matches = {
         ex.coords: nr for nr, ex, _ in match_roots(numeric_root_decomposition(alg), rs)

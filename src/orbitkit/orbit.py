@@ -15,6 +15,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     default_chamber_seed,
+    default_order,
     is_dominant,
     pairing,
     positive_roots,
@@ -93,8 +94,8 @@ def stabilizer_report(lam: Weight, rs: RootSystem) -> StabilizerReport:
     singular set (a theorem; failure indicates an arithmetic bug)."""
     sing = singular_roots(lam, rs)
     _check_closed(sing, rs, "singular root set")
-    seed = default_chamber_seed(rs)
-    t1 = tuple(a for a in sing if pairing(seed, a, rs) > 0)
+    positive = default_order(rs).positive_set
+    t1 = tuple(a for a in sing if a.coords in positive)
     return StabilizerReport(
         lam=lam,
         singular=sing,
@@ -135,11 +136,12 @@ def admissible_chamber_seed(lam: Weight, rs: RootSystem) -> Weight:
 
 
 def check_admissibility(
-    lam: Weight, order: RootOrder
+    lam: Weight, order: RootOrder, singular: tuple[Weight, ...]
 ) -> AdmissibilityCertificate:
-    """Exhaustively check T1-admissibility of order for the singular set of lam."""
+    """Exhaustively check T1-admissibility of order for singular, the
+    singular set of lam."""
     rs = order.rs
-    sing = set(a.coords for a in singular_roots(lam, rs))
+    sing = {a.coords for a in singular}
     pos = order.positive_set
     pos_sing = {c for c in pos if c in sing}
 
@@ -166,12 +168,13 @@ def check_admissibility(
 
 
 def admissible_positive_system(
-    lam: Weight, rs: RootSystem
+    lam: Weight, rs: RootSystem, singular: tuple[Weight, ...]
 ) -> tuple[RootOrder, AdmissibilityCertificate]:
     """Positive system making lam dominant, with its explicit admissibility
-    certificate; certificate failure is a theorem violation."""
+    certificate for singular, the singular set of lam; certificate failure is
+    a theorem violation."""
     order = positive_roots(rs, admissible_chamber_seed(lam, rs))
-    cert = check_admissibility(lam, order)
+    cert = check_admissibility(lam, order, singular)
     if not cert.holds():
         raise TheoremViolationError(
             f"admissibility certificate failed for lambda={lam.to_strings()}: {cert}"
@@ -182,30 +185,33 @@ def admissible_positive_system(
 def polarization(lam: Weight, order: RootOrder) -> Polarization:
     """Root labels spanning the invariant complex-structure subalgebra beyond
     the complexified stabilizer: the non-singular positive roots."""
-    rs = order.rs
-    cert = check_admissibility(lam, order)
+    sing = singular_roots(lam, order.rs)
+    cert = check_admissibility(lam, order, sing)
     if not cert.holds():
         raise InputError(
             "order is not admissible for lambda; use admissible_positive_system"
         )
-    sing = singular_roots(lam, rs)
-    sing_set = {a.coords for a in sing}
-    b_roots = tuple(a for a in order.positive if a.coords not in sing_set)
+    return _build_polarization(order, sing, cert)
 
-    b_set = {a.coords for a in b_roots}
-    if any(tuple(-x for x in c) in b_set for c in b_set):
-        raise TheoremViolationError("polarization labels contain an opposite pair")
-    if 2 * len(b_roots) != len(rs.roots) - len(sing):
+
+def _build_polarization(
+    order: RootOrder, singular: tuple[Weight, ...], cert: AdmissibilityCertificate
+) -> Polarization:
+    """Polarization of an order already certified admissible for singular;
+    isotropy is left to lagrangian_check."""
+    rs = order.rs
+    sing_set = {a.coords for a in singular}
+    b_roots = tuple(a for a in order.positive if a.coords not in sing_set)
+    if 2 * len(b_roots) != len(rs.roots) - len(singular):
         raise TheoremViolationError("polarization is not half-dimensional")
-    _check_closed(tuple(b_roots) + tuple(sing), rs, "polarization label set")
+    _check_closed(b_roots + singular, rs, "polarization label set")
     return Polarization(order=order, b_roots=b_roots, admissibility=cert)
 
 
-def kks_matrix(lam: Weight, order: RootOrder) -> KKSMatrix:
+def kks_matrix(lam: Weight, pol: Polarization) -> KKSMatrix:
     """Exact KKS form at the base point on the real pairs (A_alpha, B_alpha),
-    one antisymmetric 2x2 block per non-singular positive root."""
-    rs = order.rs
-    pol = polarization(lam, order)
+    one antisymmetric 2x2 block per label of pol."""
+    rs = pol.order.rs
     labels = pol.b_roots
     k = len(labels)
     entries = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
@@ -221,7 +227,7 @@ def kks_matrix(lam: Weight, order: RootOrder) -> KKSMatrix:
 
 
 def lagrangian_check(
-    pol: Polarization, omega: KKSMatrix, lam: Weight
+    pol: Polarization, omega: KKSMatrix
 ) -> tuple[bool, tuple[Weight, Weight] | None]:
     """Check that the polarization span is Lagrangian for omega.
 

@@ -11,6 +11,7 @@ from . import quantize
 from .errors import TheoremViolationError
 from .rootsys import (
     RootOrder,
+    RootSystem,
     SeriesSpec,
     Weight,
     ambient_weight,
@@ -86,26 +87,27 @@ class OrbitReport:
 
 
 def analyze_orbit(
-    series: str | SeriesSpec,
+    series: str | RootSystem,
     lam_coords: Sequence,
     lattice: quantize.LatticeSpec,
 ) -> OrbitReport:
-    spec = parse_series(series) if isinstance(series, str) else series
-    rs = build_root_system(spec)
+    """Full report for lam_coords on a series string such as "A2xT1" or on a
+    root system already built.  The singular set and the admissible order are
+    computed once and every later stage reads them."""
+    rs = build_root_system(parse_series(series)) if isinstance(series, str) else series
     lam = ambient_weight(lam_coords, rs)
     stab = orbit_mod.stabilizer_report(lam, rs)
-    order, _cert = orbit_mod.admissible_positive_system(lam, rs)
-    pol = orbit_mod.polarization(lam, order)
-    kks = orbit_mod.kks_matrix(lam, order)
-    lagr, witness = orbit_mod.lagrangian_check(pol, kks, lam)
+    order, cert = orbit_mod.admissible_positive_system(lam, rs, stab.singular)
+    pol = orbit_mod._build_polarization(order, stab.singular, cert)
+    kks = orbit_mod.kks_matrix(lam, pol)
+    lagr, witness = orbit_mod.lagrangian_check(pol, kks)
     if not lagr:
         raise TheoremViolationError(
             f"polarization failed the isotropy check, witness {witness}"
         )
-    # the verdict uses the fixed default chamber so that orbits of the same
-    # dominant weight always report the same representative
     verdict = quantize.orbit_to_rep(lam, lattice, rs)
-    ext = quantize.extendability_certificate(lam, rs)
+    ext = quantize.extendability_certificate(lam, stab.singular)
+    spec = rs.spec
     return OrbitReport(
         series=spec,
         lam=lam,

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import Mat, Vec, dot, identity, mat, solve, vec
+from .linalg import Vec, dot, mat, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
@@ -172,19 +172,14 @@ class RootSystem:
 
     spec: SeriesSpec
     roots: tuple[Weight, ...]
-    pairing_matrix: Mat
 
     @cached_property
     def root_set(self) -> frozenset[Vec]:
         return frozenset(r.coords for r in self.roots)
 
     @cached_property
-    def _identity_pairing(self) -> bool:
-        return all(
-            (c == 1 if i == j else c == 0)
-            for i, row in enumerate(self.pairing_matrix)
-            for j, c in enumerate(row)
-        )
+    def _default_order(self) -> "RootOrder":
+        return positive_roots(self, default_chamber_seed(self))
 
     @property
     def ambient_dim(self) -> int:
@@ -264,16 +259,14 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
                         v = unit(i)
                         roots.add(tuple(Fraction(s) * c for c in v))
     ordered = tuple(Weight(v) for v in sorted(roots))
-    return RootSystem(spec, ordered, identity(n))
+    return RootSystem(spec, ordered)
 
 
 def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
-    """Exact symmetric bilinear pairing of two ambient weights."""
+    """Exact pairing of two ambient weights: the ambient dot product."""
     _require_ambient(xi, rs)
     _require_ambient(eta, rs)
-    if rs._identity_pairing:
-        return dot(xi.coords, eta.coords)
-    return dot(xi.coords, tuple(dot(row, eta.coords) for row in rs.pairing_matrix))
+    return dot(xi.coords, eta.coords)
 
 
 def norm_sq(w: Weight, rs: RootSystem) -> Fraction:
@@ -360,7 +353,8 @@ def _first_support(a: Weight) -> int:
 
 
 def default_order(rs: RootSystem) -> RootOrder:
-    return positive_roots(rs, default_chamber_seed(rs))
+    """Positive system of default_chamber_seed, computed once per root system."""
+    return rs._default_order
 
 
 def is_dominant(lam: Weight, order: RootOrder) -> bool:

@@ -149,10 +149,11 @@ def test_criterion_4_kks_validation():
     rs, weights = suite_weights("A2", 3, seed=4)
     ts = [Fraction(k, 7) for k in range(1, 11)]
     for lam in weights:
-        order, _ = admissible_positive_system(lam, rs)
-        base = kks_matrix(lam, order)
+        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        base = kks_matrix(lam, polarization(lam, order))
         for t in ts:
-            scaled = kks_matrix(Weight(tuple(t * c for c in lam.coords)), order)
+            lam_t = Weight(tuple(t * c for c in lam.coords))
+            scaled = kks_matrix(lam_t, polarization(lam_t, order))
             assert scaled.basis_labels == base.basis_labels
             assert scaled.entries == tuple(
                 tuple(t * x for x in row) for row in base.entries
@@ -178,7 +179,7 @@ def test_criterion_6_polarization_certificates():
     for series in ("A1", "A2", "B2"):
         rs, weights = suite_weights(series, 50)
         for lam in weights:
-            order, cert = admissible_positive_system(lam, rs)
+            order, cert = admissible_positive_system(lam, rs, singular_roots(lam, rs))
             assert cert.holds()
             pol = polarization(lam, order)
             b = {r.coords for r in pol.b_roots}
@@ -194,21 +195,21 @@ def test_criterion_6_polarization_certificates():
                     s = tuple(p + q for p, q in zip(x, y))
                     if s in rs.root_set:
                         assert s in labels
-            omega = kks_matrix(lam, order)
-            ok, witness = lagrangian_check(pol, omega, lam)
+            omega = kks_matrix(lam, pol)
+            ok, witness = lagrangian_check(pol, omega)
             assert ok and witness is None
             total += 1
     # adversarial opposite-pair input
     rs = build_root_system(parse_series("A2"))
     lam = Weight((Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)))
-    order, _ = admissible_positive_system(lam, rs)
+    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
     good = polarization(lam, order)
     bad = Polarization(
         order=order,
         b_roots=good.b_roots + (-good.b_roots[0],),
         admissibility=good.admissibility,
     )
-    ok, witness = lagrangian_check(bad, kks_matrix(lam, order), lam)
+    ok, witness = lagrangian_check(bad, kks_matrix(lam, good))
     assert not ok and witness is not None
     report(6, f"{total} polarizations certified; adversarial input refused with witness")
 

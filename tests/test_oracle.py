@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from orbitkit import (
     parse_series,
 )
 from orbitkit import oracle
+from orbitkit.cli import main
 from orbitkit.errors import InputError
 
 
@@ -185,3 +187,14 @@ def test_equivariance_nontrivial_pairs_have_fd_error_profile(a2, a2_order):
             residuals.append(abs(fd - exact))
     assert residuals
     assert all(1e-14 < r < oracle.FD_TOL for r in residuals)
+
+
+def test_audit_flags_a_projected_lambda(capsys):
+    assert main(["audit", "--n", "2", "--lambda", "1,1", "--output", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lambda"] == ["0", "0"]
+    assert payload["lambda_projected"] is True
+    assert main(["audit", "--n", "2", "--lambda", "1,1"]) == 0
+    assert "projected onto the sum-zero hyperplane" in capsys.readouterr().out
+    assert main(["audit", "--n", "2", "--lambda", "1/2,-1/2", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_projected"] is False

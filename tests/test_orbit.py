@@ -144,7 +144,7 @@ class TestAdmissibleSystem:
     def test_regular_weight(self, a2, a2_order):
         fw = fundamental_weights(a2_order)
         rho = fw[0] + fw[1]
-        order, cert = admissible_positive_system(rho, a2)
+        order, cert = admissible_positive_system(rho, a2, singular_roots(rho, a2))
         assert cert.holds()
         assert {r.coords for r in order.positive} == {
             r.coords for r in a2_order.positive
@@ -153,7 +153,7 @@ class TestAdmissibleSystem:
     def test_a2_fundamental_chamber(self, a2, a2_order):
         # frozen from the exhaustive check over the three positive roots
         omega1 = fundamental_weights(a2_order)[0]
-        order, cert = admissible_positive_system(omega1, a2)
+        order, cert = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
         assert cert.holds()
         alpha1, alpha2 = a2_order.simple
         assert {r.coords for r in order.positive} == {
@@ -165,7 +165,8 @@ class TestAdmissibleSystem:
         assert [r.coords for r in sing_pos] == [alpha2.coords]
 
     def test_zero_weight_vacuous(self, a2):
-        order, cert = admissible_positive_system(w(0, 0, 0), a2)
+        zero = w(0, 0, 0)
+        order, cert = admissible_positive_system(zero, a2, singular_roots(zero, a2))
         assert cert.holds()
         assert len(order.positive) == 3
 
@@ -173,7 +174,7 @@ class TestAdmissibleSystem:
         rng = random.Random(12)
         for _ in range(40):
             lam = random_weight(b2, rng)
-            order, cert = admissible_positive_system(lam, b2)
+            order, cert = admissible_positive_system(lam, b2, singular_roots(lam, b2))
             assert cert.dominant
             assert all(pairing(lam, a, b2) >= 0 for a in order.positive)
 
@@ -182,7 +183,7 @@ class TestAdmissibleSystem:
         # in another chamber
         fw = fundamental_weights(a2_order)
         lam = -fw[0] - fw[1]
-        cert = check_admissibility(lam, a2_order)
+        cert = check_admissibility(lam, a2_order, singular_roots(lam, a2))
         assert not cert.dominant
         assert not cert.holds()
 
@@ -190,20 +191,20 @@ class TestAdmissibleSystem:
 class TestPolarization:
     def test_a1_rank_one(self, a1):
         lam = w("1/2", "-1/2")
-        order, _ = admissible_positive_system(lam, a1)
+        order, _ = admissible_positive_system(lam, a1, singular_roots(lam, a1))
         pol = polarization(lam, order)
         assert [r.coords for r in pol.b_roots] == [frac_vec((1, -1))]
 
     def test_a2_regular_full_flag(self, a2, a2_order):
         fw = fundamental_weights(a2_order)
         rho = fw[0] + fw[1]
-        order, _ = admissible_positive_system(rho, a2)
+        order, _ = admissible_positive_system(rho, a2, singular_roots(rho, a2))
         pol = polarization(rho, order)
         assert len(pol.b_roots) == 3
 
     def test_a2_singular_removes_wall(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2)
+        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
         pol = polarization(omega1, order)
         alpha1, alpha2 = a2_order.simple
         assert {r.coords for r in pol.b_roots} == {
@@ -215,7 +216,7 @@ class TestPolarization:
         rng = random.Random(14)
         for _ in range(40):
             lam = random_weight(b2, rng)
-            order, _ = admissible_positive_system(lam, b2)
+            order, _ = admissible_positive_system(lam, b2, singular_roots(lam, b2))
             pol = polarization(lam, order)
             coords = {r.coords for r in pol.b_roots}
             assert not any(tuple(-c for c in v) in coords for v in coords)
@@ -230,8 +231,9 @@ class TestPolarization:
 
 class TestKKSMatrix:
     def test_zero_weight_empty(self, a2):
-        order, _ = admissible_positive_system(w(0, 0, 0), a2)
-        kks = kks_matrix(w(0, 0, 0), order)
+        zero = w(0, 0, 0)
+        order, _ = admissible_positive_system(zero, a2, singular_roots(zero, a2))
+        kks = kks_matrix(zero, polarization(zero, order))
         assert kks.basis_labels == ()
         assert kks.dim == 0
 
@@ -239,8 +241,8 @@ class TestKKSMatrix:
         values = {}
         for t in (Fraction(1), Fraction(3, 2), Fraction(5)):
             lam = Weight((t / 2, -t / 2))
-            order, _ = admissible_positive_system(lam, a1)
-            kks = kks_matrix(lam, order)
+            order, _ = admissible_positive_system(lam, a1, singular_roots(lam, a1))
+            kks = kks_matrix(lam, polarization(lam, order))
             assert len(kks.basis_labels) == 1
             values[t] = kks.block_value(kks.basis_labels[0])
         base = values[Fraction(1)]
@@ -250,8 +252,8 @@ class TestKKSMatrix:
 
     def test_a2_fundamental_blocks_equal(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2)
-        kks = kks_matrix(omega1, order)
+        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
+        kks = kks_matrix(omega1, polarization(omega1, order))
         values = [kks.block_value(a) for a in kks.basis_labels]
         assert len(values) == 2
         # both pairings evaluate to 1; the su(3) oracle cross-checks this
@@ -261,8 +263,8 @@ class TestKKSMatrix:
         rng = random.Random(16)
         for _ in range(25):
             lam = random_weight(b2, rng)
-            order, _ = admissible_positive_system(lam, b2)
-            kks = kks_matrix(lam, order)
+            order, _ = admissible_positive_system(lam, b2, singular_roots(lam, b2))
+            kks = kks_matrix(lam, polarization(lam, order))
             n = kks.dim
             for i in range(n):
                 for j in range(n):
@@ -278,8 +280,8 @@ class TestKKSMatrix:
         for rs in (a2, b2):
             for _ in range(25):
                 lam = random_weight(rs, rng)
-                order, _ = admissible_positive_system(lam, rs)
-                kks = kks_matrix(lam, order)
+                order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+                kks = kks_matrix(lam, polarization(lam, order))
                 exact_rank = rank(mat(kks.entries)) if kks.dim else 0
                 assert exact_rank == kks.dim == orbit_dimension(lam, rs)
 
@@ -287,10 +289,11 @@ class TestKKSMatrix:
         rng = random.Random(20)
         for _ in range(10):
             lam = random_weight(a2, rng, sum_zero=True)
-            order, _ = admissible_positive_system(lam, a2)
-            kks = kks_matrix(lam, order)
+            order, _ = admissible_positive_system(lam, a2, singular_roots(lam, a2))
+            kks = kks_matrix(lam, polarization(lam, order))
             for t in (Fraction(2), Fraction(1, 3), Fraction(7, 5)):
-                scaled = kks_matrix(Weight(tuple(t * c for c in lam.coords)), order)
+                lam_t = Weight(tuple(t * c for c in lam.coords))
+                scaled = kks_matrix(lam_t, polarization(lam_t, order))
                 assert scaled.basis_labels == kks.basis_labels
                 assert scaled.entries == tuple(
                     tuple(t * x for x in row) for row in kks.entries
@@ -310,7 +313,7 @@ class TestLongRootSeries:
         assert len(rep.singular) == 4
         assert rep.dim_g_lambda == 7
         assert orbit_dimension(lam, rs) == 14
-        order, cert = admissible_positive_system(lam, rs)
+        order, cert = admissible_positive_system(lam, rs, singular_roots(lam, rs))
         assert cert.holds()
         pol = polarization(lam, order)
         assert len(pol.b_roots) == 7
@@ -325,8 +328,8 @@ class TestLongRootSeries:
         assert len(rep.singular) == 6
         assert rep.dim_g_lambda == 9
         assert orbit_dimension(lam, rs) == 6
-        order, _ = admissible_positive_system(lam, rs)
-        kks = kks_matrix(lam, order)
+        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        kks = kks_matrix(lam, polarization(lam, order))
         assert kks.dim == 6
 
 
@@ -336,24 +339,24 @@ class TestLagrangianCheck:
         for rs in (a2, b2):
             for _ in range(25):
                 lam = random_weight(rs, rng)
-                order, _ = admissible_positive_system(lam, rs)
+                order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
                 pol = polarization(lam, order)
-                kks = kks_matrix(lam, order)
-                ok, witness = lagrangian_check(pol, kks, lam)
+                kks = kks_matrix(lam, pol)
+                ok, witness = lagrangian_check(pol, kks)
                 assert ok and witness is None
 
     def test_adversarial_opposite_pair(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2)
-        kks = kks_matrix(omega1, order)
+        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
         good = polarization(omega1, order)
+        kks = kks_matrix(omega1, good)
         alpha = good.b_roots[0]
         bad = Polarization(
             order=order,
             b_roots=good.b_roots + (-alpha,),
             admissibility=good.admissibility,
         )
-        ok, witness = lagrangian_check(bad, kks, omega1)
+        ok, witness = lagrangian_check(bad, kks)
         assert not ok
         assert witness is not None
         a, b = witness
@@ -361,7 +364,7 @@ class TestLagrangianCheck:
 
     def test_a2_fundamental_explicit(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2)
+        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
         pol = polarization(omega1, order)
-        kks = kks_matrix(omega1, order)
-        assert lagrangian_check(pol, kks, omega1) == (True, None)
+        kks = kks_matrix(omega1, pol)
+        assert lagrangian_check(pol, kks) == (True, None)

@@ -1,6 +1,7 @@
 import json
+import tracemalloc
 
-from orbitkit import LatticeSpec, analyze_orbit
+from orbitkit import LatticeSpec, analyze_orbit, build_root_system, parse_series
 from orbitkit.cli import canonical_json
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
 
@@ -67,3 +68,23 @@ def test_zero_orbit_report():
     assert report.kks.dim == 0
     assert report.verdict.integral
     assert len(report.extendability.vanishing_pairings) == 6
+
+
+def test_root_system_argument_gives_the_series_report():
+    rs = build_root_system(parse_series("B2xT1"))
+    lam = ["2", "1", "1/3"]
+    assert analyze_orbit(rs, lam, SC).to_json_dict() == analyze_orbit(
+        "B2xT1", lam, SC
+    ).to_json_dict()
+
+
+def test_torus_report_memory_is_linear_in_the_ambient_dimension():
+    # no ambient_dim x ambient_dim matrix may be built for a rootless factor
+    tracemalloc.start()
+    try:
+        report = analyze_orbit("T1000", ["0"] * 1000, SC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.dim_orbit == 0
+    assert peak < 4 * 2**20

@@ -18,6 +18,7 @@ from orbitkit import (
     orbit_to_rep,
     pairing,
     parse_series,
+    singular_roots,
     weyl_orbit,
 )
 from orbitkit.linalg import mat_vec
@@ -143,12 +144,13 @@ class TestCustomLattice:
 
 class TestExtendability:
     def test_regular_vacuous(self, a1):
-        cert = extendability_certificate(w("1/2", "-1/2"), a1)
+        lam = w("1/2", "-1/2")
+        cert = extendability_certificate(lam, singular_roots(lam, a1))
         assert cert.vanishing_pairings == ()
 
     def test_a2_fundamental_records_wall(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        cert = extendability_certificate(omega1, a2)
+        cert = extendability_certificate(omega1, singular_roots(omega1, a2))
         assert len(cert.vanishing_pairings) == 2
         assert all(v == 0 for _, v in cert.vanishing_pairings)
         alpha2 = a2_order.simple[1]
@@ -156,7 +158,8 @@ class TestExtendability:
         assert recorded == {alpha2.coords, (-alpha2).coords}
 
     def test_zero_records_everything(self, a2):
-        cert = extendability_certificate(w(0, 0, 0), a2)
+        zero = w(0, 0, 0)
+        cert = extendability_certificate(zero, singular_roots(zero, a2))
         assert len(cert.vanishing_pairings) == 6
 
 

@@ -34,18 +34,6 @@ def identity(n: int) -> Mat:
     )
 
 
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
 def dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -62,10 +50,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
         for row in a
     )
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(tuple(col) for col in zip(*a))
 
 
 def _rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
@@ -252,14 +236,15 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
     return d, u, v
 
 
+def _smith_diagonal(d: IntMat) -> list[int]:
+    """Nonzero diagonal entries of a Smith normal form d, in order; their
+    number is the rank of the matrix, over Q as over Z."""
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
+
+
 def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal entries of the Smith normal form, in order."""
-    d, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
+    return _smith_diagonal(smith_normal_form(a)[0])
 
 
 def in_integer_row_span(gens: Mat, target: Vec) -> bool:

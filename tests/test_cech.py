@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,10 +15,11 @@ from orbitkit import (
 from orbitkit.cech import (
     RING_Q,
     RING_Z,
+    coboundary_matrix,
     parse_cochain_lines,
     parse_nerve_lines,
 )
-from orbitkit.linalg import det, mat, smith_normal_form
+from orbitkit.linalg import det, invariant_factors, mat, rank, smith_normal_form
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 TETRA_BOUNDARY = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -57,6 +59,28 @@ def nerve_with_cochain(draw, degree):
         for s in nerve.of_dim(degree)
     }
     return nerve, make_cochain(nerve, degree, values)
+
+
+def grid_triangles(n, klein=False):
+    """Triangulated n x n torus, vertex (i, j) -> i*n + j; a Klein bottle
+    when the wrap in the second direction reflects the first coordinate."""
+
+    def v(i, j):
+        if j == n:
+            i, j = (n - 1 - i if klein else i), 0
+        return (i % n) * n + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+            tris += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
+    return tris
+
+
+def sphere_facets(d):
+    """Facets of the boundary of the (d+1)-simplex, a d-sphere."""
+    return list(itertools.combinations(range(d + 2), d + 1))
 
 
 # -- nerve construction -------------------------------------------------------
@@ -137,6 +161,14 @@ class TestCoboundary:
         )
         dd = coboundary(coboundary(c, nerve), nerve)
         assert all(v == 0 for v in dd.values.values())
+
+    def test_values_are_read_only(self):
+        nerve = build_nerve(TRIANGLE)
+        for c in (make_cochain(nerve, 0, {(0,): 1}),
+                  coboundary(make_cochain(nerve, 0, {(0,): 1}), nerve)):
+            s = next(iter(c.values))
+            with pytest.raises(TypeError):
+                c.values[s] = 5
 
     def test_degree_beyond_dimension_is_empty(self):
         nerve = build_nerve(TRIANGLE)
@@ -239,6 +271,41 @@ class TestCohomology:
         assert cohomology(nerve, 1, RING_Z).describe() == "Z"
 
 
+class TestGoldenCohomology:
+    """H^0..H^2 of closed surfaces and spheres at sizes past the toy cases."""
+
+    def _groups(self, simplices, ring, degrees):
+        nerve = build_nerve(simplices)
+        return [cohomology(nerve, k, ring).describe() for k in degrees]
+
+    @pytest.mark.parametrize(
+        "simplices, ring, expected",
+        [
+            (grid_triangles(8), RING_Z, ["Z", "Z + Z", "Z"]),
+            (grid_triangles(8, klein=True), RING_Z, ["Z", "Z", "Z/2"]),
+            (grid_triangles(8, klein=True), RING_Q, ["Z", "Z", "0"]),
+        ],
+        ids=["torus", "klein-z", "klein-q"],
+    )
+    def test_surface_grid(self, simplices, ring, expected):
+        assert self._groups(simplices, ring, range(3)) == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sphere(self, d):
+        expected = ["Z" if k in (0, d) else "0" for k in range(d + 2)]
+        for ring in (RING_Z, RING_Q):
+            assert self._groups(sphere_facets(d), ring, range(d + 2)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(nerves())
+def test_invariant_factor_count_is_the_rational_rank(nerve):
+    for k in range(nerve.dimension + 1):
+        m = coboundary_matrix(nerve, k)
+        assert len(invariant_factors(m)) == rank(mat(m))
+
+
+# the alternating sum telescopes for any ranks, so this cannot catch a wrong one
 @settings(max_examples=100, deadline=None)
 @given(nerves())
 def test_euler_characteristic_consistency(nerve):
@@ -284,6 +351,18 @@ def test_smith_normal_form_properties(rows):
     # unimodular transforms
     assert abs(det(mat(u))) == 1
     assert abs(det(mat(v))) == 1
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(11)
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        theirs = sympy_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert invariant_factors(rows) == [int(x) for x in theirs if x != 0], rows
 
 
 # -- chern class --------------------------------------------------------------

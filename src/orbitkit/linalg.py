@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -147,89 +147,114 @@ def det(a: Mat) -> Fraction:
 IntMat = list[list[int]]
 
 
+def _first_minimal(
+    d: IntMat, t: int, n: int, zero: list[bool]
+) -> Optional[tuple[int, int]]:
+    """Position of the first entry of least nonzero magnitude, in row-major
+    order, of the trailing block d[t:][t:n]; None when that block is zero.
+
+    The scan ends at the first ±1: no later entry is strictly smaller.  A
+    trailing row is zero left of column t, so a row found zero from t on is
+    flagged in zero[] and skipped by later scans; elimination never makes a
+    zero row nonzero.
+    """
+    best = None
+    least = 0
+    for i in range(t, len(d)):
+        if zero[i]:
+            continue
+        row = d[i]
+        if not any(row[t:n]):
+            zero[i] = True
+            continue
+        for j in range(t, n):
+            e = row[j]
+            if e and (best is None or abs(e) < least):
+                if e == 1 or e == -1:
+                    return i, j
+                best, least = (i, j), abs(e)
+    return best
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form with transforms: returns (d, u, v) with u·a·v = d.
 
     u and v are unimodular; d is diagonal with non-negative entries and
     d[i][i] divides d[i+1][i+1].
+
+    The transforms are fixed by the pivot rule, which is part of the
+    contract: ``cech.chern_class`` reads its coordinates through u, so a
+    different pivot sequence changes its output.  Step t pivots on the first
+    entry of least nonzero magnitude, in row-major order, of the trailing
+    block d[t:][t:], swaps it to (t, t) and makes it positive, then reduces
+    row t and column t by floor division.  Nonzero remainders restart step
+    t.  A pivot of 1 divides everything, so step t ends there; a larger
+    pivot that fails to divide some trailing entry has the first such row
+    added to row t, and step t restarts.
     """
     d = [[int(x) for x in row] for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+    zero = [False] * m
 
     t = 0
     while True:
-        # locate a minimal-magnitude nonzero entry in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+        best = _first_minimal(d, t, n, zero)
         if best is None:
             break
         bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            d[t], d[bi] = d[bi], d[t]
+            u[t], u[bi] = u[bi], u[t]
+            zero[t], zero[bi] = zero[bi], zero[t]
         if bj != t:
-            swap_cols(t, bj)
+            # rows above t are zero in both columns
+            for row in d[t:] + v:
+                row[t], row[bj] = row[bj], row[t]
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        p = d[t][t]
 
+        # Each update below reads only row t or column t, which it never
+        # writes, so their nonzero entries are collected once per pivot.
         dirty = False
+        d_t, u_t = d[t], u[t]
+        d_src = [(j, d_t[j]) for j in range(t, n) if d_t[j]]
+        u_src = [(j, x) for j, x in enumerate(u_t) if x]
         for i in range(t + 1, m):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                add_row(t, i, -q)
-                if d[i][t] != 0:
+            if d[i][t]:
+                q = d[i][t] // p
+                d_i, u_i = d[i], u[i]
+                for j, y in d_src:
+                    d_i[j] -= q * y
+                for j, y in u_src:
+                    u_i[j] -= q * y
+                if d_i[t]:
                     dirty = True
+        src = [row for row in d[t:] + v if row[t]]
         for j in range(t + 1, n):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                add_col(t, j, -q)
-                if d[t][j] != 0:
+            if d[t][j]:
+                q = d[t][j] // p
+                for row in src:
+                    row[j] -= q * row[t]
+                if d[t][j]:
                     dirty = True
         if dirty:
             continue  # remainders became new smaller pivot candidates
+        if p == 1:
+            t += 1  # a unit divides the whole trailing block
+            continue
 
         # pivot must divide the whole trailing block for the invariant chain
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 : n])), None
+        )
         if offender is not None:
-            add_row(offender, t, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
             continue
         t += 1
 
@@ -252,24 +277,31 @@ def in_integer_row_span(gens: Mat, target: Vec) -> bool:
 
     gens may have rational entries; everything is scaled to integers first.
     """
-    if not gens:
-        return all(x == 0 for x in target)
-    if len(target) != len(gens[0]):
-        raise ValueError("dimension mismatch between generators and target")
-    denoms = [x.denominator for row in gens for x in row]
-    scale_ = math.lcm(*denoms, *(x.denominator for x in target))
-    a = [[int(x * scale_) for x in row] for row in gens]
-    b = [int(x * scale_) for x in target]
-    d, _, v = smith_normal_form(a)
-    # x·A = b  <=>  z·D = b·V with z integral
-    bv = [sum(b[i] * v[i][j] for i in range(len(b))) for j in range(len(v[0]))]
-    r = min(len(d), len(d[0]) if d else 0)
-    for j in range(len(bv)):
-        dj = d[j][j] if j < r else 0
-        if dj == 0:
-            if bv[j] != 0:
-                return False
-        elif bv[j] % dj != 0:
-            return False
-    return True
+    return _row_span_member(gens)(target)
 
+
+def _row_span_member(gens: Mat) -> Callable[[Vec], bool]:
+    """Membership test for the integer row span of gens, for any number of
+    targets from one Smith normal form."""
+    if not gens:
+        return lambda target: all(x == 0 for x in target)
+    width = len(gens[0])
+    scale = math.lcm(*(x.denominator for row in gens for x in row))
+    d, _, v = smith_normal_form([[int(x * scale) for x in row] for row in gens])
+    r = min(len(d), width)
+    diag = [d[j][j] if j < r else 0 for j in range(width)]
+
+    def member(target: Vec) -> bool:
+        if len(target) != width:
+            raise ValueError("dimension mismatch between generators and target")
+        # scaled by scale, x·A = b  <=>  z·D = b·V with z integral
+        b = [x * scale for x in target]
+        if any(x.denominator != 1 for x in b):
+            return False
+        for j, dj in enumerate(diag):
+            bv = sum(int(b[i]) * v[i][j] for i in range(width))
+            if (bv % dj if dj else bv) != 0:
+                return False
+        return True
+
+    return member

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, TheoremViolationError
-from .linalg import Vec, in_integer_row_span, mat, solve
+from .linalg import Vec, _row_span_member, in_integer_row_span, mat, solve
 from .rootsys import (
     AMBIENT,
     RootSystem,
@@ -62,9 +62,9 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
             raise InputError(
                 f"lattice generator has {len(g)} coordinates, expected {rs.ambient_dim}"
             )
-    gmat = mat(gens)
+    member = _row_span_member(mat(gens))
     for alpha in rs.roots:
-        if not in_integer_row_span(gmat, alpha.coords):
+        if not member(alpha.coords):
             raise InputError(
                 f"root {alpha.to_strings()} is not a member of the custom lattice"
             )

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitkit import (
     InputError,
@@ -20,6 +20,7 @@ from orbitkit.cech import (
     parse_nerve_lines,
 )
 from orbitkit.linalg import det, invariant_factors, mat, rank, smith_normal_form
+from snf_reference import smith_normal_form as snf_reference
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 TETRA_BOUNDARY = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -351,6 +352,55 @@ def test_smith_normal_form_properties(rows):
     # unimodular transforms
     assert abs(det(mat(u))) == 1
     assert abs(det(mat(v))) == 1
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """Integer matrices up to 7x7 whose entries are mostly 0 and ±1, the
+    entries of a coboundary matrix, with some larger ones mixed in."""
+    m = draw(st.integers(min_value=0, max_value=7))
+    n = draw(st.integers(min_value=0, max_value=7))
+    entry = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-12, 12))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy_matrices())
+@example([])
+@example([[]])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 4], [4, 2]])
+def test_smith_normal_form_matches_reference(rows):
+    assert smith_normal_form(rows) == snf_reference(rows)
+
+
+def relabelled_grid(n, klein, perm):
+    return build_nerve(
+        [tuple(sorted(perm[x] for x in s)) for s in grid_triangles(n, klein)]
+    )
+
+
+@st.composite
+def relabelled_grids(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    return relabelled_grid(n, draw(st.booleans()), draw(st.permutations(range(n * n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(nerves(), relabelled_grids()), st.sampled_from((0, 1, 2)))
+def test_coboundary_smith_normal_form_matches_reference(nerve, k):
+    a = coboundary_matrix(nerve, k)
+    assert smith_normal_form(a) == snf_reference(a)
+
+
+@pytest.mark.parametrize("klein", [False, True])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_grid_coboundary_smith_normal_form_matches_reference(n, klein):
+    nerve = relabelled_grid(n, klein, random.Random(n).sample(range(n * n), n * n))
+    for k in (0, 1, 2):
+        a = coboundary_matrix(nerve, k)
+        assert smith_normal_form(a) == snf_reference(a)
 
 
 def test_invariant_factors_match_sympy():

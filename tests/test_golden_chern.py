@@ -1,0 +1,132 @@
+"""Golden Chern-class coordinates: every stdout byte of `cech chern`, pinned
+by sha256.
+
+``golden_chern.json`` lists seeded integer 2-cocycles delta(b) + m*[face] on
+randomly relabelled torus grids (n = 6, 8, 10, 12) and Klein-bottle grids
+(n = 7, 9, 11), with the sha256 of `cech chern --output json` on each.  The
+free coordinate of a torus class is read through the left transform of the
+Smith normal form of delta_1, so its sign pins that transform, not just the
+invariant factors.  The fixture was generated at commit
+798cd9cbcdc78ca660461a6ad67920b1b593db4e, before the Smith normal form took
+unit pivots without rescanning, by running from the repository root:
+
+    PYTHONPATH=src python tests/test_golden_chern.py > tests/golden_chern.json
+
+A change that keeps the Smith transforms identical keeps this test passing;
+regenerate the fixture only for a deliberate change of output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from orbitkit import cli
+
+FIXTURE = Path(__file__).with_name("golden_chern.json")
+SEED = 20261019
+GRIDS = (("torus", 6), ("torus", 8), ("torus", 10), ("torus", 12),
+         ("klein", 7), ("klein", 9), ("klein", 11))
+CASES_PER_GRID = 2
+
+
+def grid_triangles(n: int, klein: bool) -> list[tuple[int, ...]]:
+    """Triangulated n x n torus, vertex (i, j) -> i*n + j; a Klein bottle
+    when the wrap in the second direction reflects the first coordinate."""
+
+    def v(i, j):
+        if j == n:
+            i, j = (n - 1 - i if klein else i), 0
+        return (i % n) * n + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+            tris += [(a, b, d), (a, c, d)]
+    return tris
+
+
+def cases() -> list[dict]:
+    """Each case: the relabelled triangles and the nonzero cocycle values,
+    both as sorted simplices, plus the multiple m of the added face."""
+    rng = random.Random(SEED)
+    out = []
+    for space, n in GRIDS:
+        for _ in range(CASES_PER_GRID):
+            perm = rng.sample(range(n * n), n * n)
+            tris = sorted(
+                tuple(sorted(perm[x] for x in s))
+                for s in grid_triangles(n, space == "klein")
+            )
+            edges = sorted({(s[a], s[b]) for s in tris for a, b in ((0, 1), (0, 2), (1, 2))})
+            b = {e: rng.randint(-3, 3) for e in edges}
+            values = {s: b[s[1:]] - b[(s[0], s[2])] + b[s[:2]] for s in tris}
+            m = rng.choice((0, 1, -1, 2, -2, 3))
+            values[rng.choice(tris)] += m
+            out.append({
+                "space": space,
+                "n": n,
+                "m": m,
+                "triangles": tris,
+                "values": [(s, x) for s, x in sorted(values.items()) if x],
+            })
+    return out
+
+
+def chern_stdout(case: dict) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        nerve = Path(tmp, "grid.nerve")
+        nerve.write_text("".join(" ".join(map(str, s)) + "\n" for s in case["triangles"]))
+        cocycle = Path(tmp, "grid.cochain")
+        cocycle.write_text(
+            "".join(" ".join(map(str, s)) + f" {x}\n" for s, x in case["values"])
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(
+                ["cech", "chern", "--nerve", str(nerve), "--cocycle", str(cocycle),
+                 "--output", "json"]
+            )
+    assert code == cli.EXIT_OK
+    return out.getvalue()
+
+
+def record(case: dict) -> dict:
+    digest = hashlib.sha256(chern_stdout(case).encode()).hexdigest()
+    return {"space": case["space"], "n": case["n"], "m": case["m"], "stdout_sha256": digest}
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def golden() -> list[dict]:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_matches_the_seeded_cases(golden):
+    assert [(c["space"], c["n"], c["m"]) for c in golden] == [
+        (c["space"], c["n"], c["m"]) for c in CASES
+    ]
+
+
+@pytest.mark.parametrize(
+    "index",
+    range(len(CASES)),
+    ids=[f"{c['space']}{c['n']}-m{c['m']}-{i}" for i, c in enumerate(CASES)],
+)
+def test_chern_bytes_match_the_fixture(index, golden):
+    assert record(CASES[index]) == golden[index]
+
+
+if __name__ == "__main__":
+    sys.stdout.write(json.dumps([record(c) for c in CASES], indent=1) + "\n")

@@ -83,3 +83,9 @@ def test_rational_generators():
     assert in_integer_row_span(gens, vec([Fraction(3, 2), Fraction(-3, 2)]))
     assert not in_integer_row_span(gens, vec([Fraction(1, 4), Fraction(-1, 4)]))
     assert not in_integer_row_span(gens, vec([1, 0]))
+
+
+def test_zero_width_generators():
+    # the empty vector is the zero vector, an integer combination of any rows
+    assert in_integer_row_span(((),), ())
+    assert in_integer_row_span(((), ()), ())

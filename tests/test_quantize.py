@@ -21,6 +21,7 @@ from orbitkit import (
     singular_roots,
     weyl_orbit,
 )
+from orbitkit import linalg
 from orbitkit.linalg import mat_vec
 from orbitkit.quantize import (
     ADJOINT,
@@ -128,6 +129,24 @@ class TestCustomLattice:
     def test_rejects_wrong_dimension(self, a1):
         with pytest.raises(InputError):
             custom_lattice([[1, -1, 0]], a1)
+
+    def test_first_missing_root_is_named(self, a2):
+        doubled = [(2 * a).coords for a in default_order(a2).simple]
+        with pytest.raises(InputError) as err:
+            custom_lattice(doubled, a2)
+        assert str(err.value) == (
+            f"root {a2.roots[0].to_strings()} is not a member of the custom lattice"
+        )
+
+    def test_one_smith_normal_form_for_all_roots(self, monkeypatch):
+        rs = build_root_system(parse_series("A3"))
+        calls = []
+        snf = linalg.smith_normal_form
+        monkeypatch.setattr(
+            linalg, "smith_normal_form", lambda a: calls.append(a) or snf(a)
+        )
+        custom_lattice([a.coords for a in default_order(rs).simple], rs)
+        assert len(calls) == 1
 
     def test_intermediate_lattice_a3(self):
         # index-2 sublattice of the A3 weight lattice containing the roots:

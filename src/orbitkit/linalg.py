@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here works on tuples of ``fractions.Fraction`` (vectors) and
-tuples of such tuples (row-major matrices).  No floating point.  The Smith
-normal form carries its unimodular transforms because the Cech module needs
-the left transform to read off cohomology coordinates.
+Everything here works on tuples of exact rationals (vectors) and tuples of
+such tuples (row-major matrices); a ``Vec`` entry is a ``fractions.Fraction``
+or a plain ``int``, as in the integer roots of ``rootsys``.  No floating
+point.  The Smith normal form carries its unimodular transforms because the
+Cech module needs the left transform to read off cohomology coordinates.
 """
 
 from __future__ import annotations

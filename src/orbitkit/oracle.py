@@ -277,7 +277,7 @@ def numeric_kks_check(
         ex.coords: nr for nr, ex, _ in match_roots(numeric_root_decomposition(alg), rs)
     }
     block_residual = 0.0
-    for alpha, value in zip(exact_blocks.basis_labels, _block_values(exact_blocks)):
+    for alpha, value in zip(exact_blocks.basis_labels, exact_blocks.blocks):
         nr = matches[alpha.coords]
         a, b = _real_pair(nr.eigenvector)
         numeric = _eval_functional(v_lam, _br(a, b))
@@ -313,10 +313,6 @@ def numeric_kks_check(
                 f"equivariance residual {residual:.2e} at basis pair {worst}"
             )
     return KKSCheckReport(block_residual, equiv_residual, samples)
-
-
-def _block_values(kks: KKSMatrix):
-    return [kks.entries[2 * i][2 * i + 1] for i in range(len(kks.basis_labels))]
 
 
 def _coadjoint_pullback(v_lam: np.ndarray, x: np.ndarray, y: np.ndarray, t: float) -> float:

@@ -62,15 +62,23 @@ class Polarization:
 @dataclass(frozen=True)
 class KKSMatrix:
     basis_labels: tuple[Weight, ...]  # one label per (A_alpha, B_alpha) pair
-    entries: tuple[tuple[Fraction, ...], ...]
+    blocks: tuple[Fraction, ...]  # omega(A_alpha, B_alpha), one per label
 
     @property
     def dim(self) -> int:
         return 2 * len(self.basis_labels)
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense antisymmetric 2k x 2k form, built on demand."""
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, c in enumerate(self.blocks):
+            rows[2 * i][2 * i + 1] = c
+            rows[2 * i + 1][2 * i] = -c
+        return tuple(tuple(row) for row in rows)
+
     def block_value(self, alpha: Weight) -> Fraction:
-        i = self.basis_labels.index(alpha)
-        return self.entries[2 * i][2 * i + 1]
+        return self.blocks[self.basis_labels.index(alpha)]
 
 
 def singular_roots(lam: Weight, rs: RootSystem) -> tuple[Weight, ...]:
@@ -81,11 +89,11 @@ def singular_roots(lam: Weight, rs: RootSystem) -> tuple[Weight, ...]:
 def _check_closed(subset: tuple[Weight, ...], rs: RootSystem, what: str) -> None:
     coords = {a.coords for a in subset}
     for a in subset:
-        for b in subset:
-            s = tuple(x + y for x, y in zip(a.coords, b.coords))
-            if s in rs.root_set and s not in coords:
+        for b, s in rs.sums[a.coords].items():
+            if b in coords and s not in coords:
                 raise TheoremViolationError(
-                    f"{what} not closed under addition at {a.to_strings()} + {b.to_strings()}"
+                    f"{what} not closed under addition at "
+                    f"{a.to_strings()} + {list(map(str, b))}"
                 )
 
 
@@ -148,21 +156,19 @@ def check_admissibility(
     # (i) the intersection must be a positive system of the sub-root-system:
     # exactly one of each +/- pair, and additively closed inside it.
     cond_i = all((c in pos_sing) != (tuple(-x for x in c) in pos_sing) for c in sing)
-    if cond_i:
-        for a in pos_sing:
-            for b in pos_sing:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in sing and s not in pos_sing:
-                    cond_i = False
+    cond_i = cond_i and not any(
+        b in pos_sing and s in sing and s not in pos_sing
+        for a in pos_sing
+        for b, s in rs.sums[a].items()
+    )
 
     # (ii) alpha in pos \ pos_sing, beta singular, alpha+beta a root
     #      => alpha+beta back in pos \ pos_sing
-    cond_ii = True
-    for a in pos - pos_sing:
-        for b in sing:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_set and not (s in pos and s not in pos_sing):
-                cond_ii = False
+    cond_ii = not any(
+        b in sing and (s not in pos or s in pos_sing)
+        for a in pos - pos_sing
+        for b, s in rs.sums[a].items()
+    )
     dom = is_dominant(lam, order)
     return AdmissibilityCertificate(cond_i, cond_ii, dom)
 
@@ -212,18 +218,15 @@ def kks_matrix(lam: Weight, pol: Polarization) -> KKSMatrix:
     """Exact KKS form at the base point on the real pairs (A_alpha, B_alpha),
     one antisymmetric 2x2 block per label of pol."""
     rs = pol.order.rs
-    labels = pol.b_roots
-    k = len(labels)
-    entries = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
-    for i, alpha in enumerate(labels):
+    blocks = []
+    for alpha in pol.b_roots:
         c = KKS_KAPPA * pairing(lam, alpha, rs)
         if c == 0:
             raise TheoremViolationError(
                 f"degenerate KKS block for non-singular root {alpha.to_strings()}"
             )
-        entries[2 * i][2 * i + 1] = c
-        entries[2 * i + 1][2 * i] = -c
-    return KKSMatrix(labels, tuple(tuple(row) for row in entries))
+        blocks.append(c)
+    return KKSMatrix(pol.b_roots, tuple(blocks))
 
 
 def lagrangian_check(

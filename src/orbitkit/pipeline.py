@@ -61,8 +61,8 @@ class OrbitReport:
             "simple_roots": [r.to_strings() for r in self.order.simple],
             "b_roots": [r.to_strings() for r in self.polarization.b_roots],
             "kks_blocks": [
-                {"root": a.to_strings(), "value": str(self.kks.block_value(a))}
-                for a in self.kks.basis_labels
+                {"root": a.to_strings(), "value": str(c)}
+                for a, c in zip(self.kks.basis_labels, self.kks.blocks)
             ],
             "verdict": {
                 "integral": self.verdict.integral,

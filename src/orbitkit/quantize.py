@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import InputError, TheoremViolationError
-from .linalg import Vec, _row_span_member, in_integer_row_span, mat, solve
+from .linalg import Vec, _row_span_member, in_integer_row_span, mat
 from .rootsys import (
-    AMBIENT,
     RootSystem,
     Weight,
     default_order,
@@ -52,6 +52,11 @@ class LatticeSpec:
         if self.kind == CUSTOM and not self.generators:
             raise InputError("custom lattice needs at least one generator")
 
+    @cached_property
+    def member(self) -> Callable[[Vec], bool]:
+        """Integer-span membership test, one Smith normal form for all uses."""
+        return _row_span_member(mat(self.generators))
+
 
 def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpec:
     """Validated custom lattice: must contain every root and pair integrally
@@ -62,9 +67,9 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
             raise InputError(
                 f"lattice generator has {len(g)} coordinates, expected {rs.ambient_dim}"
             )
-    member = _row_span_member(mat(gens))
+    lattice = LatticeSpec(CUSTOM, gens)
     for alpha in rs.roots:
-        if not member(alpha.coords):
+        if not lattice.member(alpha.coords):
             raise InputError(
                 f"root {alpha.to_strings()} is not a member of the custom lattice"
             )
@@ -76,39 +81,25 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
                 raise InputError(
                     f"generator {list(map(str, g))} pairs non-integrally with a coroot"
                 )
-    return LatticeSpec(CUSTOM, gens)
+    return lattice
 
 
 def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
-    """Exact lattice membership of lam, per the lattice kind."""
-    if lam.basis != AMBIENT:
-        raise InputError("integrality requires ambient coordinates")
+    """Exact lattice membership of lam, per the lattice kind.  The simple
+    coroots span the coroot lattice and the simple roots the root lattice,
+    so sc and adjoint are tested against the simple roots alone."""
     if len(lam.coords) != rs.ambient_dim:
         raise InputError("weight dimension mismatch")
+    simple = default_order(rs).simple
     if lattice.kind == SIMPLY_CONNECTED:
-        for alpha in rs.roots:
+        for alpha in simple:
             val = 2 * pairing(lam, alpha, rs) / pairing(alpha, alpha, rs)
             if val.denominator != 1:
                 return False
         return True
     if lattice.kind == ADJOINT:
-        return _in_root_lattice(lam, rs)
-    return in_integer_row_span(mat(lattice.generators), lam.coords)
-
-
-def _in_root_lattice(lam: Weight, rs: RootSystem) -> bool:
-    """Integer-combination-of-roots test via the simple roots, which are a
-    basis of the root span."""
-    simple = default_order(rs).simple
-    if not simple:
-        return lam.is_zero()
-    cols = mat(
-        [[s.coords[i] for s in simple] for i in range(rs.ambient_dim)]
-    )
-    sol = solve(cols, lam.coords)
-    if sol is None:
-        return False
-    return all(c.denominator == 1 for c in sol)
+        return in_integer_row_span(mat(a.coords for a in simple), lam.coords)
+    return lattice.member(lam.coords)
 
 
 @dataclass(frozen=True)

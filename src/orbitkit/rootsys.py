@@ -9,13 +9,16 @@ A fixed Euclidean realization is used throughout:
 * ``D_n``: ``±e_i ± e_j``,
 
 with the pairing given by the ambient dot product; torus factors contribute
-trailing coordinates and no roots.  All arithmetic is exact rational, and
-every value is immutable after construction.
+trailing coordinates and no roots.  Roots are tuples of plain ints, each with
+at most two nonzero coordinates; weights may hold ints or Fractions, which
+compare, hash and print alike.  All arithmetic is exact rational, and every
+value is immutable after construction.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +30,6 @@ from .linalg import Vec, dot, mat, solve, vec
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
 MAX_ROOTS = 1000
-
-AMBIENT = "ambient"
-FUNDAMENTAL = "fundamental"
 
 _SERIES_LETTERS = ("A", "B", "C", "D")
 _FACTOR_RE = re.compile(r"^([ABCDT])(\d+)$")
@@ -122,13 +122,11 @@ class Weight:
     """Exact functional on the Cartan subalgebra, as a coordinate vector."""
 
     coords: Vec
-    basis: str = AMBIENT
     projected: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.basis not in (AMBIENT, FUNDAMENTAL):
-            raise InputError(f"unknown weight basis {self.basis!r}")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in self.coords)
+        object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_arith(other)
@@ -139,14 +137,12 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords), self.basis)
+        return Weight(tuple(-a for a in self.coords))
 
     def __rmul__(self, c) -> "Weight":
-        return Weight(tuple(Fraction(c) * a for a in self.coords), self.basis)
+        return Weight(tuple(Fraction(c) * a for a in self.coords))
 
     def _check_arith(self, other: "Weight"):
-        if self.basis != AMBIENT or other.basis != AMBIENT:
-            raise InputError("weight arithmetic requires ambient coordinates")
         if len(self.coords) != len(other.coords):
             raise InputError("weight dimension mismatch")
 
@@ -157,13 +153,13 @@ class Weight:
         return [str(c) for c in self.coords]
 
 
-def weight_from_strings(items: Sequence[str], basis: str = AMBIENT) -> Weight:
+def weight_from_strings(items: Sequence[str]) -> Weight:
     """Build a Weight from "p/q" strings (the JSON wire format)."""
     try:
         coords = tuple(Fraction(s) for s in items)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational in weight: {exc}") from exc
-    return Weight(coords, basis)
+    return Weight(coords)
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,34 @@ class RootSystem:
         return frozenset(r.coords for r in self.roots)
 
     @cached_property
-    def _default_order(self) -> "RootOrder":
-        return positive_roots(self, default_chamber_seed(self))
+    def sums(self) -> dict[Vec, dict[Vec, Vec]]:
+        """Root addition: sums[a][b] = a + b for the roots a, b whose sum is a
+        root.  A root has at most two nonzero coordinates, so only roots b
+        sharing one with a, or single-coordinate roots when a is one too
+        (B_n: e_i + e_j), are tried: O(|Phi| rank) pairs.  A sum of two roots
+        has coordinates in [-4, 4], so the base-16 number with those digits
+        names it, and adds like it."""
+        roots = [a.coords for a in self.roots]
+        support = {a: [i for i, x in enumerate(a) if x] for a in roots}
+        code = {a: sum(a[i] << 4 * i for i in support[a]) for a in roots}
+        by_code = {c: a for a, c in code.items()}
+        # coordinate -> the roots nonzero there; -1 -> the single-coordinate roots
+        keys = {a: s + [-1] if len(s) == 1 else s for a, s in support.items()}
+        near = defaultdict(list)
+        for a in roots:
+            for k in keys[a]:
+                near[k].append(a)
+        return {
+            a: {b: s for k in keys[a] for b in near[k] if (s := by_code.get(code[a] + code[b]))}
+            for a in roots
+        }
+
+    @cached_property
+    def _default_split(self) -> tuple[Weight, tuple[Weight, ...], tuple[Weight, ...]]:
+        # no RootOrder here: its back-reference would make every root
+        # system a reference cycle, freed only by the cycle collector
+        order = positive_roots(self, default_chamber_seed(self))
+        return order.chamber_seed, order.positive, order.simple
 
     @property
     def ambient_dim(self) -> int:
@@ -223,12 +245,13 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
             f"{spec} has {spec.root_count} roots, above the bound of {MAX_ROOTS}"
         )
     n = spec.ambient_dim
-    roots: set[Vec] = set()
+    roots: set[tuple[int, ...]] = set()
 
-    def unit(i: int) -> list[Fraction]:
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        return v
+    def add(*entries: tuple[int, int]) -> None:
+        v = [0] * n
+        for i, x in entries:
+            v[i] = x
+        roots.add(tuple(v))
 
     for letter, r, start, stop in spec.blocks():
         idx = range(start, stop)
@@ -236,28 +259,19 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
             for i in idx:
                 for j in idx:
                     if i != j:
-                        v = [Fraction(0)] * n
-                        v[i], v[j] = Fraction(1), Fraction(-1)
-                        roots.add(tuple(v))
+                        add((i, 1), (j, -1))
         elif letter in ("B", "C", "D"):
             for i in idx:
                 for j in idx:
                     if i < j:
                         for si in (1, -1):
                             for sj in (1, -1):
-                                v = [Fraction(0)] * n
-                                v[i], v[j] = Fraction(si), Fraction(sj)
-                                roots.add(tuple(v))
-            if letter == "B":
+                                add((i, si), (j, sj))
+            if letter != "D":
+                k = 1 if letter == "B" else 2
                 for i in idx:
-                    for s in (1, -1):
-                        v = unit(i)
-                        roots.add(tuple(Fraction(s) * c for c in v))
-            elif letter == "C":
-                for i in idx:
-                    for s in (2, -2):
-                        v = unit(i)
-                        roots.add(tuple(Fraction(s) * c for c in v))
+                    add((i, k))
+                    add((i, -k))
     ordered = tuple(Weight(v) for v in sorted(roots))
     return RootSystem(spec, ordered)
 
@@ -269,13 +283,7 @@ def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
     return dot(xi.coords, eta.coords)
 
 
-def norm_sq(w: Weight, rs: RootSystem) -> Fraction:
-    return pairing(w, w, rs)
-
-
 def _require_ambient(w: Weight, rs: RootSystem):
-    if w.basis != AMBIENT:
-        raise InputError("operation requires ambient coordinates")
     if len(w.coords) != rs.ambient_dim:
         raise InputError(
             f"weight has {len(w.coords)} coordinates, expected {rs.ambient_dim}"
@@ -301,7 +309,7 @@ def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:
             for i in range(start, stop):
                 c[i] -= mean
             projected = True
-    return Weight(tuple(c), AMBIENT, projected)
+    return Weight(tuple(c), projected)
 
 
 def default_chamber_seed(rs: RootSystem) -> Weight:
@@ -333,16 +341,10 @@ def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
             )
         if p > 0:
             pos.append(alpha)
+    # simple roots are the positive roots that are not a sum of two positives
     pos_set = {a.coords for a in pos}
-    simple = []
-    for alpha in pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(alpha.coords, beta.coords)) in pos_set
-            for beta in pos
-            if beta.coords != alpha.coords
-        )
-        if not decomposable:
-            simple.append(alpha)
+    sums = {s for a in pos_set for b, s in rs.sums[a].items() if b in pos_set}
+    simple = [a for a in pos if a.coords not in sums]
     # textbook enumeration: alpha_1 = e1 - e2 first, ties broken lexicographically
     simple.sort(key=lambda a: (_first_support(a), a.coords))
     return RootOrder(rs, chamber_seed, tuple(pos), tuple(simple))
@@ -354,7 +356,7 @@ def _first_support(a: Weight) -> int:
 
 def default_order(rs: RootSystem) -> RootOrder:
     """Positive system of default_chamber_seed, computed once per root system."""
-    return rs._default_order
+    return RootOrder(rs, *rs._default_split)
 
 
 def is_dominant(lam: Weight, order: RootOrder) -> bool:

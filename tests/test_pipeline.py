@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import weakref
 
 from orbitkit import LatticeSpec, analyze_orbit, build_root_system, parse_series
 from orbitkit.cli import canonical_json
@@ -88,3 +90,29 @@ def test_torus_report_memory_is_linear_in_the_ambient_dimension():
         tracemalloc.stop()
     assert report.dim_orbit == 0
     assert peak < 4 * 2**20
+
+
+def test_kks_form_is_stored_as_its_blocks():
+    # 484 blocks on a regular B22 report; the dense 968 x 968 form alone
+    # would take over 7 MiB
+    rs = build_root_system(parse_series("B22"))
+    tracemalloc.start()
+    try:
+        report = analyze_orbit(rs, [str(i) for i in range(22, 0, -1)], SC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.kks.blocks) == 484
+    assert peak < 5 * 2**20
+
+
+def test_report_root_system_is_freed_without_the_cycle_collector():
+    rs = build_root_system(parse_series("A2"))
+    report = analyze_orbit(rs, ["1", "0", "-1"], SC)
+    freed = weakref.ref(rs)
+    gc.disable()
+    try:
+        del rs, report
+        assert freed() is None
+    finally:
+        gc.enable()

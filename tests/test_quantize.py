@@ -8,6 +8,7 @@ from orbitkit import (
     InputError,
     LatticeSpec,
     Weight,
+    analyze_orbit,
     build_root_system,
     custom_lattice,
     default_order,
@@ -145,8 +146,16 @@ class TestCustomLattice:
         monkeypatch.setattr(
             linalg, "smith_normal_form", lambda a: calls.append(a) or snf(a)
         )
-        custom_lattice([a.coords for a in default_order(rs).simple], rs)
+        lattice = custom_lattice([a.coords for a in default_order(rs).simple], rs)
         assert len(calls) == 1
+        # the report's two integrality tests reuse the lattice's membership test
+        report = analyze_orbit(rs, ["2", "1", "-1", "-2"], lattice)
+        assert report.verdict.integral
+        assert len(calls) == 1
+
+    def test_no_generators_is_rejected(self, a1):
+        with pytest.raises(InputError, match="custom lattice needs at least one generator"):
+            custom_lattice([], a1)
 
     def test_intermediate_lattice_a3(self):
         # index-2 sublattice of the A3 weight lattice containing the roots:

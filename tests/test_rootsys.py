@@ -265,15 +265,6 @@ class TestWeightWireFormat:
         with pytest.raises(InputError):
             weight_from_strings(["pi"])
 
-    def test_operations_reject_fundamental_tag(self, a2, a2_order):
-        from orbitkit.rootsys import FUNDAMENTAL
-
-        lam = Weight(frac_vec((1, 0)), basis=FUNDAMENTAL)
-        with pytest.raises(InputError):
-            is_dominant(lam, a2_order)
-        with pytest.raises(InputError):
-            pairing(lam, lam, a2)
-
 
 class TestFundamentalBasis:
     def test_a1(self, a1):

@@ -3,8 +3,9 @@
 The nerve of a cover is an abstract simplicial complex; cochains live on its
 strictly increasing simplex tuples and the coboundary is the alternating
 face sum.  Cohomology over both rings comes from the integer Smith normal
-form of the coboundary matrices, which also yields coordinates for integer
-2-cocycle classes (the Chern-class data of transition functions).
+form of the sparse coboundary matrices; carrying a cocycle through the same
+row operations yields coordinates for integer 2-cocycle classes (the
+Chern-class data of transition functions).
 
 A single nerve is the input; refinements and the direct limit are out of
 scope, so the cover is assumed to have contractible intersections.
@@ -18,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
-from .linalg import _smith_diagonal, invariant_factors, smith_normal_form
+from .linalg import smith_eliminate
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
 
@@ -170,7 +171,11 @@ def parse_cochain_lines(
 def make_cochain(
     nerve: Nerve, degree: int, values: Mapping[Simplex, object], ring: str = RING_Z
 ) -> Cochain:
-    """Cochain defined on exactly the degree-k simplices; omitted ones are 0."""
+    """Cochain defined on exactly the degree-k simplices; omitted ones are 0.
+
+    Values are exact: a float is refused on both rings, and on Z a value
+    that is not an integer is refused rather than truncated.
+    """
     if ring not in (RING_Z, RING_Q):
         raise InputError(f"unknown ring {ring!r}")
     known = set(nerve.of_dim(degree))
@@ -179,7 +184,17 @@ def make_cochain(
         key = tuple(s)
         if key not in known:
             raise InputError(f"simplex {key} is not a {degree}-simplex of the nerve")
-        out[key] = int(v) if ring == RING_Z else Fraction(v)
+        if isinstance(v, float):
+            raise InputError(f"value {v!r} on simplex {key} is a float; give an int or Fraction")
+        try:
+            x = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"value {v!r} on simplex {key}: {exc}") from exc
+        if ring == RING_Z:
+            if x.denominator != 1:
+                raise InputError(f"value {v} on simplex {key} is not an integer")
+            x = int(x)
+        out[key] = x
     return Cochain(degree, ring, MappingProxyType(out))
 
 
@@ -201,17 +216,18 @@ def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
     return Cochain(k + 1, c.ring, MappingProxyType(values))
 
 
-def coboundary_matrix(nerve: Nerve, k: int) -> list[list[int]]:
-    """Integer matrix of delta_k with rows indexed by (k+1)-simplices and
-    columns by k-simplices."""
-    rows = nerve.of_dim(k + 1)
+def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:
+    """Sparse integer matrix of delta_k: one row per (k+1)-simplex, holding
+    {index of a k-face: ±1}; the columns are the k-simplices in order."""
     cols = nerve.index_of(k)
-    out = [[0] * len(cols) for _ in rows]
-    for i, s in enumerate(rows):
-        for omit in range(len(s)):
-            face = s[:omit] + s[omit + 1 :]
-            out[i][cols[face]] += 1 if omit % 2 == 0 else -1
-    return out
+    return [
+        {cols[s[:omit] + s[omit + 1 :]]: -1 if omit % 2 else 1 for omit in range(len(s))}
+        for s in nerve.of_dim(k + 1)
+    ]
+
+
+def _invariant_factors(nerve: Nerve, k: int) -> list[int]:
+    return smith_eliminate(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))[0]
 
 
 @dataclass(frozen=True)
@@ -226,17 +242,18 @@ class CohomologyGroup:
 
 
 def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
-    """H^k of the nerve from the Smith normal forms of delta_k and delta_{k-1}.
+    """H^k of the nerve from the invariant factors of delta_k and delta_{k-1}.
 
-    A rank is the number of invariant factors, over Q as over Z; the ring
-    only decides whether the torsion factors of delta_{k-1} are kept.
+    Each comes from one sparse elimination that builds no transform.  A rank
+    is the number of invariant factors, over Q as over Z; the ring only
+    decides whether the torsion factors of delta_{k-1} are kept.
     """
     if k < 0:
         raise InputError("cohomology degree must be >= 0")
     if ring not in (RING_Z, RING_Q):
         raise InputError(f"unknown ring {ring!r}")
-    factors_k = invariant_factors(coboundary_matrix(nerve, k))
-    factors_km1 = invariant_factors(coboundary_matrix(nerve, k - 1)) if k else []
+    factors_k = _invariant_factors(nerve, k)
+    factors_km1 = _invariant_factors(nerve, k - 1) if k else []
     free = len(nerve.of_dim(k)) - len(factors_k) - len(factors_km1)
     torsion = tuple(d for d in factors_km1 if d > 1) if ring == RING_Z else ()
     return CohomologyGroup(k, free, torsion)
@@ -262,7 +279,9 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
 
     Validity means the cocycle condition (vanishing coboundary); on failure
     the witness names an offending 3-simplex.  Cochains differing by a
-    coboundary of an integer 1-cochain receive identical coordinates.
+    coboundary of an integer 1-cochain receive identical coordinates.  The
+    coordinates are y = u·a for the left transform u of delta_1, computed by
+    carrying a through the elimination, so u itself is never formed.
     """
     if a.degree != 2 or a.ring != RING_Z:
         raise InputError("chern_class expects an integer 2-cochain")
@@ -270,13 +289,11 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     for s, v in sorted(delta.values.items()):
         if v != 0:
             return ChernClass(False, s, (), ())
-    two = nerve.index_of(2)
-    vec_a = [0] * len(two)
-    for s, v in a.values.items():
-        vec_a[two[s]] = int(v)
-    d, u, _ = smith_normal_form(coboundary_matrix(nerve, 1))
-    factors = _smith_diagonal(d)
-    y = [sum(u[i][j] * vec_a[j] for j in range(len(vec_a))) for i in range(len(u))]
+    column = [{0: int(v)} if (v := a.values.get(s, 0)) else {} for s in nerve.of_dim(2)]
+    factors, carried, _ = smith_eliminate(
+        coboundary_matrix(nerve, 1), len(nerve.of_dim(1)), column
+    )
+    y = [row.get(0, 0) for row in carried]
     torsion = tuple((y[i] % f, f) for i, f in enumerate(factors) if f > 1)
     free = tuple(y[len(factors):])
     return ChernClass(True, None, free, torsion)

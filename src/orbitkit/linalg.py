@@ -3,15 +3,18 @@
 Everything here works on tuples of exact rationals (vectors) and tuples of
 such tuples (row-major matrices); a ``Vec`` entry is a ``fractions.Fraction``
 or a plain ``int``, as in the integer roots of ``rootsys``.  No floating
-point.  The Smith normal form carries its unimodular transforms because the
-Cech module needs the left transform to read off cohomology coordinates.
+point.  The integer Smith normal form is one sparse elimination,
+:func:`smith_eliminate`, on rows stored as {column: value}.  It returns the
+invariant factors and builds a transform only on request: the Cech module
+has it carry a cocycle through the row operations to read off cohomology
+coordinates, and integer row-span membership asks for the right transform.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -146,103 +149,151 @@ def det(a: Mat) -> Fraction:
 # -- integer Smith normal form ------------------------------------------------
 
 IntMat = list[list[int]]
+SparseRow = dict[int, int]
 
 
-def _first_minimal(
-    d: IntMat, t: int, n: int, zero: list[bool]
-) -> Optional[tuple[int, int]]:
-    """Position of the first entry of least nonzero magnitude, in row-major
-    order, of the trailing block d[t:][t:n]; None when that block is zero.
+def _add_into(dst: SparseRow, src: Mapping[int, int], c: int) -> None:
+    """dst += c * src on sparse rows, c nonzero."""
+    for j, x in src.items():
+        z = dst.get(j, 0) + c * x
+        if z:
+            dst[j] = z
+        else:
+            del dst[j]
 
-    The scan ends at the first ±1: no later entry is strictly smaller.  A
-    trailing row is zero left of column t, so a row found zero from t on is
-    flagged in zero[] and skipped by later scans; elimination never makes a
-    zero row nonzero.
+
+def smith_eliminate(
+    rows: Sequence[Mapping[int, int]],
+    width: int,
+    carry: Optional[Sequence[Mapping[int, int]]] = None,
+    columns: bool = False,
+) -> tuple[list[int], Optional[list[SparseRow]], Optional[list[SparseRow]]]:
+    """Smith normal form u·a·v = d of a sparse integer matrix: the one
+    integer elimination of the package.
+
+    a has width columns, and rows[i] holds the nonzero entries of its row i
+    as {column: value}.  Returns (factors, y, v):
+
+    * factors: the nonzero diagonal entries of d, in order; each is
+      positive and divides the next, and their number is the rank of a.
+    * y = u·carry, when carry is given: a block of len(rows) sparse rows that
+      every row operation is replayed on.  The identity block gives u; a
+      single column b gives u·b without ever forming u.
+    * v, when columns is set: its columns, v[j] = {row: value}.
+
+    The pivot rule is part of the contract, because ``cech.chern_class``
+    reads its coordinates off y.  Step t pivots on the first entry of least
+    nonzero magnitude, in row-major order, of the trailing block d[t:][t:];
+    the search stops at the first ±1, since nothing is smaller.  The pivot is
+    swapped to (t, t) and made positive, then row t and column t are
+    reduced by floor division.  Nonzero remainders restart step t.  A pivot
+    of 1 divides everything, so step t ends there; a larger pivot that fails
+    to divide some trailing entry has the first such row added to row t,
+    and step t restarts.
+
+    The work follows the nonzero entries: rows and columns keep their
+    identities while swaps move their positions, and a column→rows index
+    finds the entries of column t.
     """
-    best = None
-    least = 0
-    for i in range(t, len(d)):
-        if zero[i]:
-            continue
-        row = d[i]
-        if not any(row[t:n]):
-            zero[i] = True
-            continue
-        for j in range(t, n):
-            e = row[j]
-            if e and (best is None or abs(e) < least):
-                if e == 1 or e == -1:
-                    return i, j
-                best, least = (i, j), abs(e)
-    return best
+    m = len(rows)
+    d = [{j: x for j, x in row.items() if x} for row in rows]
+    y = None if carry is None else [dict(row) for row in carry]
+    v = [{j: 1} for j in range(width)] if columns else None
+    at = list(range(m))  # position -> row
+    colat = list(range(width))  # position -> column
+    colpos = list(range(width))  # column -> position
+    rows_in: list[set[int]] = [set() for _ in range(width)]
+    for i, row in enumerate(d):
+        for j in row:
+            rows_in[j].add(i)
+    skip = list(range(m + 1))  # union-find links past positions of zero rows
 
+    def nonzero_rows(pos: int):
+        """Positions from pos on that hold a nonzero row, in order.  A zero
+        row stays zero, and in place until step t reaches it, so each one
+        found is skipped for good."""
+        while True:
+            while skip[pos] != pos:
+                skip[pos] = skip[skip[pos]]
+                pos = skip[pos]
+            if pos == m:
+                return
+            if d[at[pos]]:
+                yield pos
+            else:
+                skip[pos] = pos + 1
+            pos += 1
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
-    """Smith normal form with transforms: returns (d, u, v) with u·a·v = d.
-
-    u and v are unimodular; d is diagonal with non-negative entries and
-    d[i][i] divides d[i+1][i+1].
-
-    The transforms are fixed by the pivot rule, which is part of the
-    contract: ``cech.chern_class`` reads its coordinates through u, so a
-    different pivot sequence changes its output.  Step t pivots on the first
-    entry of least nonzero magnitude, in row-major order, of the trailing
-    block d[t:][t:], swaps it to (t, t) and makes it positive, then reduces
-    row t and column t by floor division.  Nonzero remainders restart step
-    t.  A pivot of 1 divides everything, so step t ends there; a larger
-    pivot that fails to divide some trailing entry has the first such row
-    added to row t, and step t restarts.
-    """
-    d = [[int(x) for x in row] for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    zero = [False] * m
+    def add_row(dst: int, src: int, c: int) -> None:
+        row = d[dst]
+        for j, x in d[src].items():
+            z = row.get(j)
+            if z is None:
+                row[j] = c * x
+                rows_in[j].add(dst)
+            elif z + c * x:
+                row[j] = z + c * x
+            else:
+                del row[j]
+                rows_in[j].remove(dst)
+        if y is not None:
+            _add_into(y[dst], y[src], c)
 
     t = 0
     while True:
-        best = _first_minimal(d, t, n, zero)
+        skip[t] = t  # the pivot row may move onto a zero row's position
+        best = None
+        for pos in nonzero_rows(t):
+            row = d[at[pos]]
+            least = min(map(abs, row.values()))
+            if best is None or least < best[0]:
+                j = min(colpos[j] for j, x in row.items() if abs(x) == least)
+                best = (least, pos, j)
+                if least == 1:
+                    break
         if best is None:
             break
-        bi, bj = best
+        _, bi, bj = best
         if bi != t:
-            d[t], d[bi] = d[bi], d[t]
-            u[t], u[bi] = u[bi], u[t]
-            zero[t], zero[bi] = zero[bi], zero[t]
+            at[t], at[bi] = at[bi], at[t]
         if bj != t:
-            # rows above t are zero in both columns
-            for row in d[t:] + v:
-                row[t], row[bj] = row[bj], row[t]
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        p = d[t][t]
+            ci, cj = colat[t], colat[bj]
+            colat[t], colat[bj] = cj, ci
+            colpos[cj], colpos[ci] = t, bj
+        r, c = at[t], colat[t]
+        row = d[r]
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+            if y is not None:
+                y[r] = {j: -x for j, x in y[r].items()}
+        p = row[c]
 
-        # Each update below reads only row t or column t, which it never
-        # writes, so their nonzero entries are collected once per pivot.
         dirty = False
-        d_t, u_t = d[t], u[t]
-        d_src = [(j, d_t[j]) for j in range(t, n) if d_t[j]]
-        u_src = [(j, x) for j, x in enumerate(u_t) if x]
-        for i in range(t + 1, m):
-            if d[i][t]:
-                q = d[i][t] // p
-                d_i, u_i = d[i], u[i]
-                for j, y in d_src:
-                    d_i[j] -= q * y
-                for j, y in u_src:
-                    u_i[j] -= q * y
-                if d_i[t]:
-                    dirty = True
-        src = [row for row in d[t:] + v if row[t]]
-        for j in range(t + 1, n):
-            if d[t][j]:
-                q = d[t][j] // p
-                for row in src:
-                    row[j] -= q * row[t]
-                if d[t][j]:
-                    dirty = True
+        for i in [i for i in rows_in[c] if i != r]:
+            add_row(i, r, -(d[i][c] // p))
+            if c in d[i]:
+                dirty = True
+        # column t now holds row t and the rows left with a remainder
+        col = [(i, d[i]) for i in rows_in[c]]
+        for j, x in list(row.items()):
+            if j == c:
+                continue
+            q = x // p
+            for i, other in col:
+                z = other.get(j)
+                if z is None:
+                    other[j] = -q * other[c]
+                    rows_in[j].add(i)
+                elif z - q * other[c]:
+                    other[j] = z - q * other[c]
+                else:
+                    del other[j]
+                    rows_in[j].remove(i)
+            if v is not None:
+                _add_into(v[j], v[c], -q)
+            if j in row:
+                dirty = True
         if dirty:
             continue  # remainders became new smaller pivot candidates
         if p == 1:
@@ -250,27 +301,44 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
             continue
 
         # pivot must divide the whole trailing block for the invariant chain
-        offender = next(
-            (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 : n])), None
-        )
+        rest = (at[i] for i in nonzero_rows(t + 1))
+        offender = next((i for i in rest if any(x % p for x in d[i].values())), None)
         if offender is not None:
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            add_row(r, offender, 1)
             continue
         t += 1
 
-    return d, u, v
+    factors = [d[at[i]][colat[i]] for i in range(t)]
+    if y is not None:
+        y = [y[r] for r in at]
+    if v is not None:
+        v = [v[j] for j in colat]
+    return factors, y, v
 
 
-def _smith_diagonal(d: IntMat) -> list[int]:
-    """Nonzero diagonal entries of a Smith normal form d, in order; their
-    number is the rank of the matrix, over Q as over Z."""
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
+    """Smith normal form with transforms: returns (d, u, v) with u·a·v = d.
 
-
-def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form, in order."""
-    return _smith_diagonal(smith_normal_form(a)[0])
+    u and v are unimodular; d is diagonal with non-negative entries and
+    d[i][i] divides d[i+1][i+1].  The dense entry point to
+    :func:`smith_eliminate`, whose pivot rule fixes u and v.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    factors, u, v = smith_eliminate(
+        [{j: int(x) for j, x in enumerate(row) if x} for row in a],
+        n,
+        carry=[{i: 1} for i in range(m)],
+        columns=True,
+    )
+    d = [[0] * n for _ in range(m)]
+    for i, x in enumerate(factors):
+        d[i][i] = x
+    return (
+        d,
+        [[row.get(j, 0) for j in range(m)] for row in u],
+        [[col.get(i, 0) for col in v] for i in range(n)],
+    )
 
 
 def in_integer_row_span(gens: Mat, target: Vec) -> bool:

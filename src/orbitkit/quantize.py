@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import InputError, TheoremViolationError
-from .linalg import Vec, _row_span_member, in_integer_row_span, mat
+from .linalg import Vec, _row_span_member, mat
 from .rootsys import (
     RootSystem,
     Weight,
@@ -87,18 +87,18 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
 def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     """Exact lattice membership of lam, per the lattice kind.  The simple
     coroots span the coroot lattice and the simple roots the root lattice,
-    so sc and adjoint are tested against the simple roots alone."""
+    so sc and adjoint are tested against the simple roots alone; adjoint
+    through the root system's cached root-lattice test."""
     if len(lam.coords) != rs.ambient_dim:
         raise InputError("weight dimension mismatch")
-    simple = default_order(rs).simple
     if lattice.kind == SIMPLY_CONNECTED:
-        for alpha in simple:
+        for alpha in default_order(rs).simple:
             val = 2 * pairing(lam, alpha, rs) / pairing(alpha, alpha, rs)
             if val.denominator != 1:
                 return False
         return True
     if lattice.kind == ADJOINT:
-        return in_integer_row_span(mat(a.coords for a in simple), lam.coords)
+        return rs.root_lattice_member(lam.coords)
     return lattice.member(lam.coords)
 
 

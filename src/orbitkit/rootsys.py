@@ -22,10 +22,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import Vec, dot, mat, solve, vec
+from .linalg import Vec, _row_span_member, dot, mat, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
@@ -202,6 +202,13 @@ class RootSystem:
         # system a reference cycle, freed only by the cycle collector
         order = positive_roots(self, default_chamber_seed(self))
         return order.chamber_seed, order.positive, order.simple
+
+    @cached_property
+    def root_lattice_member(self) -> Callable[[Vec], bool]:
+        """Membership test for the root lattice, the integer span of the
+        simple roots: one Smith normal form per root system.  The test holds
+        no reference back to the root system, so caching it makes no cycle."""
+        return _row_span_member(tuple(a.coords for a in self._default_split[2]))
 
     @property
     def ambient_dim(self) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,8 @@ from orbitkit.cech import (
     parse_cochain_lines,
     parse_nerve_lines,
 )
-from orbitkit.linalg import det, invariant_factors, mat, rank, smith_normal_form
+from orbitkit import cech, linalg
+from orbitkit.linalg import det, mat, rank, smith_eliminate, smith_normal_form
 from snf_reference import smith_normal_form as snf_reference
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -77,6 +79,16 @@ def grid_triangles(n, klein=False):
             a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
             tris += [tuple(sorted((a, b, d))), tuple(sorted((a, c, d)))]
     return tris
+
+
+def dense(rows, width):
+    """A sparse coboundary matrix as a dense list of rows."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+def sparse(rows):
+    """Dense rows as {column: value}; the elimination drops the zeros."""
+    return [dict(enumerate(row)) for row in rows]
 
 
 def sphere_facets(d):
@@ -177,6 +189,33 @@ class TestCoboundary:
         d = coboundary(c, nerve)
         assert d.degree == 2
         assert d.values == {}
+
+    def test_integer_ring_refuses_non_integers(self):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        for value in (Fraction(1, 2), Fraction(5, 2), "7/3"):
+            with pytest.raises(InputError, match="not an integer"):
+                make_cochain(nerve, 2, {(0, 1, 2): value})
+        # an integer given as a Fraction is still an integer
+        c = make_cochain(nerve, 2, {(0, 1, 2): Fraction(4, 2)})
+        assert c.values[(0, 1, 2)] == 2 and type(c.values[(0, 1, 2)]) is int
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_Q])
+    @pytest.mark.parametrize("value", [2.7, 2.0])
+    def test_floats_are_refused_on_both_rings(self, ring, value):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match="float"):
+            make_cochain(nerve, 2, {(0, 1, 2): value}, ring)
+
+    def test_rational_ring_keeps_fractions(self):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        c = make_cochain(nerve, 2, {(0, 1, 2): Fraction(1, 2), (0, 1, 3): "-3/4"}, RING_Q)
+        assert c.values[(0, 1, 2)] == Fraction(1, 2)
+        assert c.values[(0, 1, 3)] == Fraction(-3, 4)
+
+    def test_unreadable_value_is_an_input_error(self):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError):
+            make_cochain(nerve, 2, {(0, 1, 2): "two"})
 
     def test_alternating_evaluation(self):
         nerve = build_nerve(TETRA_BOUNDARY)
@@ -302,8 +341,8 @@ class TestGoldenCohomology:
 @given(nerves())
 def test_invariant_factor_count_is_the_rational_rank(nerve):
     for k in range(nerve.dimension + 1):
-        m = coboundary_matrix(nerve, k)
-        assert len(invariant_factors(m)) == rank(mat(m))
+        m, width = coboundary_matrix(nerve, k), len(nerve.of_dim(k))
+        assert len(smith_eliminate(m, width)[0]) == rank(mat(dense(m, width)))
 
 
 # the alternating sum telescopes for any ranks, so this cannot catch a wrong one
@@ -390,7 +429,7 @@ def relabelled_grids(draw):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(nerves(), relabelled_grids()), st.sampled_from((0, 1, 2)))
 def test_coboundary_smith_normal_form_matches_reference(nerve, k):
-    a = coboundary_matrix(nerve, k)
+    a = dense(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
     assert smith_normal_form(a) == snf_reference(a)
 
 
@@ -399,8 +438,78 @@ def test_coboundary_smith_normal_form_matches_reference(nerve, k):
 def test_grid_coboundary_smith_normal_form_matches_reference(n, klein):
     nerve = relabelled_grid(n, klein, random.Random(n).sample(range(n * n), n * n))
     for k in (0, 1, 2):
-        a = coboundary_matrix(nerve, k)
+        a = dense(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
         assert smith_normal_form(a) == snf_reference(a)
+
+
+# -- sparse elimination with a carried column -------------------------------
+
+def reference_carry(a, column):
+    """Invariant factors and u·column from the reference (d, u, v) of a."""
+    d, u, _ = snf_reference(a)
+    factors = [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
+    return factors, [sum(x * c for x, c in zip(row, column)) for row in u]
+
+
+def carry_column(rows, width, column):
+    factors, y, v = smith_eliminate(rows, width, [{0: c} if c else {} for c in column])
+    assert v is None
+    return factors, [row.get(0, 0) for row in y]
+
+
+@st.composite
+def matrices_with_column(draw):
+    """Integer matrices up to 12x12 with entries in {0, ±1, ±2, ±3, 4, 6}, so
+    that non-unit pivots and the offender-row add occur, and a column to
+    carry through the row operations."""
+    m = draw(st.integers(min_value=0, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=12))
+    entry = st.sampled_from((0, 1, -1, 2, -2, 3, -3, 4, 6))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return rows, [draw(st.integers(min_value=-9, max_value=9)) for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_column())
+@example(([[2, 0], [0, 3]], [1, 1]))  # pivot 2 misses 3: one offender add
+@example(([[4, 6], [6, 4]], [1, -2]))
+@example(([], []))
+@example(([[], []], [5, 0]))
+def test_carried_column_matches_reference(case):
+    rows, column = case
+    width = len(rows[0]) if rows else 0
+    assert carry_column(sparse(rows), width, column) == reference_carry(rows, column)
+
+
+@st.composite
+def grid_cochains(draw):
+    n = draw(st.integers(min_value=3, max_value=6))
+    nerve = relabelled_grid(n, draw(st.booleans()), draw(st.permutations(range(n * n))))
+    values = [draw(st.integers(min_value=-3, max_value=3)) for _ in nerve.of_dim(2)]
+    return nerve, values
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_cochains())
+def test_grid_cochain_carried_through_coboundary_matches_reference(case):
+    nerve, values = case
+    rows, width = coboundary_matrix(nerve, 1), len(nerve.of_dim(1))
+    assert all(len(row) == 3 for row in rows)
+    assert carry_column(rows, width, values) == reference_carry(dense(rows, width), values)
+
+
+def test_cohomology_and_chern_class_take_no_dense_smith_normal_form(monkeypatch):
+    def refuse(a):
+        raise AssertionError("dense Smith normal form on the Cech path")
+
+    for module in (linalg, cech):
+        monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
+    nerve = build_nerve(PROJECTIVE_PLANE)
+    assert [cohomology(nerve, k, RING_Z).describe() for k in range(3)] == ["Z", "0", "Z/2"]
+    assert chern_class(nerve, make_cochain(nerve, 2, {(0, 1, 4): 1})).torsion_coords == ((1, 2),)
+    torus = relabelled_grid(6, False, random.Random(6).sample(range(36), 36))
+    face = torus.of_dim(2)[0]
+    assert chern_class(torus, make_cochain(torus, 2, {face: 3})).free_coords in ((3,), (-3,))
 
 
 def test_invariant_factors_match_sympy():
@@ -412,7 +521,8 @@ def test_invariant_factors_match_sympy():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         theirs = sympy_factors(sympy.Matrix(rows), domain=sympy.ZZ)
-        assert invariant_factors(rows) == [int(x) for x in theirs if x != 0], rows
+        ours = smith_eliminate(sparse(rows), n)[0]
+        assert ours == [int(x) for x in theirs if x != 0], rows
 
 
 # -- chern class --------------------------------------------------------------
@@ -481,6 +591,12 @@ class TestChernClass:
         assert one.torsion_coords == ((1, 2),)
         two = chern_class(nerve, make_cochain(nerve, 2, {(0, 1, 4): 2}))
         assert two.valid and two.is_trivial()
+
+    def test_half_integer_cochain_is_refused_not_truncated(self):
+        # 5/2 times a face used to be read as 2 times it, a valid class
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError):
+            chern_class(nerve, make_cochain(nerve, 2, {(0, 1, 2): Fraction(5, 2)}))
 
     def test_invalid_cocycle_gets_witness(self):
         nerve = build_nerve(SOLID_TETRA)

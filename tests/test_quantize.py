@@ -153,6 +153,24 @@ class TestCustomLattice:
         assert report.verdict.integral
         assert len(calls) == 1
 
+    def test_one_smith_normal_form_per_adjoint_report(self, monkeypatch):
+        calls = []
+        snf = linalg.smith_normal_form
+        monkeypatch.setattr(
+            linalg, "smith_normal_form", lambda a: calls.append(a) or snf(a)
+        )
+        # lam and its dominant representative share the root-lattice test
+        report = analyze_orbit("A2", ["1", "0", "-1"], AD)
+        assert report.verdict.integral
+        assert len(calls) == 1
+        assert not analyze_orbit("A2", ["1", "0", "0"], AD).verdict.integral
+        assert len(calls) == 2
+        # a root system reused across reports builds the test once
+        rs = build_root_system(parse_series("A2"))
+        for lam in (["1", "0", "-1"], ["2", "-1", "-1"], ["1/3", "1/3", "-2/3"]):
+            analyze_orbit(rs, lam, AD)
+        assert len(calls) == 3
+
     def test_no_generators_is_rejected(self, a1):
         with pytest.raises(InputError, match="custom lattice needs at least one generator"):
             custom_lattice([], a1)

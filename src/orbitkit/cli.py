@@ -60,6 +60,14 @@ def _parse_lambda(text: str) -> list[Fraction]:
         raise InputError(f"bad lambda coordinates {text!r}: {exc}") from exc
 
 
+def _read_text(path: Path) -> str:
+    """Text of an input file; bytes that are not UTF-8 are an input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve_lattice(flag: str, rs) -> quantize.LatticeSpec:
     if flag == "sc":
         return quantize.LatticeSpec(quantize.SIMPLY_CONNECTED)
@@ -68,19 +76,30 @@ def _resolve_lattice(flag: str, rs) -> quantize.LatticeSpec:
     if flag.startswith("custom:"):
         path = Path(flag.split(":", 1)[1])
         try:
-            data = json.loads(path.read_text())
+            text = _read_text(path)
         except OSError as exc:
             raise InputError(f"cannot read lattice file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        try:
+            data = json.loads(text)
+        except ValueError as exc:  # also an integer too long to convert
             raise InputError(f"lattice file {path} is not valid JSON: {exc}") from exc
         gens = data.get("generators") if isinstance(data, dict) else data
         if not isinstance(gens, list):
             raise InputError("lattice file must hold a list of generator rows")
         rows = []
         for row in gens:
+            # JSON floats are inexact (and 1e400 is infinite): entries are
+            # integers or "p/q" strings only
+            if not isinstance(row, list) or any(
+                isinstance(x, bool) or not isinstance(x, (int, str)) for x in row
+            ):
+                raise InputError(
+                    f"bad lattice generator {row!r}: entries must be integers "
+                    'or "p/q" strings'
+                )
             try:
                 rows.append([Fraction(x) for x in row])
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad lattice generator {row!r}: {exc}") from exc
         return quantize.custom_lattice(rows, rs)
     raise InputError(f"unknown lattice flag {flag!r}; use sc, adjoint or custom:FILE")
@@ -149,7 +168,7 @@ def _roots_inline(roots: list[list[str]]) -> str:
 
 
 def cmd_cech(args: argparse.Namespace) -> int:
-    nerve = cech_mod.parse_nerve_lines(Path(args.nerve).read_text().splitlines())
+    nerve = cech_mod.parse_nerve_lines(_read_text(Path(args.nerve)).splitlines())
     if args.cech_command == "h":
         ring = cech_mod.RING_Z if args.ring == "z" else cech_mod.RING_Q
         group = cech_mod.cohomology(nerve, args.k, ring)
@@ -166,7 +185,7 @@ def cmd_cech(args: argparse.Namespace) -> int:
             sys.stdout.write(f"H^{args.k} = {group.describe()}\n")
         return EXIT_OK
     cocycle = cech_mod.parse_cochain_lines(
-        Path(args.cocycle).read_text().splitlines(), nerve, degree=2
+        _read_text(Path(args.cocycle)).splitlines(), nerve, degree=2
     )
     cls = cech_mod.chern_class(nerve, cocycle)
     payload = {

@@ -107,45 +107,6 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     return tuple(x)
 
 
-def kernel_basis(a: Mat) -> list[Vec]:
-    """Basis of the rational null space of A (column-vector convention)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    rows, pivots = _rref(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def det(a: Mat) -> Fraction:
-    rows = [list(r) for r in a]
-    n = len(rows)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
 # -- integer Smith normal form ------------------------------------------------
 
 IntMat = list[list[int]]
@@ -356,9 +317,13 @@ def _row_span_member(gens: Mat) -> Callable[[Vec], bool]:
         return lambda target: all(x == 0 for x in target)
     width = len(gens[0])
     scale = math.lcm(*(x.denominator for row in gens for x in row))
-    d, _, v = smith_normal_form([[int(x * scale) for x in row] for row in gens])
-    r = min(len(d), width)
-    diag = [d[j][j] if j < r else 0 for j in range(width)]
+    factors, _, v = smith_eliminate(
+        [{j: int(x * scale) for j, x in enumerate(row) if x} for row in gens],
+        width,
+        columns=True,
+    )
+    # column j of v with the j-th diagonal entry of d (0 past the rank)
+    checks = [(factors[j] if j < len(factors) else 0, col) for j, col in enumerate(v)]
 
     def member(target: Vec) -> bool:
         if len(target) != width:
@@ -367,8 +332,8 @@ def _row_span_member(gens: Mat) -> Callable[[Vec], bool]:
         b = [x * scale for x in target]
         if any(x.denominator != 1 for x in b):
             return False
-        for j, dj in enumerate(diag):
-            bv = sum(int(b[i]) * v[i][j] for i in range(width))
+        for dj, col in checks:
+            bv = sum(int(b[i]) * x for i, x in col.items())
             if (bv % dj if dj else bv) != 0:
                 return False
         return True

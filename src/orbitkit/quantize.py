@@ -15,13 +15,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError, TheoremViolationError
 from .linalg import Vec, _row_span_member, mat
-from .rootsys import (
-    RootSystem,
-    Weight,
-    default_order,
-    is_dominant,
-    pairing,
-)
+from .rootsys import RootSystem, Weight, coroot_pairing, default_order
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .orbit import singular_roots  # noqa: F401
 from .weyl import dominant_representative
@@ -60,7 +54,9 @@ class LatticeSpec:
 
 def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpec:
     """Validated custom lattice: must contain every root and pair integrally
-    with every coroot (root lattice <= lattice <= weight lattice)."""
+    with every coroot (root lattice <= lattice <= weight lattice).  The simple
+    coroots span the coroot lattice, so each generator is tested as a weight
+    of the simply connected lattice."""
     gens = tuple(tuple(Fraction(x) for x in g) for g in generators)
     for g in gens:
         if len(g) != rs.ambient_dim:
@@ -73,14 +69,12 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
             raise InputError(
                 f"root {alpha.to_strings()} is not a member of the custom lattice"
             )
+    weight_lattice = LatticeSpec(SIMPLY_CONNECTED)
     for g in gens:
-        gw = Weight(g)
-        for alpha in rs.roots:
-            val = 2 * pairing(gw, alpha, rs) / pairing(alpha, alpha, rs)
-            if val.denominator != 1:
-                raise InputError(
-                    f"generator {list(map(str, g))} pairs non-integrally with a coroot"
-                )
+        if not is_integral(Weight(g), weight_lattice, rs):
+            raise InputError(
+                f"generator {list(map(str, g))} pairs non-integrally with a coroot"
+            )
     return lattice
 
 
@@ -92,11 +86,10 @@ def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     if len(lam.coords) != rs.ambient_dim:
         raise InputError("weight dimension mismatch")
     if lattice.kind == SIMPLY_CONNECTED:
-        for alpha in default_order(rs).simple:
-            val = 2 * pairing(lam, alpha, rs) / pairing(alpha, alpha, rs)
-            if val.denominator != 1:
-                return False
-        return True
+        return all(
+            coroot_pairing(lam, alpha, rs).denominator == 1
+            for alpha in default_order(rs).simple
+        )
     if lattice.kind == ADJOINT:
         return rs.root_lattice_member(lam.coords)
     return lattice.member(lam.coords)
@@ -149,7 +142,9 @@ def orbit_to_rep(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> RepVerdic
         lam=lam,
         integral=integral,
         dominant_rep=dom,
-        is_dominant_input=is_dominant(lam, order),
+        # straightening reflects at a negative simple pairing, so the word is
+        # empty exactly when lam is already dominant
+        is_dominant_input=not word,
         borel_weil=NONZERO_IRREDUCIBLE if integral else ZERO_SECTION_SPACE,
         straightening_word=word,
     )

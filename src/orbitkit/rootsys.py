@@ -13,6 +13,12 @@ trailing coordinates and no roots.  Roots are tuples of plain ints, each with
 at most two nonzero coordinates; weights may hold ints or Fractions, which
 compare, hash and print alike.  All arithmetic is exact rational, and every
 value is immutable after construction.
+
+Every meeting of a weight with a root goes through three kernels here:
+:func:`pairing` sums only the coordinates where both sides are nonzero, so a
+root costs O(1) multiplications; :func:`coroot_pairing` is the one place the
+quotient 2 (w, alpha) / (alpha, alpha) is formed; and :func:`reflect` applies
+s_alpha by that formula, changing only the support of alpha.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, InputError
-from .linalg import Vec, _row_span_member, dot, mat, solve, vec
+from .linalg import Vec, _row_span_member, mat, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
@@ -210,7 +216,7 @@ class RootSystem:
         no reference back to the root system, so caching it makes no cycle."""
         return _row_span_member(tuple(a.coords for a in self._default_split[2]))
 
-    @property
+    @cached_property
     def ambient_dim(self) -> int:
         return self.spec.ambient_dim
 
@@ -284,10 +290,27 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
 
 
 def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
-    """Exact pairing of two ambient weights: the ambient dot product."""
-    _require_ambient(xi, rs)
-    _require_ambient(eta, rs)
-    return dot(xi.coords, eta.coords)
+    """Exact pairing of two ambient weights: the ambient dot product, summed
+    over the coordinates where both are nonzero (at most two for a root)."""
+    n = rs.ambient_dim
+    if len(xi.coords) != n or len(eta.coords) != n:
+        _require_ambient(eta if len(xi.coords) == n else xi, rs)
+    return sum((a * b for a, b in zip(xi.coords, eta.coords) if b and a), Fraction(0))
+
+
+def coroot_pairing(w: Weight, alpha: Weight, rs: RootSystem) -> Fraction:
+    """<w, alpha^vee> = 2 (w, alpha) / (alpha, alpha), exact."""
+    return 2 * pairing(w, alpha, rs) / pairing(alpha, alpha, rs)
+
+
+def reflect(w: Weight, alpha: Weight, rs: RootSystem) -> Weight:
+    """s_alpha(w) = w - <w, alpha^vee> alpha; only the support of alpha changes."""
+    c = coroot_pairing(w, alpha, rs)
+    coords = list(w.coords)
+    for i, x in enumerate(alpha.coords):
+        if x:
+            coords[i] -= c * x
+    return Weight(tuple(coords))
 
 
 def _require_ambient(w: Weight, rs: RootSystem):
@@ -372,15 +395,6 @@ def is_dominant(lam: Weight, order: RootOrder) -> bool:
     return all(pairing(lam, alpha, order.rs) >= 0 for alpha in order.simple)
 
 
-def simple_root_coefficients(order: RootOrder, root: Weight) -> Vec:
-    """Exact coefficients of a root over the simple roots (solved, not guessed)."""
-    cols = mat([[s.coords[i] for s in order.simple] for i in range(order.rs.ambient_dim)])
-    sol = solve(cols, root.coords)
-    if sol is None:
-        raise InputError("root does not lie in the span of the simple roots")
-    return sol
-
-
 def fundamental_weights(order: RootOrder) -> list[Weight]:
     """Fundamental weights dual to the simple coroots, inside the root span.
 
@@ -390,20 +404,12 @@ def fundamental_weights(order: RootOrder) -> list[Weight]:
     rs = order.rs
     simple = order.simple
     k = len(simple)
+    # omega_i = sum_j c_j alpha_j with <omega_i, alpha_m^vee> = delta_im:
+    # row m of the Cartan matrix holds <alpha_j, alpha_m^vee>
+    cartan = mat([[coroot_pairing(a, b, rs) for a in simple] for b in simple])
     out = []
     for i in range(k):
-        # omega_i = sum_j c_j alpha_j with 2(omega_i, alpha_m)/(alpha_m,alpha_m) = delta_im
-        a = mat(
-            [
-                [
-                    2 * pairing(simple[j], simple[m], rs) / pairing(simple[m], simple[m], rs)
-                    for j in range(k)
-                ]
-                for m in range(k)
-            ]
-        )
-        b = vec([1 if m == i else 0 for m in range(k)])
-        coeffs = solve(a, b)
+        coeffs = solve(cartan, vec([1 if m == i else 0 for m in range(k)]))
         assert coeffs is not None  # Cartan matrix of a valid order is invertible
         coords = [Fraction(0)] * rs.ambient_dim
         for cj, alpha in zip(coeffs, simple):

@@ -1,12 +1,14 @@
-"""Weyl group: closed-form counts and exact reflection matrices.
+"""Weyl group: closed-form counts, straightening, and the capped enumerator.
 
 Reports use only :func:`weyl_order`, :func:`weyl_orbit_size` and
 :func:`dominant_representative`, none of which costs time proportional to
-|W|.  :func:`generate_weyl_group` enumerates the group generated by the
-reflections through the simple roots of the default positive system, up to
-a cap; it is the reference the closed forms are tested against.  Element
-identity is exact matrix equality, which sidesteps any word problem.  Torus
-coordinates are fixed by every element.
+|W|; the last straightens a weight with :func:`rootsys.reflect`, which
+applies s_alpha by formula and builds no matrix.  :func:`generate_weyl_group`
+enumerates the group generated by the exact reflection matrices of the
+simple roots of the default positive system, up to a cap; it is the
+reference the closed forms are tested against.  Element identity is exact
+matrix equality, which sidesteps any word problem.  Torus coordinates are
+fixed by every element.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .rootsys import (
     SeriesSpec,
     Weight,
     default_order,
-    is_dominant,
     pairing,
+    reflect,
 )
 
 DEFAULT_CAP = 10**6
@@ -82,16 +84,12 @@ def reflection(alpha: Weight, rs: RootSystem) -> Mat:
     if not rs.contains_root(alpha):
         raise InputError(f"{alpha.to_strings()} is not a root of this system")
     n = rs.ambient_dim
-    aa = pairing(alpha, alpha, rs)
-    images = []
-    for i in range(n):
-        basis = Weight(tuple(Fraction(1 if k == i else 0) for k in range(n)))
-        c = 2 * pairing(basis, alpha, rs) / aa
-        images.append(
-            tuple(Fraction(1 if i == j else 0) - c * alpha.coords[j] for j in range(n))
-        )
-    # images[i] is the image of e_i, i.e. the i-th column of the matrix
-    return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
+    # column i is the image of e_i
+    columns = [
+        reflect(Weight(tuple(Fraction(1 if k == i else 0) for k in range(n))), alpha, rs).coords
+        for i in range(n)
+    ]
+    return tuple(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,6 @@ def dominant_representative(
     is short in practice but carries no minimality guarantee.
     """
     rs = order.rs
-    reflections = [reflection(a, rs) for a in order.simple]
     current = lam
     word: list[int] = []
     while True:
@@ -213,8 +210,6 @@ def dominant_representative(
             None,
         )
         if neg is None:
-            break
-        current = Weight(mat_vec(reflections[neg], current.coords))
+            return current, tuple(word)
+        current = reflect(current, order.simple[neg], rs)
         word.append(neg)
-    assert is_dominant(current, order)
-    return current, tuple(word)

@@ -1,12 +1,17 @@
 """Reference root-sum checks: the pairwise loops `orbitkit` used before every
 root-sum question went through `RootSystem.sums`, kept verbatim as the
-oracle that the table-driven versions must agree with.
+oracle that the table-driven versions must agree with, and the old
+all-coroots validation of a custom lattice.
 
 Each is O(|S|^2 n) exact work over the ambient coordinates, so keep the
 subsets given to them small on large root systems.
 """
 
-from orbitkit.errors import TheoremViolationError
+from fractions import Fraction
+
+from orbitkit.errors import InputError, TheoremViolationError
+from orbitkit.quantize import CUSTOM, LatticeSpec
+from orbitkit.rootsys import Weight
 
 
 def check_closed(subset, rs, what):
@@ -63,3 +68,33 @@ def simple_roots(pos):
         if not decomposable:
             simple.append(alpha)
     return simple
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def custom_lattice(generators, rs):
+    """Old `quantize.custom_lattice`, which paired every generator with all
+    |Phi| coroots; here with a dense dot product in place of `pairing`."""
+    gens = tuple(tuple(Fraction(x) for x in g) for g in generators)
+    for g in gens:
+        if len(g) != rs.ambient_dim:
+            raise InputError(
+                f"lattice generator has {len(g)} coordinates, expected {rs.ambient_dim}"
+            )
+    lattice = LatticeSpec(CUSTOM, gens)
+    for alpha in rs.roots:
+        if not lattice.member(alpha.coords):
+            raise InputError(
+                f"root {alpha.to_strings()} is not a member of the custom lattice"
+            )
+    for g in gens:
+        gw = Weight(g)
+        for alpha in rs.roots:
+            val = 2 * _dot(gw.coords, alpha.coords) / _dot(alpha.coords, alpha.coords)
+            if val.denominator != 1:
+                raise InputError(
+                    f"generator {list(map(str, g))} pairs non-integrally with a coroot"
+                )
+    return lattice

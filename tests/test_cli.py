@@ -178,6 +178,51 @@ class TestOrbitCommand:
         assert "not a member" in json.loads(err)["error"]["message"]
 
 
+    @pytest.mark.parametrize(
+        "series,lam,generators",
+        [
+            ("A1", "1/2,-1/2", [[1e400, 0]]),
+            ("A1", "1/2,-1/2", [[0.5, -0.5]]),
+            ("A1", "1/2,-1/2", [[True, -1]]),
+            ("T2", "1,1", ["11"]),
+        ],
+        ids=["overflow", "float", "bool", "string-row"],
+    )
+    def test_custom_lattice_refuses_non_exact_entries(
+        self, capsys, tmp_path, series, lam, generators
+    ):
+        # each of these read as a valid lattice, or crashed, before entries
+        # were restricted to integers and "p/q" strings
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"generators": generators}))
+        code, _, err = run(
+            capsys, "orbit", "--series", series, "--lambda", lam,
+            "--lattice", f"custom:{path}",
+        )
+        assert code == EXIT_PARSE
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_custom_lattice_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "lattice.json"
+        path.write_bytes(b'{"generators": [["1", "-1"]]}\xff\xfe')
+        code, _, err = run(
+            capsys, "orbit", "--series", "A1", "--lambda", "1/2,-1/2",
+            "--lattice", f"custom:{path}",
+        )
+        assert code == EXIT_PARSE
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_custom_lattice_integer_too_long_for_json(self, capsys, tmp_path):
+        path = tmp_path / "lattice.json"
+        path.write_text("[[" + "1" * 5000 + ", 0]]")
+        code, _, err = run(
+            capsys, "orbit", "--series", "A1", "--lambda", "1/2,-1/2",
+            "--lattice", f"custom:{path}",
+        )
+        assert code == EXIT_PARSE
+        assert json.loads(err)["error"]["kind"] == "input"
+
+
 class TestCechCommand:
     def test_h_tetrahedron_z(self, capsys, tmp_path):
         nerve = tmp_path / "tet.nerve"
@@ -248,6 +293,24 @@ class TestCechCommand:
         code, _, err = run(capsys, "cech", "h", "--nerve", str(nerve), "--k", "0")
         assert code == EXIT_PARSE
         assert "line 2" in json.loads(err)["error"]["message"]
+
+    def test_nerve_file_not_utf8(self, capsys, tmp_path):
+        nerve = tmp_path / "bad.nerve"
+        nerve.write_bytes(b"0 1\n1 \xff\xfe\n")
+        code, _, err = run(capsys, "cech", "h", "--nerve", str(nerve), "--k", "0")
+        assert code == EXIT_PARSE
+        assert json.loads(err)["error"]["kind"] == "input"
+
+    def test_cocycle_file_not_utf8(self, capsys, tmp_path):
+        nerve = tmp_path / "tet.nerve"
+        nerve.write_text(TETRA)
+        cocycle = tmp_path / "bad.cochain"
+        cocycle.write_bytes(b"0 1 2 \xff\n")
+        code, _, err = run(
+            capsys, "cech", "chern", "--nerve", str(nerve), "--cocycle", str(cocycle)
+        )
+        assert code == EXIT_PARSE
+        assert json.loads(err)["error"]["kind"] == "input"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitkit import (
     InputError,
@@ -31,6 +33,7 @@ from orbitkit.quantize import (
     ZERO_SECTION_SPACE,
 )
 
+import root_reference as ref
 from models import frac_vec
 
 SC = LatticeSpec(SIMPLY_CONNECTED)
@@ -142,9 +145,9 @@ class TestCustomLattice:
     def test_one_smith_normal_form_for_all_roots(self, monkeypatch):
         rs = build_root_system(parse_series("A3"))
         calls = []
-        snf = linalg.smith_normal_form
+        eliminate = linalg.smith_eliminate
         monkeypatch.setattr(
-            linalg, "smith_normal_form", lambda a: calls.append(a) or snf(a)
+            linalg, "smith_eliminate", lambda *a, **k: calls.append(a) or eliminate(*a, **k)
         )
         lattice = custom_lattice([a.coords for a in default_order(rs).simple], rs)
         assert len(calls) == 1
@@ -155,9 +158,9 @@ class TestCustomLattice:
 
     def test_one_smith_normal_form_per_adjoint_report(self, monkeypatch):
         calls = []
-        snf = linalg.smith_normal_form
+        eliminate = linalg.smith_eliminate
         monkeypatch.setattr(
-            linalg, "smith_normal_form", lambda a: calls.append(a) or snf(a)
+            linalg, "smith_eliminate", lambda *a, **k: calls.append(a) or eliminate(*a, **k)
         )
         # lam and its dominant representative share the root-lattice test
         report = analyze_orbit("A2", ["1", "0", "-1"], AD)
@@ -186,6 +189,43 @@ class TestCustomLattice:
         lattice = custom_lattice(gens, rs)
         assert is_integral(2 * fw[0], lattice, rs)
         assert not is_integral(fw[0], lattice, rs)
+
+
+HALF_INTEGERS = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+LATTICE_SERIES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "D4", "A1xT1", "B2xC2")
+
+
+@lru_cache(maxsize=None)
+def _rs(series):
+    return build_root_system(parse_series(series))
+
+
+@st.composite
+def lattice_generators(draw):
+    """Random integer and half-integer generators, often with the simple
+    roots among them, so that both validation steps are reached."""
+    rs = _rs(draw(st.sampled_from(LATTICE_SERIES)))
+    entry = st.one_of(st.integers(-2, 2), HALF_INTEGERS)
+    row = st.lists(entry, min_size=rs.ambient_dim, max_size=rs.ambient_dim)
+    gens = draw(st.lists(row, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens += [a.coords for a in default_order(rs).simple]
+    return rs, draw(st.permutations(gens))
+
+
+def _outcome(build, gens, rs):
+    try:
+        build(gens, rs)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_generators())
+def test_custom_lattice_matches_all_coroots_reference(case):
+    rs, gens = case
+    assert _outcome(custom_lattice, gens, rs) == _outcome(ref.custom_lattice, gens, rs)
 
 
 class TestExtendability:

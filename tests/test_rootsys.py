@@ -1,7 +1,8 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbitkit import (
     CapExceededError,
@@ -18,12 +19,9 @@ from orbitkit import (
     positive_roots,
     weight_from_fundamental,
 )
-from orbitkit.rootsys import (
-    MAX_ROOTS,
-    default_chamber_seed,
-    simple_root_coefficients,
-)
+from orbitkit.rootsys import MAX_ROOTS, coroot_pairing, default_chamber_seed, reflect
 
+from exact_reference import simple_root_coefficients
 from models import frac_vec
 
 
@@ -283,19 +281,98 @@ class TestFundamentalBasis:
             weight_from_fundamental([1], a2_order)
 
 
-@given(
-    st.lists(
-        st.fractions(min_value=-5, max_value=5, max_denominator=6),
-        min_size=3,
-        max_size=3,
+@lru_cache(maxsize=None)
+def _rs(series):
+    return build_root_system(parse_series(series))
+
+
+@st.composite
+def weights_and_roots(draw):
+    """A series, lambda with many zero coordinates, and roots to pair it with:
+    all of them on small series, a random subset on B22 and D22."""
+    rs = _rs(draw(st.sampled_from(["A2", "B3xT1", "D4", "B22", "D22"])))
+    coord = st.one_of(
+        st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=6)
     )
-)
-def test_pairing_matches_dot_product_on_a2(coords):
-    rs = build_root_system(parse_series("A2"))
-    lam = Weight(tuple(coords))
+    lam = Weight(tuple(draw(coord) for _ in range(rs.ambient_dim)))
+    if len(rs.roots) > 100:
+        idx = draw(st.sets(st.integers(0, len(rs.roots) - 1), min_size=1, max_size=40))
+        roots = [rs.roots[i] for i in sorted(idx)]
+    else:
+        roots = list(rs.roots)
+    return rs, lam, roots
+
+
+@settings(deadline=None)
+@given(weights_and_roots())
+def test_pairing_matches_dot_product(case):
+    rs, lam, roots = case
+    for alpha in roots:
+        expected = sum(c * a for c, a in zip(lam.coords, alpha.coords))
+        got = pairing(lam, alpha, rs)
+        assert got == expected
+        assert type(got) is Fraction
+        assert type(pairing(alpha, alpha, rs)) is Fraction
+
+
+class _Counted(Fraction):
+    """A weight coordinate that counts the truth tests and products made on it."""
+
+    uses = 0
+
+    def __bool__(self):
+        _Counted.uses += 1
+        return super().__bool__()
+
+    def __mul__(self, other):
+        _Counted.uses += 1
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
+
+
+def test_pairing_reads_the_weight_only_on_the_root_support():
+    # O(|supp alpha|): a truth test and a product per shared coordinate at most
+    rs = _rs("B22")
+    lam = Weight(tuple(range(1, 23)))
+    object.__setattr__(lam, "coords", tuple(_Counted(c) for c in lam.coords))
     for alpha in rs.roots:
-        expected = sum(c * a for c, a in zip(coords, alpha.coords))
+        expected = sum(c * a for c, a in zip(range(1, 23), alpha.coords))
+        _Counted.uses = 0
         assert pairing(lam, alpha, rs) == expected
+        assert _Counted.uses <= 2 * sum(1 for x in alpha.coords if x)
+
+
+def test_pairing_rejects_either_wrong_dimension(a2):
+    alpha = a2.roots[0]
+    for bad in ((w(1, 0), alpha), (alpha, w(1, 0, 0, 0))):
+        with pytest.raises(InputError, match="coordinates, expected 3"):
+            pairing(*bad, a2)
+
+
+class TestCorootKernel:
+    def test_coroot_pairing_on_b2(self, b2):
+        # short root e_1: (alpha, alpha) = 1; long root e_1 + e_2: 2
+        lam = w("1/2", 3)
+        assert coroot_pairing(lam, w(1, 0), b2) == 1
+        assert coroot_pairing(lam, w(1, 1), b2) == Fraction(7, 2)
+        assert type(coroot_pairing(w(2, 0), w(1, 0), b2)) is Fraction
+
+    def test_reflect_negates_the_root(self, b2):
+        for alpha in b2.roots:
+            assert reflect(alpha, alpha, b2) == -alpha
+
+    def test_reflect_is_an_involution_on_c3(self):
+        rs = _rs("C3")
+        lam = w("1/3", -2, "5/2")
+        for alpha in rs.roots:
+            assert reflect(reflect(lam, alpha, rs), alpha, rs) == lam
+
+    def test_reflect_changes_only_the_support(self):
+        rs = _rs("D4xT1")
+        lam = w(1, 2, 3, 4, 5)
+        alpha = w(0, 1, 0, -1, 0)
+        assert reflect(lam, alpha, rs).coords == (1, 4, 3, 2, 5)
 
 
 def test_default_seed_is_regular():

@@ -9,8 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from orbitkit import (
     CapExceededError,
     InputError,
+    LatticeSpec,
     Weight,
     ambient_weight,
+    analyze_orbit,
+    custom_lattice,
     build_root_system,
     default_order,
     dominant_representative,
@@ -24,7 +27,9 @@ from orbitkit import (
     weyl_orbit_size,
     weyl_order,
 )
+from orbitkit import weyl
 from orbitkit.linalg import identity, mat_mul, mat_vec
+from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
 
 from models import (
     brute_dominant_points,
@@ -340,6 +345,64 @@ class TestDominantRepresentative:
             orbit = weyl_orbit(Weight(coords), group)
             dominant = [p for p in orbit.points if is_dominant(p, order)]
             assert len(dominant) == 1
+
+
+STRAIGHTEN_SERIES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D3", "D4"]
+
+
+@lru_cache(maxsize=None)
+def _rs(series):
+    return build_root_system(parse_series(series))
+
+
+@st.composite
+def simple_factor_and_weight(draw):
+    series = draw(st.sampled_from(STRAIGHTEN_SERIES))
+    rs = _rs(series)
+    coords = draw(st.lists(COORDS, min_size=rs.ambient_dim, max_size=rs.ambient_dim))
+    if series.startswith("A"):
+        mean = sum(coords, Fraction(0)) / len(coords)
+        coords = [c - mean for c in coords]
+    return rs, Weight(tuple(coords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_factor_and_weight())
+@example((_rs("A3"), w(-2, -1, 1, 2)))
+@example((_rs("D4"), w(0, 0, 1, -1)))
+@example((_rs("C3"), w("-1/2", 0, "1/2")))
+def test_dominant_representative_matches_permutation_model(case):
+    rs, lam = case
+    order = default_order(rs)
+    dom, word = dominant_representative(lam, order)
+    # the unique dominant point of the orbit in the (signed) permutation model
+    orbit = signed_permutation_images(lam.coords, rs.spec.factors[0][0])
+    assert brute_dominant_points(orbit, [a.coords for a in order.simple]) == [dom.coords]
+    # the word replays to it through the reflection matrices
+    current = lam.coords
+    for i in word:
+        current = mat_vec(reflection(order.simple[i], rs), current)
+    assert current == dom.coords
+    verdict = analyze_orbit(rs, lam.coords, LatticeSpec(SIMPLY_CONNECTED)).verdict
+    assert verdict.dominant_rep == dom
+    assert verdict.is_dominant_input == is_dominant(lam, order)
+
+
+def test_analyze_orbit_builds_no_reflection_matrix(monkeypatch, tmp_path):
+    calls = []
+    original = weyl.reflection
+    monkeypatch.setattr(weyl, "reflection", lambda *a: calls.append(a) or original(*a))
+    rs = _rs("B2xT1")
+    custom = custom_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], rs)
+    cases = [
+        ("A3", ["-2", "-1", "1", "2"], LatticeSpec(SIMPLY_CONNECTED)),
+        ("D4", ["0", "-1", "2", "-3"], LatticeSpec(ADJOINT)),
+        (rs, ["-1", "2", "1/3"], custom),
+    ]
+    for series, lam, lattice in cases:
+        report = analyze_orbit(series, lam, lattice)
+        assert report.verdict.straightening_word  # each one straightens
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)

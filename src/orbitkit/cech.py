@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, combinations, repeat
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
-from .linalg import smith_eliminate
+from .linalg import parse_rational, smith_eliminate
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
 
@@ -39,12 +42,15 @@ class Nerve:
         return len(self.simplices) - 1
 
     def of_dim(self, k: int) -> tuple[Simplex, ...]:
-        if k < 0 or k > self.dimension:
-            return ()
-        return self.simplices[k]
+        return self.simplices[k] if 0 <= k <= self.dimension else ()
 
-    def index_of(self, k: int) -> dict[Simplex, int]:
-        return {s: i for i, s in enumerate(self.of_dim(k))}
+    @cached_property
+    def _indices(self) -> list[Mapping[Simplex, int]]:
+        return [MappingProxyType({s: i for i, s in enumerate(lv)}) for lv in self.simplices]
+
+    def index_of(self, k: int) -> Mapping[Simplex, int]:
+        """Read-only {k-simplex: position in of_dim(k)}, built once per nerve."""
+        return self._indices[k] if 0 <= k <= self.dimension else MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -59,32 +65,25 @@ class Cochain:
         s = tuple(simplex)
         if len(set(s)) != len(s):
             return _zero(self.ring)
-        order = tuple(sorted(s))
-        sign = _permutation_sign(s, order)
-        base = self.values.get(order, _zero(self.ring))
-        return sign * base
+        # the sorting permutation's sign is the parity of its inversions
+        sign = (-1) ** sum(a > b for a, b in combinations(s, 2))
+        return sign * self.values.get(tuple(sorted(s)), _zero(self.ring))
 
 
 def _zero(ring: str):
     return 0 if ring == RING_Z else Fraction(0)
 
 
-def _permutation_sign(s: Sequence[int], target: Sequence[int]) -> int:
-    perm = [target.index(x) for x in s]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cycle = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+def _close(by_dim: dict[int, set[Simplex]]) -> Nerve:
+    """Nerve of the validated simplices grouped by dimension: each level
+    gains the faces of the level above, then is sorted."""
+    if not by_dim:
+        return Nerve(0, ((),))
+    levels = [by_dim.get(k, set()) for k in range(max(by_dim) + 1)]
+    for k in range(len(levels) - 1, 0, -1):
+        levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
+    top = tuple(tuple(sorted(level)) for level in levels)
+    return Nerve(top[0][-1][0] + 1, top)
 
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
@@ -96,53 +95,43 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
             raise InputError("empty simplex")
         if any(not isinstance(v, int) or v < 0 for v in s):
             raise InputError(f"simplex {s} must consist of non-negative integers")
-        if any(a >= b for a, b in zip(s, s[1:])):
+        if not all(map(lt, s, s[1:])):
             raise InputError(f"simplex {s} is not strictly increasing")
         by_dim.setdefault(len(s) - 1, set()).add(s)
-    if not by_dim:
-        return Nerve(0, ((),))
-    top = max(by_dim)
-    # close downward: every face of a listed simplex is listed
-    for k in range(top, 0, -1):
-        for s in tuple(by_dim.get(k, ())):
-            for omit in range(len(s)):
-                face = s[:omit] + s[omit + 1 :]
-                by_dim.setdefault(k - 1, set()).add(face)
-    levels = tuple(tuple(sorted(by_dim.get(k, ()))) for k in range(top + 1))
-    vertex_count = max(v for s in levels[0] for v in s) + 1
-    return Nerve(vertex_count, levels)
+    return _close(by_dim)
 
 
 def parse_nerve_lines(lines: Iterable[str]) -> Nerve:
     """Nerve file format: one simplex per line as space-separated increasing
     integers; '#' starts a comment."""
-    simplices = []
+    by_dim: dict[int, set[Simplex]] = {}
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         try:
-            s = tuple(int(t) for t in body.split())
+            s = tuple(map(int, body.split()))
         except ValueError as exc:
             raise InputError(f"nerve file line {lineno}: {exc}") from exc
-        if any(a >= b for a, b in zip(s, s[1:])) or any(v < 0 for v in s):
+        if s[0] < 0 or not all(map(lt, s, s[1:])):
             raise InputError(
                 f"nerve file line {lineno}: expected strictly increasing "
                 f"non-negative integers, got {body!r}"
             )
-        simplices.append(s)
-    if not simplices:
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    if not by_dim:
         raise InputError("nerve file contains no simplices")
-    return build_nerve(simplices)
+    return _close(by_dim)
 
 
 def parse_cochain_lines(
     lines: Iterable[str], nerve: Nerve, degree: int, ring: str = RING_Z
 ) -> Cochain:
     """Cochain file format: one '<simplex tuple> <value>' per line; simplices
-    not listed default to zero."""
-    values: dict[Simplex, object] = {}
-    known = set(nerve.of_dim(degree))
+    not listed default to zero, and the values of repeated lines add up."""
+    known = nerve.index_of(degree)
+    values: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
+    parse = int if ring == RING_Z else parse_rational
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -151,8 +140,8 @@ def parse_cochain_lines(
         if len(parts) < 2:
             raise InputError(f"cochain file line {lineno}: need simplex and value")
         try:
-            s = tuple(int(t) for t in parts[:-1])
-            val = int(parts[-1]) if ring == RING_Z else Fraction(parts[-1])
+            s = tuple(map(int, parts[:-1]))
+            val = parse(parts[-1])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cochain file line {lineno}: {exc}") from exc
         if len(s) != degree + 1:
@@ -164,8 +153,10 @@ def parse_cochain_lines(
             raise InputError(
                 f"cochain file line {lineno}: simplex {s} is not in the nerve"
             )
-        values[s] = values.get(s, _zero(ring)) + val
-    return make_cochain(nerve, degree, values, ring)
+        values[s] += val
+    if ring not in (RING_Z, RING_Q):
+        raise InputError(f"unknown ring {ring!r}")
+    return Cochain(degree, ring, MappingProxyType(values))
 
 
 def make_cochain(
@@ -178,8 +169,8 @@ def make_cochain(
     """
     if ring not in (RING_Z, RING_Q):
         raise InputError(f"unknown ring {ring!r}")
-    known = set(nerve.of_dim(degree))
-    out: dict[Simplex, object] = {s: _zero(ring) for s in known}
+    known = nerve.index_of(degree)
+    out: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
     for s, v in values.items():
         key = tuple(s)
         if key not in known:
@@ -220,8 +211,10 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:
     """Sparse integer matrix of delta_k: one row per (k+1)-simplex, holding
     {index of a k-face: ±1}; the columns are the k-simplices in order."""
     cols = nerve.index_of(k)
+    # combinations(s, k + 1) lists the faces omitting s[k+1], ..., s[0]
+    signs = [-1 if omit % 2 else 1 for omit in range(k + 1, -1, -1)]
     return [
-        {cols[s[:omit] + s[omit + 1 :]]: -1 if omit % 2 else 1 for omit in range(len(s))}
+        {cols[f]: sign for f, sign in zip(combinations(s, k + 1), signs)}
         for s in nerve.of_dim(k + 1)
     ]
 
@@ -278,16 +271,19 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     """Class of an integer 2-cocycle in the Smith basis modulo coboundaries.
 
     Validity means the cocycle condition (vanishing coboundary); on failure
-    the witness names an offending 3-simplex.  Cochains differing by a
-    coboundary of an integer 1-cochain receive identical coordinates.  The
-    coordinates are y = u·a for the left transform u of delta_1, computed by
-    carrying a through the elimination, so u itself is never formed.
+    the witness is the first 3-simplex, in sorted order, on which the
+    coboundary is nonzero.  Cochains differing by a coboundary of an
+    integer 1-cochain receive identical coordinates.  The coordinates are
+    y = u·a for the left transform u of delta_1, computed by carrying a
+    through the elimination, so u itself is never formed.
     """
     if a.degree != 2 or a.ring != RING_Z:
         raise InputError("chern_class expects an integer 2-cochain")
-    delta = coboundary(a, nerve)
-    for s, v in sorted(delta.values.items()):
-        if v != 0:
+    get = a.values.get
+    for s in nerve.of_dim(3):
+        # the faces of s in lexicographic order omit s[3], s[2], s[1], s[0]
+        w, x, y, z = (get(f, 0) for f in combinations(s, 3))
+        if x + z != w + y:
             return ChernClass(False, s, (), ())
     column = [{0: int(v)} if (v := a.values.get(s, 0)) else {} for s in nerve.of_dim(2)]
     factors, carried, _ = smith_eliminate(

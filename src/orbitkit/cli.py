@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import cech as cech_mod
 from . import quantize
 from .errors import CapExceededError, InputError, TheoremViolationError
+from .linalg import parse_rational
 from .orbit import orbit_dimension
 from .pipeline import analyze_orbit
 from .rootsys import (
@@ -55,7 +56,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_lambda(text: str) -> list[Fraction]:
     try:
-        return [Fraction(t.strip()) for t in text.split(",")]
+        return [parse_rational(t) for t in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad lambda coordinates {text!r}: {exc}") from exc
 
@@ -98,7 +99,7 @@ def _resolve_lattice(flag: str, rs) -> quantize.LatticeSpec:
                     'or "p/q" strings'
                 )
             try:
-                rows.append([Fraction(x) for x in row])
+                rows.append([parse_rational(str(x)) for x in row])
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad lattice generator {row!r}: {exc}") from exc
         return quantize.custom_lattice(rows, rs)

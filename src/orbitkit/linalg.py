@@ -19,6 +19,24 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
+MAX_RATIONAL_DIGITS = 100
+
+
+def parse_rational(token: str) -> Fraction:
+    """Fraction of a decimal or "p/q" token, refused (ValueError) before it
+    is built if its digits, plus a decimal exponent, pass MAX_RATIONAL_DIGITS:
+    "1e999999999" costs nothing, and every report can print what it derives."""
+    text = token.strip()
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.replace("_", "").lstrip("+-").lstrip("0")
+    digits = sum(map(str.isdecimal, mantissa))
+    if exponent.isdecimal():
+        digits += int(exponent) if len(exponent) < 10 else MAX_RATIONAL_DIGITS + 1
+    if digits > MAX_RATIONAL_DIGITS:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ValueError(f"{shown!r} has more than {MAX_RATIONAL_DIGITS} digits")
+    return Fraction(text)
+
 
 def vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
@@ -235,6 +253,17 @@ def smith_eliminate(
             add_row(i, r, -(d[i][c] // p))
             if c in d[i]:
                 dirty = True
+        if p == 1:
+            # a unit leaves no remainders: column t is clear but for row t,
+            # and the column operations recorded in v clear row t to {c: 1}
+            del row[c]
+            for j, x in row.items():
+                rows_in[j].remove(r)
+                if v is not None:
+                    _add_into(v[j], v[c], -x)
+            d[r] = {c: 1}
+            t += 1
+            continue
         # column t now holds row t and the rows left with a remainder
         col = [(i, d[i]) for i in rows_in[c]]
         for j, x in list(row.items()):
@@ -257,9 +286,6 @@ def smith_eliminate(
                 dirty = True
         if dirty:
             continue  # remainders became new smaller pivot candidates
-        if p == 1:
-            t += 1  # a unit divides the whole trailing block
-            continue
 
         # pivot must divide the whole trailing block for the invariant chain
         rest = (at[i] for i in nonzero_rows(t + 1))

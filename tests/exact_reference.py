@@ -1,9 +1,15 @@
 """Exact helpers that only the tests use, moved out of `orbitkit` verbatim:
-`linalg.det`, `linalg.kernel_basis` and `rootsys.simple_root_coefficients`.
+`linalg.det`, `linalg.kernel_basis` and `rootsys.simple_root_coefficients`;
+and, as oracles for the one-pass readers of `cech`, the readers they
+replaced: `cech.build_nerve`, `cech.parse_nerve_lines`,
+`cech.parse_cochain_lines` and `cech.make_cochain`.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
+from orbitkit.cech import RING_Q, RING_Z, Cochain, Nerve, Simplex, _zero
 from orbitkit.errors import InputError
 from orbitkit.linalg import Mat, Vec, _rref, mat, solve
 from orbitkit.rootsys import RootOrder, Weight
@@ -55,3 +61,114 @@ def simple_root_coefficients(order: RootOrder, root: Weight) -> Vec:
     if sol is None:
         raise InputError("root does not lie in the span of the simple roots")
     return sol
+
+
+def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
+    """Downward closure of the given simplices with canonical ordering."""
+    by_dim: dict[int, set[Simplex]] = {}
+    for raw in simplices:
+        s = tuple(raw)
+        if not s:
+            raise InputError("empty simplex")
+        if any(not isinstance(v, int) or v < 0 for v in s):
+            raise InputError(f"simplex {s} must consist of non-negative integers")
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise InputError(f"simplex {s} is not strictly increasing")
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    if not by_dim:
+        return Nerve(0, ((),))
+    top = max(by_dim)
+    # close downward: every face of a listed simplex is listed
+    for k in range(top, 0, -1):
+        for s in tuple(by_dim.get(k, ())):
+            for omit in range(len(s)):
+                face = s[:omit] + s[omit + 1 :]
+                by_dim.setdefault(k - 1, set()).add(face)
+    levels = tuple(tuple(sorted(by_dim.get(k, ()))) for k in range(top + 1))
+    vertex_count = max(v for s in levels[0] for v in s) + 1
+    return Nerve(vertex_count, levels)
+
+
+def parse_nerve_lines(lines: Iterable[str]) -> Nerve:
+    """Nerve file format: one simplex per line as space-separated increasing
+    integers; '#' starts a comment."""
+    simplices = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        try:
+            s = tuple(int(t) for t in body.split())
+        except ValueError as exc:
+            raise InputError(f"nerve file line {lineno}: {exc}") from exc
+        if any(a >= b for a, b in zip(s, s[1:])) or any(v < 0 for v in s):
+            raise InputError(
+                f"nerve file line {lineno}: expected strictly increasing "
+                f"non-negative integers, got {body!r}"
+            )
+        simplices.append(s)
+    if not simplices:
+        raise InputError("nerve file contains no simplices")
+    return build_nerve(simplices)
+
+
+def parse_cochain_lines(
+    lines: Iterable[str], nerve: Nerve, degree: int, ring: str = RING_Z
+) -> Cochain:
+    """Cochain file format: one '<simplex tuple> <value>' per line; simplices
+    not listed default to zero."""
+    values: dict[Simplex, object] = {}
+    known = set(nerve.of_dim(degree))
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) < 2:
+            raise InputError(f"cochain file line {lineno}: need simplex and value")
+        try:
+            s = tuple(int(t) for t in parts[:-1])
+            val = int(parts[-1]) if ring == RING_Z else Fraction(parts[-1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cochain file line {lineno}: {exc}") from exc
+        if len(s) != degree + 1:
+            raise InputError(
+                f"cochain file line {lineno}: simplex {s} has wrong degree "
+                f"(expected {degree})"
+            )
+        if s not in known:
+            raise InputError(
+                f"cochain file line {lineno}: simplex {s} is not in the nerve"
+            )
+        values[s] = values.get(s, _zero(ring)) + val
+    return make_cochain(nerve, degree, values, ring)
+
+
+def make_cochain(
+    nerve: Nerve, degree: int, values: Mapping[Simplex, object], ring: str = RING_Z
+) -> Cochain:
+    """Cochain defined on exactly the degree-k simplices; omitted ones are 0.
+
+    Values are exact: a float is refused on both rings, and on Z a value
+    that is not an integer is refused rather than truncated.
+    """
+    if ring not in (RING_Z, RING_Q):
+        raise InputError(f"unknown ring {ring!r}")
+    known = set(nerve.of_dim(degree))
+    out: dict[Simplex, object] = {s: _zero(ring) for s in known}
+    for s, v in values.items():
+        key = tuple(s)
+        if key not in known:
+            raise InputError(f"simplex {key} is not a {degree}-simplex of the nerve")
+        if isinstance(v, float):
+            raise InputError(f"value {v!r} on simplex {key} is a float; give an int or Fraction")
+        try:
+            x = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"value {v!r} on simplex {key}: {exc}") from exc
+        if ring == RING_Z:
+            if x.denominator != 1:
+                raise InputError(f"value {v} on simplex {key} is not an integer")
+            x = int(x)
+        out[key] = x
+    return Cochain(degree, ring, MappingProxyType(out))

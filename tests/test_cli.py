@@ -223,6 +223,47 @@ class TestOrbitCommand:
         assert json.loads(err)["error"]["kind"] == "input"
 
 
+# Rationals past MAX_RATIONAL_DIGITS; "1e5000" used to crash with a traceback
+# when the report printed its 5001 digits, and an exponent costs no time
+# because the token is measured before Fraction() builds the number.
+HUGE_RATIONALS = ["1e5000", "1" * 5000, "1/" + "7" * 5000, "1e100000", "-3e+101"]
+
+
+@pytest.mark.parametrize("token", HUGE_RATIONALS, ids=lambda t: t[:8])
+def test_orbit_refuses_a_lambda_coordinate_past_the_digit_bound(capsys, token):
+    code, out, err = run(capsys, "orbit", "--series", "A1", f"--lambda={token},0",
+                         "--output", "json")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert json.loads(err)["error"]["kind"] == "input"
+    assert "more than 100 digits" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("token", HUGE_RATIONALS, ids=lambda t: t[:8])
+def test_custom_lattice_refuses_an_entry_past_the_digit_bound(capsys, tmp_path, token):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"generators": [[token, "-1/2"], ["1", "-1"]]}))
+    code, _, err = run(capsys, "orbit", "--series", "A1", "--lambda", "1/2,-1/2",
+                       "--lattice", f"custom:{path}")
+    assert code == EXIT_PARSE
+    assert "more than 100 digits" in json.loads(err)["error"]["message"]
+
+
+def test_a_lattice_integer_entry_past_the_digit_bound_is_refused(capsys, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text('{"generators": [[' + "1" * 101 + ", 0]]}")
+    code, _, err = run(capsys, "orbit", "--series", "A1", "--lambda", "1/2,-1/2",
+                       "--lattice", f"custom:{path}")
+    assert code == EXIT_PARSE
+    assert "more than 100 digits" in json.loads(err)["error"]["message"]
+
+
+def test_lambda_coordinates_at_the_digit_bound_report(capsys):
+    lam = f"{'9' * 100},-1e99"
+    code, out, _ = run(capsys, "orbit", "--series", "T2", f"--lambda={lam}", "--output", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["lambda"] == ["9" * 100, "-1" + "0" * 99]
+
+
 class TestCechCommand:
     def test_h_tetrahedron_z(self, capsys, tmp_path):
         nerve = tmp_path / "tet.nerve"

@@ -12,6 +12,13 @@ unit pivots without rescanning, by running from the repository root:
 
     PYTHONPATH=src python tests/test_golden_chern.py > tests/golden_chern.json
 
+The cases after them put delta(b) + m*[face], m != 0, on randomly relabelled
+Freudenthal cube grids (c = 2, 3, 4): 2-cochains that are not closed, so
+`cech chern` exits 3 and names the witness 3-simplex.  Their entries carry
+the exit code; they were appended at commit
+7db324537aad161145aed8a18c43270293fcf228, before the cocycle check read the
+coboundary one 3-simplex at a time.
+
 A change that keeps the Smith transforms identical keeps this test passing;
 regenerate the fixture only for a deliberate change of output.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -34,7 +42,8 @@ from orbitkit import cli
 FIXTURE = Path(__file__).with_name("golden_chern.json")
 SEED = 20261019
 GRIDS = (("torus", 6), ("torus", 8), ("torus", 10), ("torus", 12),
-         ("klein", 7), ("klein", 9), ("klein", 11))
+         ("klein", 7), ("klein", 9), ("klein", 11),
+         ("cube", 2), ("cube", 3), ("cube", 4))
 CASES_PER_GRID = 2
 
 
@@ -55,37 +64,57 @@ def grid_triangles(n: int, klein: bool) -> list[tuple[int, ...]]:
     return tris
 
 
+def cube_tetrahedra(c: int) -> list[tuple[int, ...]]:
+    """Freudenthal triangulation of a c x c x c block of cubes, vertex
+    (x, y, z) -> (x*(c+1) + y)*(c+1) + z: one tetrahedron per cube and
+    order of the three unit steps."""
+    side = c + 1
+    tets = []
+    for corner in itertools.product(range(c), repeat=3):
+        for steps in itertools.permutations(range(3)):
+            p = list(corner)
+            verts = [(p[0] * side + p[1]) * side + p[2]]
+            for axis in steps:
+                p[axis] += 1
+                verts.append((p[0] * side + p[1]) * side + p[2])
+            tets.append(tuple(verts))
+    return tets
+
+
 def cases() -> list[dict]:
-    """Each case: the relabelled triangles and the nonzero cocycle values,
-    both as sorted simplices, plus the multiple m of the added face."""
+    """Each case: the relabelled top simplices and the nonzero cochain
+    values, both as sorted simplices, plus the multiple m of the added face."""
     rng = random.Random(SEED)
     out = []
     for space, n in GRIDS:
         for _ in range(CASES_PER_GRID):
-            perm = rng.sample(range(n * n), n * n)
-            tris = sorted(
-                tuple(sorted(perm[x] for x in s))
-                for s in grid_triangles(n, space == "klein")
-            )
+            if space == "cube":
+                count, top = (n + 1) ** 3, cube_tetrahedra(n)
+            else:
+                count, top = n * n, grid_triangles(n, space == "klein")
+            perm = rng.sample(range(count), count)
+            tops = sorted(tuple(sorted(perm[x] for x in s)) for s in top)
+            tris = sorted({f for s in tops for f in itertools.combinations(s, 3)})
             edges = sorted({(s[a], s[b]) for s in tris for a, b in ((0, 1), (0, 2), (1, 2))})
             b = {e: rng.randint(-3, 3) for e in edges}
             values = {s: b[s[1:]] - b[(s[0], s[2])] + b[s[:2]] for s in tris}
-            m = rng.choice((0, 1, -1, 2, -2, 3))
+            m = rng.choice((1, 2, -1, -3) if space == "cube" else (0, 1, -1, 2, -2, 3))
             values[rng.choice(tris)] += m
             out.append({
                 "space": space,
                 "n": n,
                 "m": m,
-                "triangles": tris,
+                "simplices": tops,
                 "values": [(s, x) for s, x in sorted(values.items()) if x],
             })
     return out
 
 
-def chern_stdout(case: dict) -> str:
+def chern_run(case: dict) -> tuple[int, str]:
+    """Exit code and stdout of `cech chern --output json` on the case."""
     with tempfile.TemporaryDirectory() as tmp:
         nerve = Path(tmp, "grid.nerve")
-        nerve.write_text("".join(" ".join(map(str, s)) + "\n" for s in case["triangles"]))
+        nerve.write_text("".join(" ".join(map(str, s)) + "\n" for s in case["simplices"]))
         cocycle = Path(tmp, "grid.cochain")
         cocycle.write_text(
             "".join(" ".join(map(str, s)) + f" {x}\n" for s, x in case["values"])
@@ -96,13 +125,18 @@ def chern_stdout(case: dict) -> str:
                 ["cech", "chern", "--nerve", str(nerve), "--cocycle", str(cocycle),
                  "--output", "json"]
             )
-    assert code == cli.EXIT_OK
-    return out.getvalue()
+    return code, out.getvalue()
 
 
 def record(case: dict) -> dict:
-    digest = hashlib.sha256(chern_stdout(case).encode()).hexdigest()
-    return {"space": case["space"], "n": case["n"], "m": case["m"], "stdout_sha256": digest}
+    code, stdout = chern_run(case)
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    out = {"space": case["space"], "n": case["n"], "m": case["m"], "stdout_sha256": digest}
+    if case["space"] == "cube":
+        out["exit_code"] = code
+    else:
+        assert code == cli.EXIT_OK
+    return out
 
 
 CASES = cases()

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit.linalg import (
+    MAX_RATIONAL_DIGITS,
     in_integer_row_span,
     mat,
     mat_vec,
+    parse_rational,
     rank,
     solve,
     vec,
@@ -90,3 +93,34 @@ def test_zero_width_generators():
     # the empty vector is the zero vector, an integer combination of any rows
     assert in_integer_row_span(((),), ())
     assert in_integer_row_span(((), ()), ())
+
+
+@pytest.mark.parametrize(
+    "token,value",
+    [
+        ("9" * 100, Fraction("9" * 100)),
+        ("1e99", Fraction(10) ** 99),
+        ("-1/" + "7" * 98, Fraction(-1, int("7" * 98))),
+        ("1.5E-3", Fraction(3, 2000)),
+        (" 2/3 ", Fraction(2, 3)),
+        ("1e0000000000002", Fraction(100)),
+    ],
+)
+def test_parse_rational_within_the_digit_bound(token, value):
+    assert MAX_RATIONAL_DIGITS == 100
+    assert parse_rational(token) == value
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["9" * 101, "1e100", "1/" + "7" * 100, "1e-100", "1.5e99", "1e1_000", "1e12345678901"],
+)
+def test_parse_rational_past_the_digit_bound(token):
+    with pytest.raises(ValueError, match="more than 100 digits"):
+        parse_rational(token)
+
+
+@pytest.mark.parametrize("token", ["abc", "1/x", "1e", ""])
+def test_parse_rational_refuses_what_fraction_refuses(token):
+    with pytest.raises(ValueError):
+        parse_rational(token)

@@ -45,12 +45,12 @@ class Nerve:
         return self.simplices[k] if 0 <= k <= self.dimension else ()
 
     @cached_property
-    def _indices(self) -> list[Mapping[Simplex, int]]:
-        return [MappingProxyType({s: i for i, s in enumerate(lv)}) for lv in self.simplices]
+    def _indices(self) -> list[dict[Simplex, int]]:
+        return [{s: i for i, s in enumerate(level)} for level in self.simplices]
 
     def index_of(self, k: int) -> Mapping[Simplex, int]:
         """Read-only {k-simplex: position in of_dim(k)}, built once per nerve."""
-        return self._indices[k] if 0 <= k <= self.dimension else MappingProxyType({})
+        return MappingProxyType(self._indices[k] if 0 <= k <= self.dimension else {})
 
 
 @dataclass(frozen=True)

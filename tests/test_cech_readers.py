@@ -11,6 +11,7 @@ name the same witness as the sorted full coboundary it replaced.
 """
 
 import itertools
+import pickle
 from types import MappingProxyType
 
 import pytest
@@ -180,15 +181,17 @@ def test_repeated_cochain_lines_add_up():
     assert all(type(x) is int for x in got.values.values())
 
 
-def test_index_of_is_a_read_only_cached_view():
+def test_index_of_is_a_read_only_view():
     nerve = build_nerve([(0, 1, 2)])
     index = nerve.index_of(1)
     assert isinstance(index, MappingProxyType)
     assert dict(index) == {(0, 1): 0, (0, 2): 1, (1, 2): 2}
-    assert nerve.index_of(1) is index
     with pytest.raises(TypeError):
         index[(0, 1)] = 5
+    assert nerve.index_of(1) == index
     assert dict(nerve.index_of(3)) == dict(nerve.index_of(-1)) == {}
+    # the cached maps travel with the nerve
+    assert pickle.loads(pickle.dumps(nerve)).index_of(2) == {(0, 1, 2): 0}
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
-from .linalg import parse_rational, smith_eliminate
+from .linalg import parse_integer, parse_rational, smith_eliminate
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
 
@@ -131,7 +131,7 @@ def parse_cochain_lines(
     not listed default to zero, and the values of repeated lines add up."""
     known = nerve.index_of(degree)
     values: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
-    parse = int if ring == RING_Z else parse_rational
+    parse = parse_integer if ring == RING_Z else parse_rational
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:

@@ -16,20 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import cech as cech_mod
-from . import quantize
 from .errors import CapExceededError, InputError, TheoremViolationError
-from .linalg import parse_rational
-from .orbit import orbit_dimension
-from .pipeline import analyze_orbit
-from .rootsys import (
-    SeriesSpec,
-    ambient_weight,
-    build_root_system,
-    default_order,
-    fundamental_weights,
-    parse_series,
-)
+from .linalg import parse_rational, shorten
+
+# each command imports its own stack, so that a Cech command never loads the
+# orbit modules and an orbit report never loads the Cech one
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,11 +45,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_lambda(text: str) -> list[Fraction]:
+def _rational(token: str, what: str) -> Fraction:
+    """parse_rational of one token; an error quotes only that token, shortened."""
     try:
-        return [parse_rational(t) for t in text.split(",")]
+        return parse_rational(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad lambda coordinates {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} {shorten(token)!r}: {exc}") from exc
+
+
+def _parse_lambda(text: str) -> list[Fraction]:
+    return [_rational(t, "lambda coordinate") for t in text.split(",")]
 
 
 def _read_text(path: Path) -> str:
@@ -69,7 +65,9 @@ def _read_text(path: Path) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _resolve_lattice(flag: str, rs) -> quantize.LatticeSpec:
+def _resolve_lattice(flag: str, rs):
+    from . import quantize
+
     if flag == "sc":
         return quantize.LatticeSpec(quantize.SIMPLY_CONNECTED)
     if flag == "adjoint":
@@ -89,24 +87,25 @@ def _resolve_lattice(flag: str, rs) -> quantize.LatticeSpec:
             raise InputError("lattice file must hold a list of generator rows")
         rows = []
         for row in gens:
+            if not isinstance(row, list):
+                raise InputError(f"bad lattice generator {shorten(repr(row))}: not a list")
             # JSON floats are inexact (and 1e400 is infinite): entries are
             # integers or "p/q" strings only
-            if not isinstance(row, list) or any(
-                isinstance(x, bool) or not isinstance(x, (int, str)) for x in row
-            ):
-                raise InputError(
-                    f"bad lattice generator {row!r}: entries must be integers "
-                    'or "p/q" strings'
-                )
-            try:
-                rows.append([parse_rational(str(x)) for x in row])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad lattice generator {row!r}: {exc}") from exc
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, str)):
+                    raise InputError(
+                        f"bad lattice generator entry {shorten(repr(x))}: entries "
+                        'must be integers or "p/q" strings'
+                    )
+            rows.append([_rational(str(x), "lattice generator entry") for x in row])
         return quantize.custom_lattice(rows, rs)
     raise InputError(f"unknown lattice flag {flag!r}; use sc, adjoint or custom:FILE")
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
+    from .pipeline import analyze_orbit
+    from .rootsys import build_root_system, parse_series
+
     rs = build_root_system(parse_series(args.series))
     lattice = _resolve_lattice(args.lattice, rs)
     report = analyze_orbit(rs, _parse_lambda(args.lam), lattice)
@@ -169,6 +168,8 @@ def _roots_inline(roots: list[list[str]]) -> str:
 
 
 def cmd_cech(args: argparse.Namespace) -> int:
+    from . import cech as cech_mod
+
     nerve = cech_mod.parse_nerve_lines(_read_text(Path(args.nerve)).splitlines())
     if args.cech_command == "h":
         ring = cech_mod.RING_Z if args.ring == "z" else cech_mod.RING_Q
@@ -215,6 +216,14 @@ def cmd_cech(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     # imported lazily: numpy/scipy are only needed for the oracle surface
     from . import oracle
+    from .orbit import orbit_dimension
+    from .rootsys import (
+        SeriesSpec,
+        ambient_weight,
+        build_root_system,
+        default_order,
+        fundamental_weights,
+    )
 
     n = args.n
     alg = oracle.special_unitary_basis(n)

@@ -22,6 +22,16 @@ Mat = tuple[Vec, ...]
 MAX_RATIONAL_DIGITS = 100
 
 
+def shorten(text: str) -> str:
+    """text as an error message quotes it: cut to 20 characters past 24."""
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
+def _refuse_digits(text: str, digits: int) -> None:
+    if digits > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"{shorten(text)!r} has more than {MAX_RATIONAL_DIGITS} digits")
+
+
 def parse_rational(token: str) -> Fraction:
     """Fraction of a decimal or "p/q" token, refused (ValueError) before it
     is built if its digits, plus a decimal exponent, pass MAX_RATIONAL_DIGITS:
@@ -32,10 +42,18 @@ def parse_rational(token: str) -> Fraction:
     digits = sum(map(str.isdecimal, mantissa))
     if exponent.isdecimal():
         digits += int(exponent) if len(exponent) < 10 else MAX_RATIONAL_DIGITS + 1
-    if digits > MAX_RATIONAL_DIGITS:
-        shown = text if len(text) <= 24 else text[:20] + "..."
-        raise ValueError(f"{shown!r} has more than {MAX_RATIONAL_DIGITS} digits")
-    return Fraction(text)
+    _refuse_digits(text, digits)
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {shorten(text)!r}") from None
+
+
+def parse_integer(token: str) -> int:
+    """int of a token, refused (ValueError) past MAX_RATIONAL_DIGITS digits as
+    parse_rational refuses, so that sums of such values stay printable."""
+    _refuse_digits(token, sum(map(str.isdecimal, token)))
+    return int(token)
 
 
 def vec(values: Iterable) -> Vec:

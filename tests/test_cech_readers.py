@@ -231,3 +231,11 @@ def test_a_rational_cochain_value_past_the_digit_bound_is_refused():
     nerve = build_nerve([(0, 1, 2)])
     with pytest.raises(InputError, match="line 2: '1e5000' has more than 100 digits"):
         parse_cochain_lines(["0 1 2 1/2", "0 1 2 1e5000"], nerve, 2, RING_Q)
+
+
+def test_an_integer_cochain_value_past_the_digit_bound_is_refused():
+    nerve = build_nerve([(0, 1, 2)])
+    at_bound = "-" + "9" * 100
+    assert parse_cochain_lines([f"0 1 2 {at_bound}"], nerve, 2).values[(0, 1, 2)] == int(at_bound)
+    with pytest.raises(InputError, match=r"line 2: '1{20}\.\.\.' has more than 100 digits"):
+        parse_cochain_lines(["0 1 2 1", "0 1 2 " + "1" * 101], nerve, 2)

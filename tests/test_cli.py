@@ -133,12 +133,13 @@ class TestOrbitCommand:
 
     def test_theorem_violation_exit_code(self, capsys, monkeypatch):
         # unreachable with valid inputs by design; force it to pin the mapping
-        import orbitkit.cli as cli_mod
+        # (cmd_orbit imports analyze_orbit from its home module on each call)
+        import orbitkit.pipeline
 
         def boom(*args, **kwargs):
             raise TheoremViolationError("forced for the exit-code map")
 
-        monkeypatch.setattr(cli_mod, "analyze_orbit", boom)
+        monkeypatch.setattr(orbitkit.pipeline, "analyze_orbit", boom)
         code, _, err = run(capsys, "orbit", "--series", "A1", "--lambda", "1,-1")
         assert code == EXIT_THEOREM
         assert json.loads(err)["error"]["kind"] == "theorem_violation"
@@ -262,6 +263,68 @@ def test_lambda_coordinates_at_the_digit_bound_report(capsys):
     code, out, _ = run(capsys, "orbit", "--series", "T2", f"--lambda={lam}", "--output", "json")
     assert code == EXIT_OK
     assert json.loads(out)["lambda"] == ["9" * 100, "-1" + "0" * 99]
+
+
+def test_error_messages_quote_a_long_token_shortened(capsys, tmp_path):
+    token = "1" * 5000
+    code, _, err = run(capsys, "orbit", "--series", "A1", f"--lambda=0,{token}")
+    message = json.loads(err)["error"]["message"]
+    assert code == EXIT_PARSE
+    assert len(message) < 200
+    assert message.startswith("bad lambda coordinate '" + "1" * 20 + "...'")
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"generators": [["1", "-1"], ["0", token]]}))
+    code, _, err = run(capsys, "orbit", "--series", "A1", "--lambda", "1/2,-1/2",
+                       "--lattice", f"custom:{path}")
+    message = json.loads(err)["error"]["message"]
+    assert code == EXIT_PARSE
+    assert len(message) < 200
+    assert message.startswith("bad lattice generator entry '" + "1" * 20 + "...'")
+    path.write_text(json.dumps({"generators": [["1", "x" * 5000]]}))
+    code, _, err = run(capsys, "orbit", "--series", "A1", "--lambda", "1/2,-1/2",
+                       "--lattice", f"custom:{path}")
+    assert code == EXIT_PARSE
+    assert len(json.loads(err)["error"]["message"]) < 200
+
+
+def torus_files(tmp_path, value: str):
+    """A triangulated 6x6 torus and a cochain holding value on the 36
+    triangles (i, j), (i+1, j), (i+1, j+1) of its squares."""
+    n = 6
+
+    def v(i, j):
+        return (i % n) * n + j % n
+
+    squares = [(v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1))
+               for i in range(n) for j in range(n)]
+    lower = [sorted((a, b, d)) for a, b, _, d in squares]
+    upper = [sorted((a, c, d)) for a, _, c, d in squares]
+    nerve, cocycle = tmp_path / "torus.nerve", tmp_path / "torus.cochain"
+    nerve.write_text("".join(f"{t[0]} {t[1]} {t[2]}\n" for t in lower + upper))
+    cocycle.write_text("".join(f"{t[0]} {t[1]} {t[2]} {value}\n" for t in lower))
+    return str(nerve), str(cocycle)
+
+
+def test_chern_refuses_an_integer_value_past_the_digit_bound(capsys, tmp_path):
+    # this input crashed with a traceback (exit 1) when the class coordinate,
+    # a multiple of 10^4300 - 1, passed the integer print limit
+    nerve, cocycle = torus_files(tmp_path, "9" * 4300)
+    code, out, err = run(capsys, "cech", "chern", "--nerve", nerve, "--cocycle", cocycle,
+                         "--output", "json")
+    error = json.loads(err)["error"]
+    assert (code, out, error["kind"]) == (EXIT_PARSE, "", "input")
+    assert error["message"] == (
+        "cochain file line 1: '" + "9" * 20 + "...' has more than 100 digits"
+    )
+
+
+def test_chern_reports_integer_values_at_the_digit_bound(capsys, tmp_path):
+    nerve, cocycle = torus_files(tmp_path, "9" * 100)
+    code, out, _ = run(capsys, "cech", "chern", "--nerve", nerve, "--cocycle", cocycle,
+                       "--output", "json")
+    (coord,) = json.loads(out)["free_coords"]
+    assert code == EXIT_OK
+    assert coord != 0 and coord % (10**100 - 1) == 0
 
 
 class TestCechCommand:

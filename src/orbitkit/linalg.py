@@ -52,7 +52,8 @@ def parse_rational(token: str) -> Fraction:
 def parse_integer(token: str) -> int:
     """int of a token, refused (ValueError) past MAX_RATIONAL_DIGITS digits as
     parse_rational refuses, so that sums of such values stay printable."""
-    _refuse_digits(token, sum(map(str.isdecimal, token)))
+    if len(token) > MAX_RATIONAL_DIGITS:  # digits are counted only when they can pass
+        _refuse_digits(token, sum(map(str.isdecimal, token)))
     return int(token)
 
 

@@ -129,6 +129,8 @@ def parse_cochain_lines(
 ) -> Cochain:
     """Cochain file format: one '<simplex tuple> <value>' per line; simplices
     not listed default to zero, and the values of repeated lines add up."""
+    if ring not in (RING_Z, RING_Q):
+        raise InputError(f"unknown ring {ring!r}")
     known = nerve.index_of(degree)
     values: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
     parse = parse_integer if ring == RING_Z else parse_rational
@@ -154,8 +156,6 @@ def parse_cochain_lines(
                 f"cochain file line {lineno}: simplex {s} is not in the nerve"
             )
         values[s] += val
-    if ring not in (RING_Z, RING_Q):
-        raise InputError(f"unknown ring {ring!r}")
     return Cochain(degree, ring, MappingProxyType(values))
 
 
@@ -192,30 +192,33 @@ def make_cochain(
 def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
     """Alternating face sum; lands on the (k+1)-simplices.
 
-    Beyond the nerve dimension the result is the empty cochain of the next
-    degree, and applying the operator twice always yields zero.
+    Each value is a row of coboundary_matrix(nerve, k) applied to c, so the
+    face signs are decided there.  Beyond the nerve dimension the result is
+    the empty cochain of the next degree, and applying the operator twice
+    always yields zero.
     """
-    k = c.degree
-    values: dict[Simplex, object] = {}
-    for s in nerve.of_dim(k + 1):
-        total = _zero(c.ring)
-        for omit in range(len(s)):
-            face = s[:omit] + s[omit + 1 :]
-            term = c.values.get(face, _zero(c.ring))
-            total = total + term if omit % 2 == 0 else total - term
-        values[s] = total
+    k, zero = c.degree, _zero(c.ring)
+    column = [c.values.get(s, zero) for s in nerve.of_dim(k)]
+    values = {
+        s: sum((x * column[j] for j, x in row.items()), zero)
+        for s, row in zip(nerve.of_dim(k + 1), coboundary_matrix(nerve, k))
+    }
     return Cochain(k + 1, c.ring, MappingProxyType(values))
 
 
 def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:
     """Sparse integer matrix of delta_k: one row per (k+1)-simplex, holding
-    {index of a k-face: ±1}; the columns are the k-simplices in order."""
+    {index of a k-face: ±1}; the columns are the k-simplices in order.  A
+    vertex has an empty row of delta_-1; past the dimension no row, at any k."""
+    simplices = nerve.of_dim(k + 1)
+    if not simplices:
+        return []
     cols = nerve.index_of(k)
     # combinations(s, k + 1) lists the faces omitting s[k+1], ..., s[0]
-    signs = [-1 if omit % 2 else 1 for omit in range(k + 1, -1, -1)]
+    signs = [-1 if omit % 2 else 1 for omit in range(k + 1, -1, -1)] if k >= 0 else []
     return [
         {cols[f]: sign for f, sign in zip(combinations(s, k + 1), signs)}
-        for s in nerve.of_dim(k + 1)
+        for s in simplices
     ]
 
 

@@ -3,11 +3,14 @@
 Everything here works on tuples of exact rationals (vectors) and tuples of
 such tuples (row-major matrices); a ``Vec`` entry is a ``fractions.Fraction``
 or a plain ``int``, as in the integer roots of ``rootsys``.  No floating
-point.  The integer Smith normal form is one sparse elimination,
-:func:`smith_eliminate`, on rows stored as {column: value}.  It returns the
+point.  There is one elimination, :func:`smith_eliminate`, the integer
+Smith normal form on rows stored as {column: value}.  It returns the
 invariant factors and builds a transform only on request: the Cech module
 has it carry a cocycle through the row operations to read off cohomology
 coordinates, and integer row-span membership asks for the right transform.
+Rational rank and solve read it too, after scaling each row to integers:
+over Q the rank is the number of invariant factors, and u·a·v = d gives a
+particular solution.
 """
 
 from __future__ import annotations
@@ -65,10 +68,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -91,57 +90,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
         for row in a
     )
-
-
-def _rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
-
-
-def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    return len(_rref(a)[1])
-
-
-def solve(a: Mat, b: Vec) -> Optional[Vec]:
-    """One exact solution x of A x = b, or None if the system is inconsistent.
-
-    When the solution space has positive dimension the free variables are
-    set to zero, which keeps the result deterministic.
-    """
-    m = len(a)
-    if m == 0:
-        return zeros(0) if all(x == 0 for x in b) else None
-    n = len(a[0])
-    aug = mat([list(row) + [bi] for row, bi in zip(a, b)])
-    rows, pivots = _rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return tuple(x)
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -345,6 +293,43 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
         [[row.get(j, 0) for j in range(m)] for row in u],
         [[col.get(i, 0) for col in v] for i in range(n)],
     )
+
+
+def _integer_rows(a: Mat) -> list[SparseRow]:
+    """Rows of a, each times the lcm of its denominators, as sparse rows."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    return [{j: int(x * c) for j, x in enumerate(row) if x} for row, c in zip(a, scales)]
+
+
+def rank(a: Mat) -> int:
+    """Rank over Q: the number of invariant factors of the scaled rows."""
+    if not a:
+        return 0
+    return len(smith_eliminate(_integer_rows(a), len(a[0]))[0])
+
+
+def solve(a: Mat, b: Vec) -> Optional[Vec]:
+    """One exact solution x of A x = b, or None if the system is inconsistent.
+
+    Each row of [A | b] is scaled to integers, and u·A·v = d turns the
+    system into d z = u·b with x = v z.  When the solution space has positive
+    dimension the free variables are zero in that Smith basis (z_i = 0 past
+    the rank), which keeps the result deterministic.
+    """
+    if not a:
+        return None if any(b) else ()
+    n = len(a[0])
+    rows = _integer_rows(tuple(tuple(row) + (bi,) for row, bi in zip(a, b)))
+    carry = [{0: row.pop(n)} if n in row else {} for row in rows]
+    factors, ub, v = smith_eliminate(rows, n, carry, columns=True)
+    if any(ub[len(factors):]):
+        return None
+    x = [Fraction(0)] * n
+    for d, row, col in zip(factors, ub, v):
+        z = Fraction(row.get(0, 0), d)
+        for i, vi in col.items():
+            x[i] += vi * z
+    return tuple(x)
 
 
 def in_integer_row_span(gens: Mat, target: Vec) -> bool:

@@ -7,15 +7,15 @@ from explicit bracket evaluations, and moment-map equivariance from central
 finite differences of the coadjoint flow.
 
 Tolerances, separated by orders of magnitude from double-precision noise:
-construction 1e-12, spectral matching 1e-8, finite differences 1e-6
-(central, step 1e-5).
+construction 1e-12, spectral matching 1e-8, KKS blocks (relative), rank
+and root audit 1e-9, finite differences 1e-6 (central, step 1e-5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,7 +23,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, OrbitkitError
 from .orbit import (
-    KKSMatrix,
     admissible_positive_system,
     kks_matrix,
     polarization,
@@ -33,6 +32,8 @@ from .rootsys import RootSystem, SeriesSpec, Weight, build_root_system
 
 CONSTRUCTION_TOL = 1e-12
 SPECTRAL_TOL = 1e-8
+RANK_TOL = 1e-9
+AUDIT_TOL = 1e-9
 KKS_REL_TOL = 1e-9
 FD_TOL = 1e-6
 FD_STEP = 1e-5
@@ -262,16 +263,14 @@ def numeric_kks_check(
     lam: Weight,
     alg: MatrixAlgebra,
     samples: int = 20,
-    exact_blocks: Optional[KKSMatrix] = None,
     seed: int = 0,
 ) -> KKSCheckReport:
     """(a) compare lambda([A_alpha, B_alpha]) against the exact KKS blocks;
     (b) verify moment-map equivariance by central finite differences."""
     v_lam = lambda_vector(lam, alg)
     rs = build_root_system(SeriesSpec((("A", alg.n - 1),)))
-    if exact_blocks is None:
-        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
-        exact_blocks = kks_matrix(lam, polarization(lam, order))
+    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    exact_blocks = kks_matrix(lam, polarization(lam, order))
 
     matches = {
         ex.coords: nr for nr, ex, _ in match_roots(numeric_root_decomposition(alg), rs)
@@ -321,7 +320,7 @@ def _coadjoint_pullback(v_lam: np.ndarray, x: np.ndarray, y: np.ndarray, t: floa
     return _eval_functional(v_lam, g @ y @ np.linalg.inv(g))
 
 
-def stabilizer_rank(lam: Weight, alg: MatrixAlgebra, tol: float = 1e-9) -> int:
+def stabilizer_rank(lam: Weight, alg: MatrixAlgebra) -> int:
     """Numeric rank of X -> lambda([X, .]), which is the orbit dimension."""
     v_lam = lambda_vector(lam, alg)
     m = np.array(
@@ -330,7 +329,7 @@ def stabilizer_rank(lam: Weight, alg: MatrixAlgebra, tol: float = 1e-9) -> int:
             for x in alg.basis
         ]
     )
-    return int(np.linalg.matrix_rank(m, tol=tol))
+    return int(np.linalg.matrix_rank(m, tol=RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -344,7 +343,7 @@ class RootAuditReport:
         return not self.failures
 
 
-def root_property_audit(alg: MatrixAlgebra, tol: float = 1e-9) -> RootAuditReport:
+def root_property_audit(alg: MatrixAlgebra) -> RootAuditReport:
     """Numeric audit of the root-space bracket relations.
 
     conj(root space) is the negated root's space; brackets land in the space
@@ -359,7 +358,7 @@ def root_property_audit(alg: MatrixAlgebra, tol: float = 1e-9) -> RootAuditRepor
     def record(res: float, message: str):
         nonlocal max_res
         max_res = max(max_res, res)
-        if res > tol:
+        if res > AUDIT_TOL:
             failures.append(f"{message} (residual {res:.2e})")
 
     by_key = {}

@@ -13,7 +13,6 @@ fixed by every element.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .rootsys import (
 )
 
 DEFAULT_CAP = 10**6
-CAP_ENV_VAR = "ORBITKIT_WEYL_CAP"
 
 
 def _factor_order(letter: str, n: int) -> int:
@@ -108,9 +106,6 @@ class WeylGroup:
     def element_set(self) -> frozenset[Mat]:
         return frozenset(self.elements)
 
-    def act(self, g: Mat, w: Weight) -> Weight:
-        return Weight(mat_vec(g, w.coords))
-
 
 @dataclass(frozen=True)
 class WeylOrbit:
@@ -119,26 +114,13 @@ class WeylOrbit:
     stabilizer_order: int
 
 
-def resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad {CAP_ENV_VAR} value {env!r}") from exc
-    return DEFAULT_CAP
-
-
-def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
+def generate_weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Breadth-first closure of the simple reflections under multiplication.
 
     Deterministic: elements are finally ordered lexicographically by their
     matrix entries; the stored words are the shortest found, ties resolved
     by BFS order.
     """
-    cap = resolve_cap(cap)
     order = default_order(rs)
     gens = tuple(reflection(a, rs) for a in order.simple)
     ident = identity(rs.ambient_dim)
@@ -156,7 +138,7 @@ def generate_weyl_group(rs: RootSystem, cap: int | None = None) -> WeylGroup:
                     if len(found) > cap:
                         raise CapExceededError(
                             f"Weyl closure exceeded cap {cap}; "
-                            f"raise it via {CAP_ENV_VAR} for large ranks"
+                            "pass a larger cap for large ranks"
                         )
         frontier = nxt
     ordered = sorted(found)

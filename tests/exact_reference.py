@@ -1,5 +1,8 @@
 """Exact helpers that only the tests use, moved out of `orbitkit` verbatim:
 `linalg.det`, `linalg.kernel_basis` and `rootsys.simple_root_coefficients`;
+the Fraction RREF `linalg._rref` and the `linalg.solve` built on it, as the
+independent oracles for the rank and solve that now read `smith_eliminate`;
+the face-sum `cech.coboundary`, as the oracle for `coboundary_matrix`;
 and, as oracles for the one-pass readers of `cech`, the readers they
 replaced: `cech.build_nerve`, `cech.parse_nerve_lines`,
 `cech.parse_cochain_lines` and `cech.make_cochain`.
@@ -7,12 +10,57 @@ replaced: `cech.build_nerve`, `cech.parse_nerve_lines`,
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from orbitkit.cech import RING_Q, RING_Z, Cochain, Nerve, Simplex, _zero
 from orbitkit.errors import InputError
-from orbitkit.linalg import Mat, Vec, _rref, mat, solve
+from orbitkit.linalg import Mat, Vec, mat, solve
 from orbitkit.rootsys import RootOrder, Weight
+
+
+def _rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in a]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def rref_solve(a: Mat, b: Vec) -> Optional[Vec]:
+    """One exact solution x of A x = b, or None if the system is inconsistent.
+
+    When the solution space has positive dimension the free variables are
+    set to zero, which keeps the result deterministic.
+    """
+    m = len(a)
+    if m == 0:
+        return () if all(x == 0 for x in b) else None
+    n = len(a[0])
+    aug = mat([list(row) + [bi] for row, bi in zip(a, b)])
+    rows, pivots = _rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n]
+    return tuple(x)
 
 
 def kernel_basis(a: Mat) -> list[Vec]:
@@ -172,3 +220,21 @@ def make_cochain(
             x = int(x)
         out[key] = x
     return Cochain(degree, ring, MappingProxyType(out))
+
+
+def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
+    """Alternating face sum; lands on the (k+1)-simplices.
+
+    Beyond the nerve dimension the result is the empty cochain of the next
+    degree, and applying the operator twice always yields zero.
+    """
+    k = c.degree
+    values: dict[Simplex, object] = {}
+    for s in nerve.of_dim(k + 1):
+        total = _zero(c.ring)
+        for omit in range(len(s)):
+            face = s[:omit] + s[omit + 1 :]
+            term = c.values.get(face, _zero(c.ring))
+            total = total + term if omit % 2 == 0 else total - term
+        values[s] = total
+    return Cochain(k + 1, c.ring, MappingProxyType(values))

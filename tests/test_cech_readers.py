@@ -172,6 +172,16 @@ def test_a_malformed_cochain_line_is_refused_like_the_reference(data):
     assert outcome(parse_cochain_lines, *args) == outcome(ref.parse_cochain_lines, *args)
 
 
+def test_an_unknown_ring_is_refused_before_any_line_is_read():
+    def lines():
+        raise AssertionError("a cochain line was read")
+        yield
+
+    nerve = build_nerve([(0, 1, 2)])
+    with pytest.raises(InputError, match="unknown ring 'R'"):
+        parse_cochain_lines(lines(), nerve, 2, "R")
+
+
 def test_repeated_cochain_lines_add_up():
     nerve = build_nerve([(0, 1, 2, 3)])
     lines = ["0 1 2 4", "1 2 3 -1", "0 1 2 -1  # again", "", "0 1 2 5", "1 2 3 -1"]
@@ -203,7 +213,7 @@ def test_coboundary_matrix_applies_the_alternating_face_sum(data):
     column = [values[s] for s in nerve.of_dim(k)]
     rows = coboundary_matrix(nerve, k)
     assert len(rows) == len(nerve.of_dim(k + 1))
-    expected = coboundary(make_cochain(nerve, k, values), nerve).values
+    expected = ref.coboundary(make_cochain(nerve, k, values), nerve).values
     for s, row in zip(nerve.of_dim(k + 1), rows):
         assert sum(x * column[j] for j, x in row.items()) == expected[s]
 

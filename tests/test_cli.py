@@ -337,6 +337,14 @@ class TestCechCommand:
         assert code == EXIT_OK
         assert out.strip() == "H^2 = Z"
 
+    def test_h_far_above_the_dimension_is_zero_at_once(self, capsys, tmp_path):
+        nerve = tmp_path / "tet.nerve"
+        nerve.write_text(TETRA)
+        k = "1" + "0" * 21
+        code, out, _ = run(capsys, "cech", "h", "--nerve", str(nerve), "--k", k)
+        assert code == EXIT_OK
+        assert out.strip() == f"H^{k} = 0"
+
     def test_h_triangle_q_rank(self, capsys, tmp_path):
         nerve = tmp_path / "tri.nerve"
         nerve.write_text(TRIANGLE)

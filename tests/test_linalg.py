@@ -14,7 +14,7 @@ from orbitkit.linalg import (
     vec,
 )
 
-from exact_reference import kernel_basis
+from exact_reference import _rref, kernel_basis, rref_solve
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -49,6 +49,43 @@ def test_kernel_vectors_annihilate(a):
 @given(matrices())
 def test_rank_nullity(a):
     assert rank(a) + len(kernel_basis(a)) == len(a[0])
+
+
+@st.composite
+def systems(draw):
+    """A 1-5 x 1-5 rational matrix whose rows past the first k are rational
+    combinations of those k (so it is often rank-deficient, and all zero for
+    k = 0), and a right-hand side that is either in its column span or drawn
+    at random."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=m))
+    base = [[draw(fractions) for _ in range(n)] for _ in range(k)]
+    rows = list(base)
+    while len(rows) < m:
+        coeffs = [draw(fractions) for _ in base]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, base)), Fraction(0)) for j in range(n)])
+    a = mat(draw(st.permutations(rows)))
+    if draw(st.booleans()):
+        return a, mat_vec(a, vec([draw(fractions) for _ in range(n)]))
+    return a, vec([draw(fractions) for _ in range(m)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_rank_and_solve_agree_with_the_rref_reference(system):
+    a, b = system
+    n = len(a[0])
+    pivots = _rref(a)[1]
+    assert rank(a) == len(pivots)
+    consistent = n not in _rref(mat([list(row) + [bi] for row, bi in zip(a, b)]))[1]
+    x = solve(a, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert len(x) == n and all(type(v) is Fraction for v in x)
+        assert mat_vec(a, x) == b
+        if len(pivots) == n:  # the solution is unique
+            assert x == rref_solve(a, b)
 
 
 def test_solve_detects_inconsistency():

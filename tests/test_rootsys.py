@@ -19,9 +19,10 @@ from orbitkit import (
     positive_roots,
     weight_from_fundamental,
 )
+from orbitkit.linalg import mat, vec
 from orbitkit.rootsys import MAX_ROOTS, coroot_pairing, default_chamber_seed, reflect
 
-from exact_reference import simple_root_coefficients
+from exact_reference import rref_solve, simple_root_coefficients
 from models import frac_vec
 
 
@@ -380,3 +381,30 @@ def test_default_seed_is_regular():
         rs = build_root_system(parse_series(series))
         seed = default_chamber_seed(rs)
         assert all(pairing(seed, a, rs) != 0 for a in rs.roots)
+
+
+@st.composite
+def classical_series(draw):
+    """One or two A/B/C/D factors of rank at most 8, sometimes with a torus."""
+    factors = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=2))
+    tokens = [f"{x}{draw(st.integers(2 if x == 'D' else 1, 8))}" for x in factors]
+    return "x".join(tokens + ["T1"] * draw(st.integers(0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(classical_series())
+def test_fundamental_weights_are_dual_to_the_simple_coroots(series):
+    rs = build_root_system(parse_series(series))
+    order = default_order(rs)
+    simple = order.simple
+    k = len(simple)
+    fw = fundamental_weights(order)
+    cartan = mat([[coroot_pairing(a, b, rs) for a in simple] for b in simple])
+    for i, omega in enumerate(fw):
+        assert [coroot_pairing(omega, a, rs) for a in simple] == [int(i == j) for j in range(k)]
+        coeffs = rref_solve(cartan, vec([int(m == i) for m in range(k)]))
+        expected = [
+            sum((c * alpha.coords[t] for c, alpha in zip(coeffs, simple)), Fraction(0))
+            for t in range(rs.ambient_dim)
+        ]
+        assert omega.coords == tuple(expected)

@@ -175,15 +175,6 @@ def test_cap_exceeded():
         generate_weyl_group(rs, cap=10)
 
 
-def test_cap_env_override(monkeypatch):
-    rs = build_root_system(parse_series("A2"))
-    monkeypatch.setenv("ORBITKIT_WEYL_CAP", "2")
-    with pytest.raises(CapExceededError):
-        generate_weyl_group(rs)
-    monkeypatch.setenv("ORBITKIT_WEYL_CAP", "100")
-    assert generate_weyl_group(rs).order == 6
-
-
 class TestGroupStructure:
     @pytest.mark.parametrize("series", ["A2", "A3", "B2", "B3", "D3", "D4"])
     def test_elements_permute_roots(self, series):

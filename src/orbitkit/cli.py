@@ -35,13 +35,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _positive_int(text: str) -> int:
+# audit --samples bounds; the audit's time is linear in the count, and the
+# upper bound keeps it to seconds
+MIN_AUDIT_SAMPLES = 1
+MAX_AUDIT_SAMPLES = 10_000
+
+
+def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}") from None
+    if value < MIN_AUDIT_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_AUDIT_SAMPLES}, got {value}")
+    if value > MAX_AUDIT_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_AUDIT_SAMPLES}, got {shorten(text)}"
+        )
     return value
 
 
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="numeric su(n) oracle cross-checks")
     p_audit.add_argument("--n", type=int, default=3, help="su(n) size, 2..5")
     p_audit.add_argument("--lambda", dest="lam", default=None)
-    p_audit.add_argument("--samples", type=_positive_int, default=20)
+    p_audit.add_argument("--samples", type=_sample_count, default=20)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--output", choices=("text", "json"), default="text")
     return parser

@@ -316,8 +316,10 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     dimension the free variables are zero in that Smith basis (z_i = 0 past
     the rank), which keeps the result deterministic.
     """
+    if len(b) != len(a):
+        raise ValueError(f"dimension mismatch: {len(a)} rows vs {len(b)} right-hand entries")
     if not a:
-        return None if any(b) else ()
+        return ()
     n = len(a[0])
     rows = _integer_rows(tuple(tuple(row) + (bi,) for row, bi in zip(a, b)))
     carry = [{0: row.pop(n)} if n in row else {} for row in rows]

@@ -14,11 +14,10 @@ from .rootsys import (
     RootOrder,
     RootSystem,
     Weight,
-    default_chamber_seed,
     default_order,
     is_dominant,
-    pairing,
     positive_roots,
+    root_numerators,
 )
 
 # Convention constant for the KKS blocks: with unit-Frobenius-norm root
@@ -83,7 +82,7 @@ class KKSMatrix:
 
 def singular_roots(lam: Weight, rs: RootSystem) -> tuple[Weight, ...]:
     """Roots orthogonal to lam; always closed under negation."""
-    return tuple(a for a in rs.roots if pairing(lam, a, rs) == 0)
+    return tuple(a for a, p in zip(rs.roots, root_numerators(lam, rs)) if not p)
 
 
 def _check_closed(subset: tuple[Weight, ...], rs: RootSystem, what: str) -> None:
@@ -127,19 +126,17 @@ def admissible_chamber_seed(lam: Weight, rs: RootSystem) -> Weight:
     sign of any nonzero pairing of lam, then added to lam; ties on the walls
     through lam are broken by rho itself.
     """
-    rho = default_chamber_seed(rs)
-    bound = None
-    for a in rs.roots:
-        la = pairing(lam, a, rs)
-        if la == 0:
-            continue
-        ra = pairing(rho, a, rs)
-        if ra == 0:
-            continue
-        candidate = abs(la) / abs(ra)
-        if bound is None or candidate < bound:
-            bound = candidate
-    t = Fraction(1) if bound is None else bound / 2
+    rho = default_order(rs).chamber_seed
+    # the least |(lam, a)| / |(rho, a)| as the integer ratio of the
+    # numerators, |(lam, a)| D_lam over |(rho, a)| D_rho; rho is regular
+    best = None
+    for la, ra in zip(root_numerators(lam, rs), root_numerators(rho, rs)):
+        if la and (best is None or abs(la) * best[1] < best[0] * abs(ra)):
+            best = (abs(la), abs(ra))
+    if best is None:
+        t = Fraction(1)
+    else:
+        t = Fraction(best[0] * rho.integer_form[1], 2 * best[1] * lam.integer_form[1])
     return Weight(tuple(x + t * r for x, r in zip(lam.coords, rho.coords)))
 
 
@@ -218,14 +215,17 @@ def kks_matrix(lam: Weight, pol: Polarization) -> KKSMatrix:
     """Exact KKS form at the base point on the real pairs (A_alpha, B_alpha),
     one antisymmetric 2x2 block per label of pol."""
     rs = pol.order.rs
+    scan, index = root_numerators(lam, rs), rs.index
+    # KKS_KAPPA (lam, alpha) = KKS_KAPPA p / D for p = (lam, alpha) D
+    num, den = KKS_KAPPA.numerator, KKS_KAPPA.denominator * lam.integer_form[1]
     blocks = []
     for alpha in pol.b_roots:
-        c = KKS_KAPPA * pairing(lam, alpha, rs)
-        if c == 0:
+        p = scan[index[alpha.coords]]
+        if not p:
             raise TheoremViolationError(
                 f"degenerate KKS block for non-singular root {alpha.to_strings()}"
             )
-        blocks.append(c)
+        blocks.append(Fraction(num * p, den))
     return KKSMatrix(pol.b_roots, tuple(blocks))
 
 

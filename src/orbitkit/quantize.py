@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError, TheoremViolationError
 from .linalg import Vec, _row_span_member, mat
-from .rootsys import RootSystem, Weight, coroot_pairing, default_order
+from .rootsys import RootSystem, Weight, coroot_value, default_order, numerator_scan
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .orbit import singular_roots  # noqa: F401
 from .weyl import dominant_representative
@@ -86,9 +86,12 @@ def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     if len(lam.coords) != rs.ambient_dim:
         raise InputError("weight dimension mismatch")
     if lattice.kind == SIMPLY_CONNECTED:
+        # <lam, alpha^vee> = k / D with k an integer, lam = numerators / D
+        nums, d = lam.integer_form
+        supports = default_order(rs).simple_supports
         return all(
-            coroot_pairing(lam, alpha, rs).denominator == 1
-            for alpha in default_order(rs).simple
+            coroot_value(p, s) % d == 0
+            for p, s in zip(numerator_scan(nums, supports), supports)
         )
     if lattice.kind == ADJOINT:
         return rs.root_lattice_member(lam.coords)

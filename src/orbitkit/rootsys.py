@@ -11,14 +11,25 @@ A fixed Euclidean realization is used throughout:
 with the pairing given by the ambient dot product; torus factors contribute
 trailing coordinates and no roots.  Roots are tuples of plain ints, each with
 at most two nonzero coordinates; weights may hold ints or Fractions, which
-compare, hash and print alike.  All arithmetic is exact rational, and every
-value is immutable after construction.
+compare, hash and print alike.  All arithmetic is exact, and every value is
+immutable after construction.
 
-Every meeting of a weight with a root goes through three kernels here:
-:func:`pairing` sums only the coordinates where both sides are nonzero, so a
-root costs O(1) multiplications; :func:`coroot_pairing` is the one place the
-quotient 2 (w, alpha) / (alpha, alpha) is formed; and :func:`reflect` applies
-s_alpha by that formula, changing only the support of alpha.
+Weights meet roots in integers.  Each :class:`Weight` caches its integer
+form: numerators over D, the lcm of its coordinate denominators.  Each
+:class:`RootSystem` caches its support list: the at most two nonzero
+(index, value) pairs of each root, flattened to (i, x, j, y).  Every coroot
+2 alpha / (alpha, alpha) has integer coordinates here: it is alpha, 2 alpha
+or alpha / 2 for (alpha, alpha) = 2, 1 or 4 (Bourbaki, Lie Groups and Lie
+Algebras, Ch. VI, Planches I-IV).  So <w, alpha^vee> D is an integer, and a
+reflection maps numerators over D to numerators over the same D.
+
+:func:`numerator_scan` is the one kernel: it returns (w, alpha) D for each
+root of a support list.  :func:`root_numerators` runs it once per weight
+over all of the roots, and every report fact read off pairings with lambda
+(singular set, admissible chamber, positive system, KKS blocks) reads that
+scan; dominance, straightening and ``sc`` integrality scan the simple roots.
+:func:`pairing`, :func:`coroot_pairing` and :func:`reflect` read the integer
+forms too, and build a Fraction only for the value they return.
 """
 
 from __future__ import annotations
@@ -28,6 +39,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, InputError
@@ -155,6 +168,13 @@ class Weight:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, D): coordinate i is numerators[i] / D, where D is the
+        lcm of the coordinate denominators."""
+        d = lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (d // c.denominator) for c in self.coords), d
+
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coords]
 
@@ -203,6 +223,21 @@ class RootSystem:
         }
 
     @cached_property
+    def supports(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, x, j, y) per root, in roots order: the root is x e_i + y e_j.
+        A root with one nonzero coordinate is padded as (i, x, i, 0)."""
+        out = []
+        for a in self.roots:
+            (i, x), *rest = [(i, x) for i, x in enumerate(a.coords) if x]
+            out.append((i, x, *(rest[0] if rest else (i, 0))))
+        return tuple(out)
+
+    @cached_property
+    def index(self) -> dict[Vec, int]:
+        """Position of each root, by coordinates, in roots (and supports)."""
+        return {a.coords: k for k, a in enumerate(self.roots)}
+
+    @cached_property
     def _default_split(self) -> tuple[Weight, tuple[Weight, ...], tuple[Weight, ...]]:
         # no RootOrder here: its back-reference would make every root
         # system a reference cycle, freed only by the cycle collector
@@ -245,6 +280,12 @@ class RootOrder:
     @cached_property
     def positive_set(self) -> frozenset[Vec]:
         return frozenset(r.coords for r in self.positive)
+
+    @cached_property
+    def simple_supports(self) -> tuple[tuple[int, int, int, int], ...]:
+        """RootSystem.supports of the simple roots, in the order of simple."""
+        supports, index = self.rs.supports, self.rs.index
+        return tuple(supports[index[a.coords]] for a in self.simple)
 
 
 def build_root_system(spec: SeriesSpec) -> RootSystem:
@@ -289,31 +330,71 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
     return RootSystem(spec, ordered)
 
 
-def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
-    """Exact pairing of two ambient weights: the ambient dot product, summed
-    over the coordinates where both are nonzero (at most two for a root)."""
+def numerator_scan(nums: Sequence[int], supports) -> list[int]:
+    """(w, alpha) D for each (i, x, j, y) in supports, where w is nums / D:
+    two integer products per root."""
+    return [nums[i] * x + nums[j] * y for i, x, j, y in supports]
+
+
+def coroot_value(p: int, support: tuple[int, int, int, int]) -> int:
+    """<w, alpha^vee> D = 2 (w, alpha) D / (alpha, alpha) from p = (w, alpha) D;
+    exact, since every coroot has integer coordinates."""
+    _, x, _, y = support
+    return 2 * p // (x * x + y * y)
+
+
+def root_numerators(w: Weight, rs: RootSystem) -> tuple[int, ...]:
+    """(w, alpha) D for every root alpha of rs, in rs.roots order, where D is
+    w's integer-form denominator.  The scan is cached on w for the last root
+    system it met; the cache holds that system's supports, which refer back
+    to nothing, so it makes no reference cycle."""
+    require_ambient(w, rs)
+    supports = rs.supports
+    cached = w.__dict__.get("_scan")
+    if cached is None or cached[0] is not supports:
+        cached = (supports, tuple(numerator_scan(w.integer_form[0], supports)))
+        w.__dict__["_scan"] = cached
+    return cached[1]
+
+
+def _integer_dot(xi: Weight, eta: Weight, rs: RootSystem) -> int:
     n = rs.ambient_dim
     if len(xi.coords) != n or len(eta.coords) != n:
-        _require_ambient(eta if len(xi.coords) == n else xi, rs)
-    return sum((a * b for a, b in zip(xi.coords, eta.coords) if b and a), Fraction(0))
+        require_ambient(eta if len(xi.coords) == n else xi, rs)
+    return sum(map(mul, xi.integer_form[0], eta.integer_form[0]))
+
+
+def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
+    """Exact pairing of two ambient weights: the ambient dot product of their
+    numerators over the product of their denominators."""
+    return Fraction(_integer_dot(xi, eta, rs), xi.integer_form[1] * eta.integer_form[1])
 
 
 def coroot_pairing(w: Weight, alpha: Weight, rs: RootSystem) -> Fraction:
     """<w, alpha^vee> = 2 (w, alpha) / (alpha, alpha), exact."""
-    return 2 * pairing(w, alpha, rs) / pairing(alpha, alpha, rs)
+    na, da = alpha.integer_form
+    norm = sum(map(mul, na, na))
+    return Fraction(2 * da * _integer_dot(w, alpha, rs), w.integer_form[1] * norm)
 
 
 def reflect(w: Weight, alpha: Weight, rs: RootSystem) -> Weight:
-    """s_alpha(w) = w - <w, alpha^vee> alpha; only the support of alpha changes."""
-    c = coroot_pairing(w, alpha, rs)
+    """s_alpha(w) = w - <w, alpha^vee> alpha; only the support of alpha
+    changes, where coordinate i becomes (n_i N - 2 S a_i) / (D N) for w =
+    n / D, alpha = a / D', S = n . a and N = a . a."""
+    s = _integer_dot(w, alpha, rs)
+    nw, dw = w.integer_form
+    na = alpha.integer_form[0]
+    norm = sum(map(mul, na, na))
+    if not norm:
+        raise ZeroDivisionError("reflection in the zero vector")
     coords = list(w.coords)
-    for i, x in enumerate(alpha.coords):
-        if x:
-            coords[i] -= c * x
+    for i, a in enumerate(na):
+        if a:
+            coords[i] = Fraction(nw[i] * norm - 2 * s * a, dw * norm)
     return Weight(tuple(coords))
 
 
-def _require_ambient(w: Weight, rs: RootSystem):
+def require_ambient(w: Weight, rs: RootSystem):
     if len(w.coords) != rs.ambient_dim:
         raise InputError(
             f"weight has {len(w.coords)} coordinates, expected {rs.ambient_dim}"
@@ -361,16 +442,12 @@ def default_chamber_seed(rs: RootSystem) -> Weight:
 
 def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
     """Split the roots by the sign of their pairing with a regular seed."""
-    _require_ambient(chamber_seed, rs)
-    pos = []
-    for alpha in rs.roots:
-        p = pairing(chamber_seed, alpha, rs)
-        if p == 0:
-            raise InputError(
-                f"chamber seed lies on the wall of root {alpha.to_strings()}"
-            )
-        if p > 0:
-            pos.append(alpha)
+    scan = root_numerators(chamber_seed, rs)
+    if 0 in scan:
+        raise InputError(
+            f"chamber seed lies on the wall of root {rs.roots[scan.index(0)].to_strings()}"
+        )
+    pos = [alpha for alpha, p in zip(rs.roots, scan) if p > 0]
     # simple roots are the positive roots that are not a sum of two positives
     pos_set = {a.coords for a in pos}
     sums = {s for a in pos_set for b, s in rs.sums[a].items() if b in pos_set}
@@ -391,8 +468,8 @@ def default_order(rs: RootSystem) -> RootOrder:
 
 def is_dominant(lam: Weight, order: RootOrder) -> bool:
     """True iff lam pairs non-negatively with every positive (simple) root."""
-    _require_ambient(lam, order.rs)
-    return all(pairing(lam, alpha, order.rs) >= 0 for alpha in order.simple)
+    require_ambient(lam, order.rs)
+    return all(p >= 0 for p in numerator_scan(lam.integer_form[0], order.simple_supports))
 
 
 def fundamental_weights(order: RootOrder) -> list[Weight]:

@@ -2,8 +2,8 @@
 
 Reports use only :func:`weyl_order`, :func:`weyl_orbit_size` and
 :func:`dominant_representative`, none of which costs time proportional to
-|W|; the last straightens a weight with :func:`rootsys.reflect`, which
-applies s_alpha by formula and builds no matrix.  :func:`generate_weyl_group`
+|W|; the last straightens the integer form of a weight, its numerators over
+one denominator, and builds no matrix.  :func:`generate_weyl_group`
 enumerates the group generated by the exact reflection matrices of the
 simple roots of the default positive system, up to a cap; it is the
 reference the closed forms are tested against.  Element identity is exact
@@ -26,9 +26,11 @@ from .rootsys import (
     RootSystem,
     SeriesSpec,
     Weight,
+    coroot_value,
     default_order,
-    pairing,
+    numerator_scan,
     reflect,
+    require_ambient,
 )
 
 DEFAULT_CAP = 10**6
@@ -179,19 +181,23 @@ def dominant_representative(
     straightening sequence (reflect at any negative simple pairing), so it
     is short in practice but carries no minimality guarantee.
     """
-    rs = order.rs
-    current = lam
+    require_ambient(lam, order.rs)
+    supports = order.simple_supports
+    nums, d = lam.integer_form
+    nums = list(nums)
     word: list[int] = []
     while True:
-        neg = next(
-            (
-                i
-                for i, a in enumerate(order.simple)
-                if pairing(current, a, rs) < 0
-            ),
-            None,
-        )
+        # s_alpha maps numerators over D to numerators over D, since the
+        # coroot of alpha has integer coordinates
+        scan = numerator_scan(nums, supports)
+        neg = next((k for k, p in enumerate(scan) if p < 0), None)
         if neg is None:
-            return current, tuple(word)
-        current = reflect(current, order.simple[neg], rs)
+            break
+        i, x, j, y = supports[neg]
+        c = coroot_value(scan[neg], supports[neg])
+        nums[i] -= c * x
+        nums[j] -= c * y
         word.append(neg)
+    if not word:
+        return lam, ()
+    return Weight(tuple(Fraction(n, d) for n in nums)), tuple(word)

@@ -1,17 +1,138 @@
-"""Reference root-sum checks: the pairwise loops `orbitkit` used before every
-root-sum question went through `RootSystem.sums`, kept verbatim as the
-oracle that the table-driven versions must agree with, and the old
-all-coroots validation of a custom lattice.
+"""Reference root checks, kept verbatim as the oracles that `orbitkit` must
+agree with:
 
-Each is O(|S|^2 n) exact work over the ambient coordinates, so keep the
-subsets given to them small on large root systems.
+* the pairwise root-sum loops used before every root-sum question went
+  through `RootSystem.sums`, and the old all-coroots validation of a custom
+  lattice; each is O(|S|^2 n) exact work over the ambient coordinates, so
+  keep the subsets given to them small on large root systems;
+* the `Fraction`-sum pairing kernels used before weights met roots in
+  integers (`pairing`, `coroot_pairing`, `reflect`), and the callers that
+  read them: the singular set, the admissible chamber seed, the positive
+  system's sign split, dominance, the KKS blocks, straightening and `sc`
+  integrality.
 """
 
 from fractions import Fraction
 
 from orbitkit.errors import InputError, TheoremViolationError
 from orbitkit.quantize import CUSTOM, LatticeSpec
-from orbitkit.rootsys import Weight
+from orbitkit.rootsys import Weight, default_chamber_seed
+
+
+def _require_ambient(w, rs):
+    if len(w.coords) != rs.ambient_dim:
+        raise InputError(
+            f"weight has {len(w.coords)} coordinates, expected {rs.ambient_dim}"
+        )
+
+
+def pairing(xi, eta, rs):
+    """Old `rootsys.pairing`."""
+    n = rs.ambient_dim
+    if len(xi.coords) != n or len(eta.coords) != n:
+        _require_ambient(eta if len(xi.coords) == n else xi, rs)
+    return sum((a * b for a, b in zip(xi.coords, eta.coords) if b and a), Fraction(0))
+
+
+def coroot_pairing(w, alpha, rs):
+    """Old `rootsys.coroot_pairing`."""
+    return 2 * pairing(w, alpha, rs) / pairing(alpha, alpha, rs)
+
+
+def reflect(w, alpha, rs):
+    """Old `rootsys.reflect`."""
+    c = coroot_pairing(w, alpha, rs)
+    coords = list(w.coords)
+    for i, x in enumerate(alpha.coords):
+        if x:
+            coords[i] -= c * x
+    return Weight(tuple(coords))
+
+
+def singular_roots(lam, rs):
+    """Old `orbit.singular_roots`."""
+    return tuple(a for a in rs.roots if pairing(lam, a, rs) == 0)
+
+
+def admissible_chamber_seed(lam, rs):
+    """Old `orbit.admissible_chamber_seed`."""
+    rho = default_chamber_seed(rs)
+    bound = None
+    for a in rs.roots:
+        la = pairing(lam, a, rs)
+        if la == 0:
+            continue
+        ra = pairing(rho, a, rs)
+        if ra == 0:
+            continue
+        candidate = abs(la) / abs(ra)
+        if bound is None or candidate < bound:
+            bound = candidate
+    t = Fraction(1) if bound is None else bound / 2
+    return Weight(tuple(x + t * r for x, r in zip(lam.coords, rho.coords)))
+
+
+def positive_split(rs, chamber_seed):
+    """The sign split of old `rootsys.positive_roots`: the positive roots, in
+    roots order."""
+    _require_ambient(chamber_seed, rs)
+    pos = []
+    for alpha in rs.roots:
+        p = pairing(chamber_seed, alpha, rs)
+        if p == 0:
+            raise InputError(
+                f"chamber seed lies on the wall of root {alpha.to_strings()}"
+            )
+        if p > 0:
+            pos.append(alpha)
+    return pos
+
+
+def is_dominant(lam, order):
+    """Old `rootsys.is_dominant`."""
+    _require_ambient(lam, order.rs)
+    return all(pairing(lam, alpha, order.rs) >= 0 for alpha in order.simple)
+
+
+def kks_blocks(lam, b_roots, rs, kappa=Fraction(2)):
+    """The block values of old `orbit.kks_matrix`."""
+    blocks = []
+    for alpha in b_roots:
+        c = kappa * pairing(lam, alpha, rs)
+        if c == 0:
+            raise TheoremViolationError(
+                f"degenerate KKS block for non-singular root {alpha.to_strings()}"
+            )
+        blocks.append(c)
+    return tuple(blocks)
+
+
+def dominant_representative(lam, order):
+    """Old `weyl.dominant_representative`."""
+    rs = order.rs
+    current = lam
+    word = []
+    while True:
+        neg = next(
+            (
+                i
+                for i, a in enumerate(order.simple)
+                if pairing(current, a, rs) < 0
+            ),
+            None,
+        )
+        if neg is None:
+            return current, tuple(word)
+        current = reflect(current, order.simple[neg], rs)
+        word.append(neg)
+
+
+def is_integral_sc(lam, order):
+    """The `sc` branch of old `quantize.is_integral`, on order's simple roots."""
+    return all(
+        coroot_pairing(lam, alpha, order.rs).denominator == 1
+        for alpha in order.simple
+    )
 
 
 def check_closed(subset, rs, what):

@@ -7,6 +7,8 @@ from orbitkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_THEOREM,
+    MAX_AUDIT_SAMPLES,
+    _sample_count,
     canonical_json,
     main,
 )
@@ -463,3 +465,17 @@ class TestAuditCommand:
             main(["audit", "--n", "2", "--samples", samples])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["10001", "100000000", "9" * 4000])
+    def test_samples_are_bounded_above(self, capsys, samples):
+        # refused while the arguments are parsed, before any sample is drawn
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--n", "2", "--samples", samples])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be at most {MAX_AUDIT_SAMPLES}" in err
+        assert len(err) < 1000
+
+    def test_the_bounds_themselves_are_accepted(self):
+        assert _sample_count(str(MAX_AUDIT_SAMPLES)) == MAX_AUDIT_SAMPLES == 10_000
+        assert _sample_count("1") == 1

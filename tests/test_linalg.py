@@ -93,6 +93,12 @@ def test_solve_detects_inconsistency():
     assert solve(a, vec([1, 2])) is None
 
 
+@pytest.mark.parametrize("a, b", [([[1], [2]], [1]), ([[1]], [1, 2]), ([], [1])])
+def test_solve_refuses_a_right_hand_side_of_another_length(a, b):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve(mat(a), vec(b))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Record one BENCH_<short-sha>.json for the checkout it runs in.
 
-It runs perfbench/run.py on every workload at seeds 1 and 2, and times the
-CLI on a fixed size ladder:
+It runs perfbench/run.py on every workload at seeds 1 and 2, each run as
+long as BENCHMARK.json's run_seconds, and times the CLI on a fixed size
+ladder:
 
 * regular `orbit` reports at B22, A31, D22 and C22;
 * `cech h --k 1` and `cech chern` on examples/torus32.*, and on 64 x 64 and
@@ -14,7 +15,7 @@ alone), the exit code and a digest of stdout, which lets two BENCH files
 confirm that two commits print the same bytes.
 
 Usage, from the root of an orbitkit checkout:
-    python3 scripts/bench_record.py [--seconds 30] [--out-dir .]
+    python3 scripts/bench_record.py [--out-dir .]
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seconds", type=int, default=30, help="perfbench run length")
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args(argv)
     if not os.path.isfile(os.path.join("src", "orbitkit", "__init__.py")):
@@ -109,13 +109,15 @@ def main(argv=None) -> int:
         return 2
 
     sha = git("rev-parse", "--short", "HEAD")
+    with open("BENCHMARK.json") as fh:
+        seconds = json.load(fh)["run_seconds"]
     record = {
         "git_sha": sha,
         # true when src/ differs from the commit the file is named after
         "src_dirty": bool(git("status", "--porcelain", "src")),
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine()},
-        "perfbench": [run_perfbench(w, s, args.seconds) for w in WORKLOADS for s in SEEDS],
+        "perfbench": [run_perfbench(w, s, seconds) for w in WORKLOADS for s in SEEDS],
         "cli": [],
     }
     env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))

@@ -13,7 +13,6 @@ scope, so the cover is assumed to have contractible intersections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -22,6 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
+from .frozen import frozen
 from .linalg import parse_integer, parse_rational, smith_eliminate
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
@@ -32,7 +32,7 @@ RING_Q = "Q"
 Simplex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Nerve:
     vertex_count: int
     simplices: tuple[tuple[Simplex, ...], ...]  # index = dimension
@@ -53,7 +53,7 @@ class Nerve:
         return MappingProxyType(self._indices[k] if 0 <= k <= self.dimension else {})
 
 
-@dataclass(frozen=True)
+@frozen
 class Cochain:
     degree: int
     ring: str
@@ -82,7 +82,7 @@ def _close(by_dim: dict[int, set[Simplex]]) -> Nerve:
     levels = [by_dim.get(k, set()) for k in range(max(by_dim) + 1)]
     for k in range(len(levels) - 1, 0, -1):
         levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
-    top = tuple(tuple(sorted(level)) for level in levels)
+    top = tuple([tuple(sorted(level)) for level in levels])
     return Nerve(top[0][-1][0] + 1, top)
 
 
@@ -110,7 +110,7 @@ def parse_nerve_lines(lines: Iterable[str]) -> Nerve:
         if not body:
             continue
         try:
-            s = tuple(map(int, body.split()))
+            s = tuple([int(x) for x in body.split()])
         except ValueError as exc:
             raise InputError(f"nerve file line {lineno}: {exc}") from exc
         if s[0] < 0 or not all(map(lt, s, s[1:])):
@@ -142,7 +142,7 @@ def parse_cochain_lines(
         if len(parts) < 2:
             raise InputError(f"cochain file line {lineno}: need simplex and value")
         try:
-            s = tuple(map(int, parts[:-1]))
+            s = tuple([int(x) for x in parts[:-1]])
             val = parse(parts[-1])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cochain file line {lineno}: {exc}") from exc
@@ -226,7 +226,7 @@ def _invariant_factors(nerve: Nerve, k: int) -> list[int]:
     return smith_eliminate(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class CohomologyGroup:
     degree: int
     free_rank: int
@@ -251,11 +251,11 @@ def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
     factors_k = _invariant_factors(nerve, k)
     factors_km1 = _invariant_factors(nerve, k - 1) if k else []
     free = len(nerve.of_dim(k)) - len(factors_k) - len(factors_km1)
-    torsion = tuple(d for d in factors_km1 if d > 1) if ring == RING_Z else ()
+    torsion = tuple([d for d in factors_km1 if d > 1]) if ring == RING_Z else ()
     return CohomologyGroup(k, free, torsion)
 
 
-@dataclass(frozen=True)
+@frozen
 class ChernClass:
     valid: bool
     witness: Optional[Simplex]
@@ -293,6 +293,6 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
         coboundary_matrix(nerve, 1), len(nerve.of_dim(1)), column
     )
     y = [row.get(0, 0) for row in carried]
-    torsion = tuple((y[i] % f, f) for i, f in enumerate(factors) if f > 1)
+    torsion = tuple([(y[i] % f, f) for i, f in enumerate(factors) if f > 1])
     free = tuple(y[len(factors):])
     return ChernClass(True, None, free, torsion)

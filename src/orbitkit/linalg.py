@@ -61,17 +61,17 @@ def parse_integer(token: str) -> int:
 
 
 def vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
+    return tuple([Fraction(v) for v in values])
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
+    return tuple([vec(r) for r in rows])
 
 
 def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple([
+        tuple([Fraction(1 if i == j else 0) for j in range(n)]) for i in range(n)
+    ])
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -81,15 +81,15 @@ def dot(u: Vec, v: Vec) -> Fraction:
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in a)
+    return tuple([dot(row, v) for row in a])
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
+    bt = list(zip(*b))
+    return tuple([
+        tuple([sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt])
         for row in a
-    )
+    ])
 
 
 # -- integer Smith normal form ------------------------------------------------
@@ -297,7 +297,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
 
 def _integer_rows(a: Mat) -> list[SparseRow]:
     """Rows of a, each times the lcm of its denominators, as sparse rows."""
-    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    scales = [math.lcm(*[x.denominator for x in row]) for row in a]
     return [{j: int(x * c) for j, x in enumerate(row) if x} for row, c in zip(a, scales)]
 
 
@@ -321,7 +321,7 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     if not a:
         return ()
     n = len(a[0])
-    rows = _integer_rows(tuple(tuple(row) + (bi,) for row, bi in zip(a, b)))
+    rows = _integer_rows(tuple([tuple(row) + (bi,) for row, bi in zip(a, b)]))
     carry = [{0: row.pop(n)} if n in row else {} for row in rows]
     factors, ub, v = smith_eliminate(rows, n, carry, columns=True)
     if any(ub[len(factors):]):
@@ -348,7 +348,7 @@ def _row_span_member(gens: Mat) -> Callable[[Vec], bool]:
     if not gens:
         return lambda target: all(x == 0 for x in target)
     width = len(gens[0])
-    scale = math.lcm(*(x.denominator for row in gens for x in row))
+    scale = math.lcm(*[x.denominator for row in gens for x in row])
     factors, _, v = smith_eliminate(
         [{j: int(x * scale) for j, x in enumerate(row) if x} for row in gens],
         width,

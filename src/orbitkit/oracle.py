@@ -13,7 +13,6 @@ and root audit 1e-9, finite differences 1e-6 (central, step 1e-5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, OrbitkitError
+from .frozen import frozen
 from .orbit import (
     admissible_positive_system,
     kks_matrix,
@@ -43,7 +43,7 @@ class OracleError(OrbitkitError, RuntimeError):
     """Numeric diagnostic failure (clustering ambiguity, residual blow-up)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class MatrixAlgebra:
     n: int
     basis: tuple[np.ndarray, ...]
@@ -81,10 +81,10 @@ def special_unitary_basis(n: int) -> MatrixAlgebra:
     if not 2 <= n <= 5:
         raise InputError(f"su(n) oracle supports 2 <= n <= 5, got {n}")
     herm = _gellmann_hermitian(n)
-    basis = tuple(1j * m for m in herm)
-    cartan = tuple(
+    basis = tuple([1j * m for m in herm])
+    cartan = tuple([
         i for i, m in enumerate(basis) if np.allclose(m, np.diag(np.diag(m)))
-    )
+    ])
     alg = MatrixAlgebra(n, basis, cartan)
     _verify_construction(alg)
     return alg
@@ -122,7 +122,7 @@ def _br(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-@dataclass(frozen=True)
+@frozen
 class NumericRoot:
     functional: np.ndarray  # real vector, ambient coordinates of the torus
     eigenvector: np.ndarray  # n x n complex matrix, unit Frobenius norm
@@ -252,7 +252,7 @@ def lambda_vector(lam: Weight, alg: MatrixAlgebra) -> np.ndarray:
     return np.array([float(c) for c in lam.coords])
 
 
-@dataclass(frozen=True)
+@frozen
 class KKSCheckReport:
     block_residual: float
     equivariance_residual: float
@@ -332,7 +332,7 @@ def stabilizer_rank(lam: Weight, alg: MatrixAlgebra) -> int:
     return int(np.linalg.matrix_rank(m, tol=RANK_TOL))
 
 
-@dataclass(frozen=True)
+@frozen
 class RootAuditReport:
     checks: int
     failures: tuple[str, ...]

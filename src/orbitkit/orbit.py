@@ -6,10 +6,10 @@ are covered by equivariance and spot-checked by the numeric oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, TheoremViolationError
+from .frozen import frozen
 from .rootsys import (
     RootOrder,
     RootSystem,
@@ -28,7 +28,7 @@ from .rootsys import (
 KKS_KAPPA = Fraction(2)
 
 
-@dataclass(frozen=True)
+@frozen
 class StabilizerReport:
     lam: Weight
     singular: tuple[Weight, ...]
@@ -39,7 +39,7 @@ class StabilizerReport:
     closure_certified: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class AdmissibilityCertificate:
     """Explicitly checked T1-admissibility of a chamber for the singular set."""
 
@@ -51,14 +51,14 @@ class AdmissibilityCertificate:
         return self.condition_i and self.condition_ii and self.dominant
 
 
-@dataclass(frozen=True)
+@frozen
 class Polarization:
     order: RootOrder
     b_roots: tuple[Weight, ...]
     admissibility: AdmissibilityCertificate
 
 
-@dataclass(frozen=True)
+@frozen
 class KKSMatrix:
     basis_labels: tuple[Weight, ...]  # one label per (A_alpha, B_alpha) pair
     blocks: tuple[Fraction, ...]  # omega(A_alpha, B_alpha), one per label
@@ -74,7 +74,7 @@ class KKSMatrix:
         for i, c in enumerate(self.blocks):
             rows[2 * i][2 * i + 1] = c
             rows[2 * i + 1][2 * i] = -c
-        return tuple(tuple(row) for row in rows)
+        return tuple([tuple(row) for row in rows])
 
     def block_value(self, alpha: Weight) -> Fraction:
         return self.blocks[self.basis_labels.index(alpha)]
@@ -82,7 +82,7 @@ class KKSMatrix:
 
 def singular_roots(lam: Weight, rs: RootSystem) -> tuple[Weight, ...]:
     """Roots orthogonal to lam; always closed under negation."""
-    return tuple(a for a, p in zip(rs.roots, root_numerators(lam, rs)) if not p)
+    return tuple([a for a, p in zip(rs.roots, root_numerators(lam, rs)) if not p])
 
 
 def _check_closed(subset: tuple[Weight, ...], rs: RootSystem, what: str) -> None:
@@ -102,7 +102,7 @@ def stabilizer_report(lam: Weight, rs: RootSystem) -> StabilizerReport:
     sing = singular_roots(lam, rs)
     _check_closed(sing, rs, "singular root set")
     positive = default_order(rs).positive_set
-    t1 = tuple(a for a in sing if a.coords in positive)
+    t1 = tuple([a for a in sing if a.coords in positive])
     return StabilizerReport(
         lam=lam,
         singular=sing,
@@ -137,7 +137,7 @@ def admissible_chamber_seed(lam: Weight, rs: RootSystem) -> Weight:
         t = Fraction(1)
     else:
         t = Fraction(best[0] * rho.integer_form[1], 2 * best[1] * lam.integer_form[1])
-    return Weight(tuple(x + t * r for x, r in zip(lam.coords, rho.coords)))
+    return Weight(tuple([x + t * r for x, r in zip(lam.coords, rho.coords)]))
 
 
 def check_admissibility(
@@ -152,7 +152,7 @@ def check_admissibility(
 
     # (i) the intersection must be a positive system of the sub-root-system:
     # exactly one of each +/- pair, and additively closed inside it.
-    cond_i = all((c in pos_sing) != (tuple(-x for x in c) in pos_sing) for c in sing)
+    cond_i = all((c in pos_sing) != (tuple([-x for x in c]) in pos_sing) for c in sing)
     cond_i = cond_i and not any(
         b in pos_sing and s in sing and s not in pos_sing
         for a in pos_sing
@@ -204,7 +204,7 @@ def _build_polarization(
     isotropy is left to lagrangian_check."""
     rs = order.rs
     sing_set = {a.coords for a in singular}
-    b_roots = tuple(a for a in order.positive if a.coords not in sing_set)
+    b_roots = tuple([a for a in order.positive if a.coords not in sing_set])
     if 2 * len(b_roots) != len(rs.roots) - len(singular):
         raise TheoremViolationError("polarization is not half-dimensional")
     _check_closed(b_roots + singular, rs, "polarization label set")
@@ -241,7 +241,7 @@ def lagrangian_check(
     """
     labels = {a.coords for a in pol.b_roots}
     for a in pol.b_roots:
-        neg = tuple(-x for x in a.coords)
+        neg = tuple([-x for x in a.coords])
         if neg in labels:
             return False, (a, Weight(neg))
     if 2 * len(pol.b_roots) != omega.dim:

@@ -3,12 +3,12 @@ KKS blocks, integrality, and the highest-weight verdict, as one report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import orbit as orbit_mod
 from . import quantize
 from .errors import TheoremViolationError
+from .frozen import frozen
 from .rootsys import (
     RootOrder,
     RootSystem,
@@ -26,7 +26,7 @@ from .weyl import weyl_orbit_size, weyl_order
 from .weyl import generate_weyl_group  # noqa: F401
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbitReport:
     series: SeriesSpec
     lam: Weight

@@ -8,12 +8,12 @@ the global form of the group, so it is a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import InputError, TheoremViolationError
+from .frozen import frozen
 from .linalg import Vec, _row_span_member, mat
 from .rootsys import RootSystem, Weight, coroot_value, default_order, numerator_scan
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
@@ -28,7 +28,7 @@ NONZERO_IRREDUCIBLE = "nonzero_irreducible"
 ZERO_SECTION_SPACE = "zero_section_space"
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeSpec:
     """Character lattice selector.
 
@@ -57,7 +57,7 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
     with every coroot (root lattice <= lattice <= weight lattice).  The simple
     coroots span the coroot lattice, so each generator is tested as a weight
     of the simply connected lattice."""
-    gens = tuple(tuple(Fraction(x) for x in g) for g in generators)
+    gens = tuple([tuple([Fraction(x) for x in g]) for g in generators])
     for g in gens:
         if len(g) != rs.ambient_dim:
             raise InputError(
@@ -98,7 +98,7 @@ def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     return lattice.member(lam.coords)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtendabilityCertificate:
     """Audit that lam kills the semisimple directions of its stabilizer."""
 
@@ -115,10 +115,10 @@ def extendability_certificate(
     the records restate that selection; the value of the operation is the
     explicit audit trail.
     """
-    return ExtendabilityCertificate(lam, tuple((beta, Fraction(0)) for beta in singular))
+    return ExtendabilityCertificate(lam, tuple([(beta, Fraction(0)) for beta in singular]))
 
 
-@dataclass(frozen=True)
+@frozen
 class RepVerdict:
     lam: Weight
     integral: bool

@@ -24,10 +24,10 @@ Algebras, Ch. VI, Planches I-IV).  So <w, alpha^vee> D is an integer, and a
 reflection maps numerators over D to numerators over the same D.
 
 :func:`numerator_scan` is the one kernel: it returns (w, alpha) D for each
-root of a support list.  :func:`root_numerators` runs it once per weight
-over all of the roots, and every report fact read off pairings with lambda
-(singular set, admissible chamber, positive system, KKS blocks) reads that
-scan; dominance, straightening and ``sc`` integrality scan the simple roots.
+root of a support list.  :func:`root_numerators` runs it over all of the
+roots, and every report fact read off pairings with lambda (singular set,
+admissible chamber, positive system, KKS blocks) reads such a scan;
+dominance, straightening and ``sc`` integrality scan the simple roots.
 :func:`pairing`, :func:`coroot_pairing` and :func:`reflect` read the integer
 forms too, and build a Fraction only for the value they return.
 """
@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceededError, InputError
+from .frozen import frozen
 from .linalg import Vec, _row_span_member, mat, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
@@ -54,7 +53,7 @@ _SERIES_LETTERS = ("A", "B", "C", "D")
 _FACTOR_RE = re.compile(r"^([ABCDT])(\d+)$")
 
 
-@dataclass(frozen=True)
+@frozen
 class SeriesSpec:
     """Product of classical simple factors plus a central torus."""
 
@@ -136,30 +135,30 @@ def parse_series(text: str) -> SeriesSpec:
     return SeriesSpec(tuple(factors), torus)
 
 
-@dataclass(frozen=True)
+@frozen(uncompared=("projected",))
 class Weight:
     """Exact functional on the Cartan subalgebra, as a coordinate vector."""
 
     coords: Vec
-    projected: bool = field(default=False, compare=False)
+    projected: bool = False
 
     def __post_init__(self):
-        coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in self.coords)
+        coords = tuple([c if type(c) in (int, Fraction) else Fraction(c) for c in self.coords])
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_arith(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_arith(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return Weight(tuple([-a for a in self.coords]))
 
     def __rmul__(self, c) -> "Weight":
-        return Weight(tuple(Fraction(c) * a for a in self.coords))
+        return Weight(tuple([Fraction(c) * a for a in self.coords]))
 
     def _check_arith(self, other: "Weight"):
         if len(self.coords) != len(other.coords):
@@ -172,8 +171,8 @@ class Weight:
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(numerators, D): coordinate i is numerators[i] / D, where D is the
         lcm of the coordinate denominators."""
-        d = lcm(*(c.denominator for c in self.coords))
-        return tuple(c.numerator * (d // c.denominator) for c in self.coords), d
+        d = lcm(*[c.denominator for c in self.coords])
+        return tuple([c.numerator * (d // c.denominator) for c in self.coords]), d
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coords]
@@ -182,13 +181,13 @@ class Weight:
 def weight_from_strings(items: Sequence[str]) -> Weight:
     """Build a Weight from "p/q" strings (the JSON wire format)."""
     try:
-        coords = tuple(Fraction(s) for s in items)
+        coords = tuple([Fraction(s) for s in items])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational in weight: {exc}") from exc
     return Weight(coords)
 
 
-@dataclass(frozen=True)
+@frozen
 class RootSystem:
     """Full root list of a SeriesSpec in the fixed Euclidean realization."""
 
@@ -249,7 +248,7 @@ class RootSystem:
         """Membership test for the root lattice, the integer span of the
         simple roots: one Smith normal form per root system.  The test holds
         no reference back to the root system, so caching it makes no cycle."""
-        return _row_span_member(tuple(a.coords for a in self._default_split[2]))
+        return _row_span_member(tuple([a.coords for a in self._default_split[2]]))
 
     @cached_property
     def ambient_dim(self) -> int:
@@ -268,7 +267,7 @@ class RootSystem:
         return w.coords in self.root_set
 
 
-@dataclass(frozen=True)
+@frozen
 class RootOrder:
     """A choice of positive system, with its simple (indecomposable) roots."""
 
@@ -285,7 +284,7 @@ class RootOrder:
     def simple_supports(self) -> tuple[tuple[int, int, int, int], ...]:
         """RootSystem.supports of the simple roots, in the order of simple."""
         supports, index = self.rs.supports, self.rs.index
-        return tuple(supports[index[a.coords]] for a in self.simple)
+        return tuple([supports[index[a.coords]] for a in self.simple])
 
 
 def build_root_system(spec: SeriesSpec) -> RootSystem:
@@ -326,7 +325,7 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
                 for i in idx:
                     add((i, k))
                     add((i, -k))
-    ordered = tuple(Weight(v) for v in sorted(roots))
+    ordered = tuple([Weight(v) for v in sorted(roots)])
     return RootSystem(spec, ordered)
 
 
@@ -343,25 +342,21 @@ def coroot_value(p: int, support: tuple[int, int, int, int]) -> int:
     return 2 * p // (x * x + y * y)
 
 
-def root_numerators(w: Weight, rs: RootSystem) -> tuple[int, ...]:
+def root_numerators(w: Weight, rs: RootSystem) -> list[int]:
     """(w, alpha) D for every root alpha of rs, in rs.roots order, where D is
-    w's integer-form denominator.  The scan is cached on w for the last root
-    system it met; the cache holds that system's supports, which refer back
-    to nothing, so it makes no reference cycle."""
+    w's integer-form denominator."""
     require_ambient(w, rs)
-    supports = rs.supports
-    cached = w.__dict__.get("_scan")
-    if cached is None or cached[0] is not supports:
-        cached = (supports, tuple(numerator_scan(w.integer_form[0], supports)))
-        w.__dict__["_scan"] = cached
-    return cached[1]
+    return numerator_scan(w.integer_form[0], rs.supports)
 
 
 def _integer_dot(xi: Weight, eta: Weight, rs: RootSystem) -> int:
+    """(xi, eta) times both integer-form denominators: a product only where
+    eta is nonzero, so at most two for a root."""
     n = rs.ambient_dim
     if len(xi.coords) != n or len(eta.coords) != n:
         require_ambient(eta if len(xi.coords) == n else xi, rs)
-    return sum(map(mul, xi.integer_form[0], eta.integer_form[0]))
+    nx = xi.integer_form[0]
+    return sum(nx[i] * e for i, e in enumerate(eta.integer_form[0]) if e)
 
 
 def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
@@ -372,25 +367,19 @@ def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
 
 def coroot_pairing(w: Weight, alpha: Weight, rs: RootSystem) -> Fraction:
     """<w, alpha^vee> = 2 (w, alpha) / (alpha, alpha), exact."""
-    na, da = alpha.integer_form
-    norm = sum(map(mul, na, na))
-    return Fraction(2 * da * _integer_dot(w, alpha, rs), w.integer_form[1] * norm)
+    return Fraction(
+        2 * alpha.integer_form[1] * _integer_dot(w, alpha, rs),
+        w.integer_form[1] * _integer_dot(alpha, alpha, rs),
+    )
 
 
 def reflect(w: Weight, alpha: Weight, rs: RootSystem) -> Weight:
-    """s_alpha(w) = w - <w, alpha^vee> alpha; only the support of alpha
-    changes, where coordinate i becomes (n_i N - 2 S a_i) / (D N) for w =
-    n / D, alpha = a / D', S = n . a and N = a . a."""
-    s = _integer_dot(w, alpha, rs)
-    nw, dw = w.integer_form
-    na = alpha.integer_form[0]
-    norm = sum(map(mul, na, na))
-    if not norm:
-        raise ZeroDivisionError("reflection in the zero vector")
+    """s_alpha(w) = w - <w, alpha^vee> alpha; only the support of alpha changes."""
+    c = coroot_pairing(w, alpha, rs)
     coords = list(w.coords)
-    for i, a in enumerate(na):
-        if a:
-            coords[i] = Fraction(nw[i] * norm - 2 * s * a, dw * norm)
+    for i, x in enumerate(alpha.coords):
+        if x:
+            coords[i] -= c * x
     return Weight(tuple(coords))
 
 

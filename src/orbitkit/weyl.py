@@ -14,12 +14,12 @@ fixed by every element.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
 
 from .errors import CapExceededError, InputError
+from .frozen import frozen
 from .linalg import Mat, Vec, identity, mat_mul, mat_vec
 from .rootsys import (
     RootOrder,
@@ -86,13 +86,13 @@ def reflection(alpha: Weight, rs: RootSystem) -> Mat:
     n = rs.ambient_dim
     # column i is the image of e_i
     columns = [
-        reflect(Weight(tuple(Fraction(1 if k == i else 0) for k in range(n))), alpha, rs).coords
+        reflect(Weight(tuple([Fraction(1 if k == i else 0) for k in range(n)])), alpha, rs).coords
         for i in range(n)
     ]
-    return tuple(zip(*columns))
+    return tuple([*zip(*columns)])
 
 
-@dataclass(frozen=True)
+@frozen
 class WeylGroup:
     rs: RootSystem
     generators: tuple[Mat, ...]
@@ -109,7 +109,7 @@ class WeylGroup:
         return frozenset(self.elements)
 
 
-@dataclass(frozen=True)
+@frozen
 class WeylOrbit:
     base: Weight
     points: tuple[Weight, ...]
@@ -124,7 +124,7 @@ def generate_weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     by BFS order.
     """
     order = default_order(rs)
-    gens = tuple(reflection(a, rs) for a in order.simple)
+    gens = tuple([reflection(a, rs) for a in order.simple])
     ident = identity(rs.ambient_dim)
     found: dict[Mat, tuple[int, ...]] = {ident: ()}
     frontier = [ident]
@@ -149,7 +149,7 @@ def generate_weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
         generators=gens,
         simple=order.simple,
         elements=tuple(ordered),
-        words=tuple(found[g] for g in ordered),
+        words=tuple([found[g] for g in ordered]),
     )
 
 
@@ -167,7 +167,7 @@ def weyl_orbit(lam: Weight, group: WeylGroup) -> WeylOrbit:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-    points = tuple(Weight(v) for v in sorted(seen))
+    points = tuple([Weight(v) for v in sorted(seen)])
     assert group.order % len(points) == 0
     return WeylOrbit(lam, points, group.order // len(points))
 
@@ -200,4 +200,4 @@ def dominant_representative(
         word.append(neg)
     if not word:
         return lam, ()
-    return Weight(tuple(Fraction(n, d) for n in nums)), tuple(word)
+    return Weight(tuple([Fraction(n, d) for n in nums])), tuple(word)

@@ -42,29 +42,36 @@ ALL = [
 ]
 
 
-def loaded_after(code: str) -> set[str]:
-    """orbitkit submodules a fresh interpreter has loaded after running code."""
-    probe = (
-        "import sys\n"
-        f"{code}\n"
-        "print(sorted(m for m in sys.modules if m.startswith('orbitkit.')))\n"
-    )
+def last_line_after(code: str, expr: str) -> str:
+    """The value of expr, printed by a fresh interpreter after running code."""
+    probe = f"import sys\n{code}\nprint({expr})\n"
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, "-c", probe], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return {name.split(".", 1)[1] for name in ast.literal_eval(done.stdout.splitlines()[-1])}
+    return done.stdout.splitlines()[-1]
 
 
-def cli_loads(*argv: str) -> set[str]:
-    """Submodules loaded by one quiet, successful `cli.main` call."""
-    return loaded_after(
+def loaded_after(code: str) -> set[str]:
+    """orbitkit submodules a fresh interpreter has loaded after running code."""
+    names = last_line_after(code, "sorted(m for m in sys.modules if m.startswith('orbitkit.'))")
+    return {name.split(".", 1)[1] for name in ast.literal_eval(names)}
+
+
+def quiet_cli(*argv: str) -> str:
+    """Code for one quiet, successful `cli.main` call."""
+    return (
         "import contextlib, io, orbitkit.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert orbitkit.cli.main({list(argv)!r}) == 0\n"
     )
+
+
+def cli_loads(*argv: str) -> set[str]:
+    """Submodules loaded by one quiet, successful `cli.main` call."""
+    return loaded_after(quiet_cli(*argv))
 
 
 def test_a_bare_import_loads_no_submodule():
@@ -90,6 +97,18 @@ def test_orbit_loads_neither_cech_nor_oracle():
     loaded = cli_loads("orbit", "--series", "A2", "--lambda", "1,0,-1", "--output", "json")
     assert ORBIT_STACK <= loaded
     assert loaded.isdisjoint({"cech", "oracle"})
+
+
+def test_no_command_imports_dataclasses():
+    # value classes are @frozen: dataclasses, which loads inspect, ast and
+    # dis, took about 1 MiB of resident memory per process
+    for argv in (
+        ("orbit", "--series", "B2xT1", "--lambda", "1,1/2,3", "--output", "json"),
+        ("cech", "h", "--nerve", str(EXAMPLES / "rp2.nerve"), "--k", "2"),
+        ("cech", "chern", "--nerve", str(EXAMPLES / "rp2.nerve"),
+         "--cocycle", str(EXAMPLES / "rp2_face.cochain")),
+    ):
+        assert last_line_after(quiet_cli(*argv), "'dataclasses' in sys.modules") == "False"
 
 
 def test_all_keeps_its_names_and_order():

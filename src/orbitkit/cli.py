@@ -45,13 +45,17 @@ def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}") from None
-    if value < MIN_AUDIT_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_AUDIT_SAMPLES}, got {value}")
-    if value > MAX_AUDIT_SAMPLES:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_AUDIT_SAMPLES}, got {shorten(text)}"
-        )
+        # int() refuses more than 4300 digits; past five significant ones a
+        # run of digits is out of range on the side of its sign
+        body = text.strip()
+        digits = (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
+        if not (digits.isdigit() and digits.isascii()) or len(digits.lstrip("0")) <= 5:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}") from None
+        value = MIN_AUDIT_SAMPLES - 1 if body[0] == "-" else MAX_AUDIT_SAMPLES + 1
+    if not MIN_AUDIT_SAMPLES <= value <= MAX_AUDIT_SAMPLES:
+        low = value < MIN_AUDIT_SAMPLES
+        bound = f"at least {MIN_AUDIT_SAMPLES}" if low else f"at most {MAX_AUDIT_SAMPLES}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {shorten(text)}")
     return value
 
 

@@ -15,7 +15,14 @@ from typing import Callable, Sequence
 from .errors import InputError, TheoremViolationError
 from .frozen import frozen
 from .linalg import Vec, _row_span_member, mat
-from .rootsys import RootSystem, Weight, coroot_value, default_order, numerator_scan
+from .rootsys import (
+    RootSystem,
+    Weight,
+    coroot_value,
+    default_order,
+    numerator_scan,
+    require_ambient,
+)
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .orbit import singular_roots  # noqa: F401
 from .weyl import dominant_representative
@@ -83,8 +90,7 @@ def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     coroots span the coroot lattice and the simple roots the root lattice,
     so sc and adjoint are tested against the simple roots alone; adjoint
     through the root system's cached root-lattice test."""
-    if len(lam.coords) != rs.ambient_dim:
-        raise InputError("weight dimension mismatch")
+    require_ambient(lam, rs)
     if lattice.kind == SIMPLY_CONNECTED:
         # <lam, alpha^vee> = k / D with k an integer, lam = numerators / D
         nums, d = lam.integer_form

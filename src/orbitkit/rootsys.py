@@ -28,8 +28,9 @@ root of a support list.  :func:`root_numerators` runs it over all of the
 roots, and every report fact read off pairings with lambda (singular set,
 admissible chamber, positive system, KKS blocks) reads such a scan;
 dominance, straightening and ``sc`` integrality scan the simple roots.
-:func:`pairing`, :func:`coroot_pairing` and :func:`reflect` read the integer
-forms too, and build a Fraction only for the value they return.
+:func:`coroot_value` is the only division by (alpha, alpha): the Cartan
+matrix and ``weyl.reflection`` read it too.  ``RootSystem.supports`` and
+``RootSystem.index`` are the only per-root tables read off coordinates.
 """
 
 from __future__ import annotations
@@ -195,10 +196,6 @@ class RootSystem:
     roots: tuple[Weight, ...]
 
     @cached_property
-    def root_set(self) -> frozenset[Vec]:
-        return frozenset(r.coords for r in self.roots)
-
-    @cached_property
     def sums(self) -> dict[Vec, dict[Vec, Vec]]:
         """Root addition: sums[a][b] = a + b for the roots a, b whose sum is a
         root.  A root has at most two nonzero coordinates, so only roots b
@@ -206,19 +203,19 @@ class RootSystem:
         (B_n: e_i + e_j), are tried: O(|Phi| rank) pairs.  A sum of two roots
         has coordinates in [-4, 4], so the base-16 number with those digits
         names it, and adds like it."""
-        roots = [a.coords for a in self.roots]
-        support = {a: [i for i, x in enumerate(a) if x] for a in roots}
-        code = {a: sum(a[i] << 4 * i for i in support[a]) for a in roots}
+        code, keys = {}, {}
+        for a, (i, x, j, y) in zip(self.roots, self.supports):
+            code[a.coords] = (x << 4 * i) + (y << 4 * j)
+            # coordinate -> the roots nonzero there; -1 -> the single-coordinate roots
+            keys[a.coords] = (i, j) if y else (i, -1)
         by_code = {c: a for a, c in code.items()}
-        # coordinate -> the roots nonzero there; -1 -> the single-coordinate roots
-        keys = {a: s + [-1] if len(s) == 1 else s for a, s in support.items()}
         near = defaultdict(list)
-        for a in roots:
-            for k in keys[a]:
+        for a, ks in keys.items():
+            for k in ks:
                 near[k].append(a)
         return {
             a: {b: s for k in keys[a] for b in near[k] if (s := by_code.get(code[a] + code[b]))}
-            for a in roots
+            for a in code
         }
 
     @cached_property
@@ -262,9 +259,6 @@ class RootSystem:
     def dim_g(self) -> int:
         """Real dimension of the compact Lie algebra: rank + number of roots."""
         return self.rank + len(self.roots)
-
-    def contains_root(self, w: Weight) -> bool:
-        return w.coords in self.root_set
 
 
 @frozen
@@ -349,38 +343,15 @@ def root_numerators(w: Weight, rs: RootSystem) -> list[int]:
     return numerator_scan(w.integer_form[0], rs.supports)
 
 
-def _integer_dot(xi: Weight, eta: Weight, rs: RootSystem) -> int:
-    """(xi, eta) times both integer-form denominators: a product only where
-    eta is nonzero, so at most two for a root."""
+def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
+    """Exact pairing of two ambient weights: the ambient dot product of their
+    numerators, a product only where eta is nonzero, over the product of
+    their denominators."""
     n = rs.ambient_dim
     if len(xi.coords) != n or len(eta.coords) != n:
         require_ambient(eta if len(xi.coords) == n else xi, rs)
-    nx = xi.integer_form[0]
-    return sum(nx[i] * e for i, e in enumerate(eta.integer_form[0]) if e)
-
-
-def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
-    """Exact pairing of two ambient weights: the ambient dot product of their
-    numerators over the product of their denominators."""
-    return Fraction(_integer_dot(xi, eta, rs), xi.integer_form[1] * eta.integer_form[1])
-
-
-def coroot_pairing(w: Weight, alpha: Weight, rs: RootSystem) -> Fraction:
-    """<w, alpha^vee> = 2 (w, alpha) / (alpha, alpha), exact."""
-    return Fraction(
-        2 * alpha.integer_form[1] * _integer_dot(w, alpha, rs),
-        w.integer_form[1] * _integer_dot(alpha, alpha, rs),
-    )
-
-
-def reflect(w: Weight, alpha: Weight, rs: RootSystem) -> Weight:
-    """s_alpha(w) = w - <w, alpha^vee> alpha; only the support of alpha changes."""
-    c = coroot_pairing(w, alpha, rs)
-    coords = list(w.coords)
-    for i, x in enumerate(alpha.coords):
-        if x:
-            coords[i] -= c * x
-    return Weight(tuple(coords))
+    (nx, dx), (ne, de) = xi.integer_form, eta.integer_form
+    return Fraction(sum(nx[i] * e for i, e in enumerate(ne) if e), dx * de)
 
 
 def require_ambient(w: Weight, rs: RootSystem):
@@ -442,12 +413,8 @@ def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
     sums = {s for a in pos_set for b, s in rs.sums[a].items() if b in pos_set}
     simple = [a for a in pos if a.coords not in sums]
     # textbook enumeration: alpha_1 = e1 - e2 first, ties broken lexicographically
-    simple.sort(key=lambda a: (_first_support(a), a.coords))
+    simple.sort(key=lambda a: (rs.supports[rs.index[a.coords]][0], a.coords))
     return RootOrder(rs, chamber_seed, tuple(pos), tuple(simple))
-
-
-def _first_support(a: Weight) -> int:
-    return next(i for i, c in enumerate(a.coords) if c != 0)
 
 
 def default_order(rs: RootSystem) -> RootOrder:
@@ -467,20 +434,20 @@ def fundamental_weights(order: RootOrder) -> list[Weight]:
     For A-blocks the root span is the sum-zero hyperplane, so these are the
     familiar hyperplane representatives (A1: (1/2, -1/2), ...).
     """
-    rs = order.rs
-    simple = order.simple
-    k = len(simple)
+    supports = order.simple_supports
+    k = len(supports)
     # omega_i = sum_j c_j alpha_j with <omega_i, alpha_m^vee> = delta_im:
-    # row m of the Cartan matrix holds <alpha_j, alpha_m^vee>
-    cartan = mat([[coroot_pairing(a, b, rs) for a in simple] for b in simple])
+    # row m of the Cartan matrix holds the integers <alpha_j, alpha_m^vee>
+    scans = [numerator_scan(a.coords, supports) for a in order.simple]
+    cartan = mat([[coroot_value(scan[m], s) for scan in scans] for m, s in enumerate(supports)])
     out = []
     for i in range(k):
         coeffs = solve(cartan, vec([1 if m == i else 0 for m in range(k)]))
         assert coeffs is not None  # Cartan matrix of a valid order is invertible
-        coords = [Fraction(0)] * rs.ambient_dim
-        for cj, alpha in zip(coeffs, simple):
-            for t, x in enumerate(alpha.coords):
-                coords[t] += cj * x
+        coords = [Fraction(0)] * order.rs.ambient_dim
+        for cj, (a, x, b, y) in zip(coeffs, supports):
+            coords[a] += cj * x
+            coords[b] += cj * y
         out.append(Weight(tuple(coords)))
     return out
 

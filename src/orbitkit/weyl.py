@@ -6,9 +6,10 @@ Reports use only :func:`weyl_order`, :func:`weyl_orbit_size` and
 one denominator, and builds no matrix.  :func:`generate_weyl_group`
 enumerates the group generated by the exact reflection matrices of the
 simple roots of the default positive system, up to a cap; it is the
-reference the closed forms are tested against.  Element identity is exact
-matrix equality, which sidesteps any word problem.  Torus coordinates are
-fixed by every element.
+reference the closed forms are tested against.  Each reflection matrix is
+read off the root's support with ``rootsys.coroot_value``, in integers.
+Element identity is exact matrix equality, which sidesteps any word
+problem.  Torus coordinates are fixed by every element.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .rootsys import (
     coroot_value,
     default_order,
     numerator_scan,
-    reflect,
     require_ambient,
 )
 
@@ -80,16 +80,18 @@ def weyl_orbit_size(lam: Weight, spec: SeriesSpec) -> int:
 
 
 def reflection(alpha: Weight, rs: RootSystem) -> Mat:
-    """Matrix of s_alpha : v -> v - 2 (v,alpha)/(alpha,alpha) alpha."""
-    if not rs.contains_root(alpha):
+    """Matrix of s_alpha : v -> v - <v, alpha^vee> alpha, in Fractions.  Its
+    column a is e_a - <e_a, alpha^vee> alpha: e_a off the support of alpha."""
+    if alpha.coords not in rs.index:
         raise InputError(f"{alpha.to_strings()} is not a root of this system")
+    support = i, x, j, y = rs.supports[rs.index[alpha.coords]]
     n = rs.ambient_dim
-    # column i is the image of e_i
-    columns = [
-        reflect(Weight(tuple([Fraction(1 if k == i else 0) for k in range(n)])), alpha, rs).coords
-        for i in range(n)
-    ]
-    return tuple([*zip(*columns)])
+    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for a, v in ((i, x), (j, y)):  # a padded (i, x, i, 0) meets column i again as e_i
+        c = coroot_value(v, support)
+        rows[i][a] -= c * x
+        rows[j][a] -= c * y
+    return tuple([tuple(row) for row in rows])
 
 
 @frozen

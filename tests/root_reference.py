@@ -141,7 +141,7 @@ def check_closed(subset, rs, what):
     for a in subset:
         for b in subset:
             s = tuple(x + y for x, y in zip(a.coords, b.coords))
-            if s in rs.root_set and s not in coords:
+            if s in rs.index and s not in coords:
                 raise TheoremViolationError(
                     f"{what} not closed under addition at {a.to_strings()} + {b.to_strings()}"
                 )
@@ -170,7 +170,7 @@ def admissibility_conditions(order, singular):
     for a in pos - pos_sing:
         for b in sing:
             s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_set and not (s in pos and s not in pos_sing):
+            if s in rs.index and not (s in pos and s not in pos_sing):
                 cond_ii = False
     return cond_i, cond_ii
 

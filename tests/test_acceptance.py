@@ -193,7 +193,7 @@ def test_criterion_6_polarization_certificates():
             for x in labels:
                 for y in labels:
                     s = tuple(p + q for p, q in zip(x, y))
-                    if s in rs.root_set:
+                    if s in rs.index:
                         assert s in labels
             omega = kks_matrix(lam, pol)
             ok, witness = lagrangian_check(pol, omega)

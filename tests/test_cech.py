@@ -24,6 +24,7 @@ from orbitkit import cech, linalg
 from orbitkit.linalg import mat, smith_eliminate, smith_normal_form
 
 from exact_reference import _rref, det
+from gfp_reference import rank_mod_p
 from snf_reference import smith_normal_form as snf_reference
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -543,6 +544,77 @@ def test_invariant_factors_match_sympy():
         theirs = sympy_factors(sympy.Matrix(rows), domain=sympy.ZZ)
         ours = smith_eliminate(sparse(rows), n)[0]
         assert ours == [int(x) for x in theirs if x != 0], rows
+
+
+# -- ranks over GF(p) -----------------------------------------------------------
+
+PRIMES = (2, 3, 5, 2**61 - 1)
+
+
+def cube_tetrahedra(c):
+    """Freudenthal triangulation of a c x c x c block of cubes: one
+    tetrahedron per cube and order of the three unit steps."""
+    tets = []
+    for corner in itertools.product(range(c), repeat=3):
+        for steps in itertools.permutations(range(3)):
+            p = list(corner)
+            verts = [tuple(p)]
+            for axis in steps:
+                p[axis] += 1
+                verts.append(tuple(p))
+            tets.append(tuple(sorted((x * (c + 1) + y) * (c + 1) + z for x, y, z in verts)))
+    return tets
+
+
+def assert_ranks_mod_p(rows, width):
+    """rank_p(a) = #{d_i : p does not divide d_i} for each of PRIMES; returns
+    the invariant factors."""
+    factors = smith_eliminate(rows, width)[0]
+    for p in PRIMES:
+        assert rank_mod_p(rows, p) == sum(1 for d in factors if d % p), (p, factors)
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    unit_heavy_matrices(),
+    # products of small matrices have larger invariant factors
+    st.tuples(unit_heavy_matrices(), st.integers(0, 7)).map(
+        lambda case: [[x * (case[1] + 1) for x in row] for row in case[0]]
+    ),
+))
+def test_ranks_mod_p_match_the_invariant_factors(rows):
+    assert_ranks_mod_p(sparse(rows), len(rows[0]) if rows else 0)
+
+
+def test_ranks_mod_p_match_on_random_products():
+    rng = random.Random(5)
+    for _ in range(200):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        assert_ranks_mod_p(sparse(rows), n)
+
+
+GF_P_NERVES = {
+    **{f"torus{n}": grid_triangles(n) for n in (3, 5, 8)},
+    **{f"klein{n}": grid_triangles(n, klein=True) for n in (3, 5, 8)},
+    "rp2": PROJECTIVE_PLANE,
+    "cube2": cube_tetrahedra(2),
+    "cube3": cube_tetrahedra(3),
+}
+
+
+@pytest.mark.parametrize("name", list(GF_P_NERVES))
+def test_coboundary_ranks_mod_p_match_the_invariant_factors(name):
+    nerve = build_nerve(GF_P_NERVES[name])
+    torsion = []
+    for k in range(nerve.dimension):
+        factors = assert_ranks_mod_p(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
+        torsion += [d for d in factors if d > 1]
+    # the Klein bottle and RP^2 have H^2 = Z/2, so p = 2 drops a rank there
+    assert torsion == ([2] if name.startswith(("klein", "rp2")) else [])
 
 
 # -- chern class --------------------------------------------------------------

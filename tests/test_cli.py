@@ -476,6 +476,26 @@ class TestAuditCommand:
         assert f"must be at most {MAX_AUDIT_SAMPLES}" in err
         assert len(err) < 1000
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ("9" * 5000, f"must be at most {MAX_AUDIT_SAMPLES}"),
+            ("-" + "9" * 5000, "must be at least 1"),
+            ("+1_" + "0" * 5000, f"must be at most {MAX_AUDIT_SAMPLES}"),
+            ("9" * 4999 + "x", "expected an integer"),
+            ("1__0", "expected an integer"),
+        ],
+    )
+    def test_samples_past_the_integer_digit_limit(self, capsys, samples, message):
+        # int() refuses strings of more than 4300 digits; their sign still
+        # says which bound they pass
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--n", "2", f"--samples={samples}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err) < 1000
+
     def test_the_bounds_themselves_are_accepted(self):
         assert _sample_count(str(MAX_AUDIT_SAMPLES)) == MAX_AUDIT_SAMPLES == 10_000
         assert _sample_count("1") == 1

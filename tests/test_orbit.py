@@ -79,7 +79,7 @@ class TestSingularRoots:
             for a in sing:
                 for b in sing:
                     s = tuple(x + y for x, y in zip(a, b))
-                    if s in b2.root_set:
+                    if s in b2.index:
                         assert s in sing
 
 

@@ -109,7 +109,7 @@ def test_table_lists_every_root_sum():
             expected = {}
             for b in roots:
                 s = tuple(x + y for x, y in zip(a, b))
-                if s in rs.root_set:
+                if s in rs.index:
                     expected[b] = s
             assert rs.sums[a] == expected, (series, a)
 

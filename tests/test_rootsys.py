@@ -19,10 +19,12 @@ from orbitkit import (
     positive_roots,
     weight_from_fundamental,
 )
-from orbitkit.linalg import mat, vec
-from orbitkit.rootsys import MAX_ROOTS, coroot_pairing, default_chamber_seed, reflect
+from orbitkit.linalg import identity, mat, mat_mul, mat_vec, vec
+from orbitkit.rootsys import MAX_ROOTS, coroot_value, default_chamber_seed, numerator_scan
+from orbitkit.weyl import reflection
 
 from exact_reference import rref_solve, simple_root_coefficients
+from root_reference import coroot_pairing, reflect as ref_reflect
 from models import frac_vec
 
 
@@ -114,7 +116,7 @@ def test_squared_lengths_per_series():
 def test_roots_closed_under_negation_and_no_zero(a2, b2):
     for rs in (a2, b2):
         assert all(not a.is_zero() for a in rs.roots)
-        assert {tuple(-c for c in a.coords) for a in rs.roots} == rs.root_set
+        assert {tuple(-c for c in a.coords) for a in rs.roots} == rs.index.keys()
 
 
 def test_cartan_integers(a2, b2):
@@ -129,14 +131,14 @@ def test_cartan_integers(a2, b2):
 def test_closure_audit(series):
     # root sums that are roots are stored, and nothing extraneous is stored
     rs = build_root_system(parse_series(series))
-    coords = rs.root_set
+    coords = {a.coords for a in rs.roots}
     for a in rs.roots:
         for b in rs.roots:
             s = tuple(x + y for x, y in zip(a.coords, b.coords))
             if all(v == 0 for v in s):
                 continue
             if s in coords:
-                assert rs.contains_root(Weight(s))
+                assert s in rs.index
 
 
 @pytest.mark.parametrize("series", ["A3", "B3", "C3", "D3"])
@@ -351,27 +353,38 @@ def test_pairing_rejects_either_wrong_dimension(a2):
 
 class TestCorootKernel:
     def test_coroot_pairing_on_b2(self, b2):
-        # short root e_1: (alpha, alpha) = 1; long root e_1 + e_2: 2
+        # lam = (1, 6) / 2; short root e_1: (alpha, alpha) = 1; long root
+        # e_1 + e_2: 2.  coroot_value returns <lam, alpha^vee> D
         lam = w("1/2", 3)
-        assert coroot_pairing(lam, w(1, 0), b2) == 1
-        assert coroot_pairing(lam, w(1, 1), b2) == Fraction(7, 2)
-        assert type(coroot_pairing(w(2, 0), w(1, 0), b2)) is Fraction
+        nums, d = lam.integer_form
+        got = {}
+        for alpha in (w(1, 0), w(1, 1)):
+            s = b2.supports[b2.index[alpha.coords]]
+            got[alpha.coords] = coroot_value(numerator_scan(nums, [s])[0], s)
+        assert d == 2 and got == {(1, 0): 2, (1, 1): 7}
+        assert all(type(v) is int for v in got.values())
 
     def test_reflect_negates_the_root(self, b2):
         for alpha in b2.roots:
-            assert reflect(alpha, alpha, b2) == -alpha
+            assert mat_vec(reflection(alpha, b2), alpha.coords) == (-alpha).coords
 
     def test_reflect_is_an_involution_on_c3(self):
         rs = _rs("C3")
         lam = w("1/3", -2, "5/2")
         for alpha in rs.roots:
-            assert reflect(reflect(lam, alpha, rs), alpha, rs) == lam
+            s = reflection(alpha, rs)
+            assert mat_mul(s, s) == identity(3)
+            assert mat_vec(s, mat_vec(s, lam.coords)) == lam.coords
 
     def test_reflect_changes_only_the_support(self):
         rs = _rs("D4xT1")
         lam = w(1, 2, 3, 4, 5)
         alpha = w(0, 1, 0, -1, 0)
-        assert reflect(lam, alpha, rs).coords == (1, 4, 3, 2, 5)
+        s = reflection(alpha, rs)
+        assert mat_vec(s, lam.coords) == (1, 4, 3, 2, 5)
+        # columns off the support {1, 3} are those of the identity
+        moved = [c for c, col in enumerate(zip(*s)) if col != identity(5)[c]]
+        assert moved == [1, 3]
 
 
 def test_default_seed_is_regular():
@@ -382,11 +395,23 @@ def test_default_seed_is_regular():
 
 
 @st.composite
-def classical_series(draw):
-    """One or two A/B/C/D factors of rank at most 8, sometimes with a torus."""
+def classical_series(draw, max_rank=8):
+    """One or two A/B/C/D factors of rank at most max_rank, sometimes with a
+    torus."""
     factors = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=2))
-    tokens = [f"{x}{draw(st.integers(2 if x == 'D' else 1, 8))}" for x in factors]
+    tokens = [f"{x}{draw(st.integers(2 if x == 'D' else 1, max_rank))}" for x in factors]
     return "x".join(tokens + ["T1"] * draw(st.integers(0, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(classical_series(max_rank=6))
+def test_reflection_matrices_map_each_basis_vector_as_the_reference_reflects_it(series):
+    rs = build_root_system(parse_series(series))
+    n = rs.ambient_dim
+    basis = [Weight(tuple([int(k == i) for k in range(n)])) for i in range(n)]
+    for alpha in rs.roots:
+        columns = [ref_reflect(e, alpha, rs).coords for e in basis]
+        assert reflection(alpha, rs) == tuple(zip(*columns))
 
 
 @settings(max_examples=40, deadline=None)

@@ -182,7 +182,7 @@ class TestGroupStructure:
         group = generate_weyl_group(rs)
         for g in group.elements:
             images = {mat_vec(g, a.coords) for a in rs.roots}
-            assert images == rs.root_set
+            assert images == rs.index.keys()
 
     def test_closed_under_product_and_inverse(self, b2):
         group = generate_weyl_group(b2)

@@ -14,12 +14,13 @@ wall time, the child's peak RSS (from os.wait4, so it is that child's
 alone), the exit code and a digest of stdout, which lets two BENCH files
 confirm that two commits print the same bytes.
 
-Each CLI row also keeps host_kernel_s, the median time of perfbench's
-host-speed kernel (bench_speed.kernel) over samples taken in this process
-just before and just after the row's runs, and the file keeps ref_kernel_s,
-bench_speed.REF_S.  A wall time times ref_kernel_s / host_kernel_s is the
-time on a host where the kernel takes REF_S, so rows recorded at different
-host speeds compare after that scaling.
+Each CLI row also keeps host_kernel_s, the host's speed while the row ran:
+perfbench's bench_speed.SpeedSampler times its kernel in this process every
+INTERVAL_S while the row's child processes run, and host_kernel_s is its
+kernel_s over the row.  The file keeps ref_kernel_s, bench_speed.REF_S.  A
+wall time times ref_kernel_s / host_kernel_s is the time on a host where the
+kernel takes REF_S, so rows recorded at different host speeds compare after
+that scaling.
 
 Usage, from the root of an orbitkit checkout:
     python3 scripts/bench_record.py [--out-dir .]
@@ -37,7 +38,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Callable
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -47,8 +47,6 @@ SEEDS = (1, 2)
 WORKLOADS = ("orbit-survey", "orbit-rank4", "cech-h", "cech-chern")
 REPEATS = 3
 TORUS_SIZES = (64, 128)
-# host-speed kernel samples taken before, and as many after, each CLI row
-KERNEL_SAMPLES = 25
 
 
 def git(*args: str) -> str:
@@ -64,23 +62,6 @@ def run_perfbench(workload: str, seed: int, seconds: int) -> dict:
     )
     info, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
     return {"workload": workload, "seed": seed, **info, "result": result}
-
-
-def kernel_times(samples: int = KERNEL_SAMPLES) -> list[float]:
-    times = []
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        bench_speed.kernel()
-        times.append(time.perf_counter() - t0)
-    return times
-
-
-def with_host_speed(run: Callable[[], object]) -> tuple[object, float]:
-    """run()'s result, and the median kernel time over KERNEL_SAMPLES
-    samples taken just before run() and as many just after it."""
-    before = kernel_times()
-    result = run()
-    return result, statistics.median(before + kernel_times())
 
 
 def time_cli(argv: list[str], env: dict) -> dict:
@@ -100,6 +81,26 @@ def time_cli(argv: list[str], env: dict) -> dict:
         "exit_code": proc.returncode,
         "stdout_bytes": len(data),
         "stdout_sha256": hashlib.sha256(data).hexdigest(),
+    }
+
+
+def cli_row(name: str, argv: list[str], env: dict, tmp: str) -> dict:
+    """REPEATS runs of one CLI command, and the host's speed while they ran."""
+    sampler = bench_speed.SpeedSampler()
+    sampler.start()
+    t0 = time.perf_counter()
+    try:
+        runs = [time_cli(argv, env) for _ in range(REPEATS)]
+        t1 = time.perf_counter()
+    finally:
+        sampler.stop()
+    return {
+        "name": name,
+        "argv": [a.replace(tmp, "<tmp>") for a in argv],
+        "wall_s_median": statistics.median(r["wall_s"] for r in runs),
+        "peak_rss_mib_max": max(r["peak_rss_mib"] for r in runs),
+        "host_kernel_s": sampler.kernel_s(t0, t1),
+        "runs": runs,
     }
 
 
@@ -155,17 +156,7 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         for name, cli_argv in cli_ladder(tmp):
-            runs, host_kernel_s = with_host_speed(
-                lambda: [time_cli(cli_argv, env) for _ in range(REPEATS)]
-            )
-            record["cli"].append({
-                "name": name,
-                "argv": [a.replace(tmp, "<tmp>") for a in cli_argv],
-                "wall_s_median": statistics.median(r["wall_s"] for r in runs),
-                "peak_rss_mib_max": max(r["peak_rss_mib"] for r in runs),
-                "host_kernel_s": host_kernel_s,
-                "runs": runs,
-            })
+            record["cli"].append(cli_row(name, cli_argv, env, tmp))
     path = os.path.join(args.out_dir, f"BENCH_{sha}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

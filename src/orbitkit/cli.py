@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,13 +46,13 @@ def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        # int() refuses more than 4300 digits; past five significant ones a
-        # run of digits is out of range on the side of its sign
-        body = text.strip()
-        digits = (body[1:] if body[:1] in ("+", "-") else body).replace("_", "")
-        if not (digits.isdigit() and digits.isascii()) or len(digits.lstrip("0")) <= 5:
+        # int() refuses more than 4300 digits; an integer is read by its sign
+        # and at most one significant digit more than the bound has
+        m = re.fullmatch(r"([+-]?)([0-9]+(?:_[0-9]+)*)", text.strip())
+        if m is None:
             raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}") from None
-        value = MIN_AUDIT_SAMPLES - 1 if body[0] == "-" else MAX_AUDIT_SAMPLES + 1
+        digits = m[2].replace("_", "").lstrip("0") or "0"
+        value = int(m[1] + digits[: len(str(MAX_AUDIT_SAMPLES)) + 1])
     if not MIN_AUDIT_SAMPLES <= value <= MAX_AUDIT_SAMPLES:
         low = value < MIN_AUDIT_SAMPLES
         bound = f"at least {MIN_AUDIT_SAMPLES}" if low else f"at most {MAX_AUDIT_SAMPLES}"

@@ -2,6 +2,8 @@
 the benchmark or the CLI ladder."""
 
 import importlib.util
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -17,22 +19,27 @@ def bench_record():
     return module
 
 
-def test_host_speed_is_sampled_before_and_after_the_run(bench_record, monkeypatch):
-    events = []
-    monkeypatch.setattr(bench_record.bench_speed, "kernel", lambda: events.append("kernel"))
-    result, host_kernel_s = bench_record.with_host_speed(lambda: events.append("run") or 7)
-    n = bench_record.KERNEL_SAMPLES
-    assert result == 7
-    assert events == ["kernel"] * n + ["run"] + ["kernel"] * n
-    assert 0 < host_kernel_s < 0.01
+def test_a_row_keeps_the_samplers_reading_over_its_runs(bench_record, monkeypatch):
+    runs, readings = [], []
 
+    def fake_run(argv, env):
+        t0 = time.perf_counter()
+        time.sleep(0.03)  # SIGALRM samples the kernel during the sleep
+        runs.append((t0, time.perf_counter()))
+        return {"wall_s": 0.03, "peak_rss_mib": 1.0}
 
-def test_host_speed_is_the_median_kernel_time(bench_record, monkeypatch):
-    times = iter([[3.0, 1.0, 2.0], [5.0, 4.0, 9.0]])
-    monkeypatch.setattr(bench_record, "kernel_times", lambda: next(times))
-    assert bench_record.with_host_speed(lambda: None) == (None, 3.5)
+    class Sampler(bench_record.bench_speed.SpeedSampler):
+        def kernel_s(self, t0, t1):
+            readings.append((t0, t1, len(self.starts), super().kernel_s(t0, t1)))
+            return readings[-1][-1]
 
-
-def test_the_real_kernel_is_timed(bench_record):
-    times = bench_record.kernel_times(3)
-    assert len(times) == 3 and all(t > 0 for t in times)
+    monkeypatch.setattr(bench_record, "time_cli", fake_run)
+    monkeypatch.setattr(bench_record.bench_speed, "SpeedSampler", Sampler)
+    row = bench_record.cli_row("x", ["cech", "<dir>/a"], {}, "<dir>")
+    assert row["argv"] == ["cech", "<tmp>/a"]
+    assert len(runs) == bench_record.REPEATS == len(row["runs"])
+    [(t0, t1, samples, kernel_s)] = readings
+    assert t0 <= runs[0][0] and runs[-1][1] <= t1
+    assert samples >= bench_record.bench_speed.MIN_SAMPLES
+    assert row["host_kernel_s"] == kernel_s > 0
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

@@ -482,19 +482,25 @@ class TestAuditCommand:
             ("9" * 5000, f"must be at most {MAX_AUDIT_SAMPLES}"),
             ("-" + "9" * 5000, "must be at least 1"),
             ("+1_" + "0" * 5000, f"must be at most {MAX_AUDIT_SAMPLES}"),
+            ("-" + "0" * 5000, "must be at least 1"),
             ("9" * 4999 + "x", "expected an integer"),
             ("1__0", "expected an integer"),
+            ("1__" + "0" * 5000, "expected an integer"),
         ],
     )
     def test_samples_past_the_integer_digit_limit(self, capsys, samples, message):
-        # int() refuses strings of more than 4300 digits; their sign still
-        # says which bound they pass
+        # int() refuses strings of more than 4300 digits; they are read by
+        # their sign and significant digits, and malformed ones still refused
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--n", "2", f"--samples={samples}"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err
         assert len(err) < 1000
+
+    def test_leading_zeros_past_the_integer_digit_limit_are_read(self):
+        assert _sample_count("0" * 5000 + "5") == 5
+        assert _sample_count("+" + "0_" * 3000 + "10_000") == MAX_AUDIT_SAMPLES
 
     def test_the_bounds_themselves_are_accepted(self):
         assert _sample_count(str(MAX_AUDIT_SAMPLES)) == MAX_AUDIT_SAMPLES == 10_000

@@ -92,9 +92,23 @@ def test_kernels_agree_with_the_fraction_sums(case):
         k = rs.index[alpha.coords]
         got = coroot_value(scan[k], rs.supports[k])
         assert Fraction(got, d) == ref.coroot_pairing(lam, alpha, rs) and type(got) is int
-    # a reflection matrix has n^2 entries: fewer of them past rank 12
+    # a reflection matrix has n^2 entries, so past rank 12 this samples the
+    # roots; test_reflection_matrices_are_the_reference_reflections checks
+    # every root that roots_to_pair gives, once for all weights
     for alpha in roots_to_pair(rs)[:: 1 if rs.ambient_dim <= 12 else 5]:
         assert mat_vec(reflection(alpha, rs), lam.coords) == ref.reflect(lam, alpha, rs).coords
+
+
+@pytest.mark.parametrize("series", SERIES)
+def test_reflection_matrices_are_the_reference_reflections(series):
+    # column a of reflection(alpha) is the reflection of the basis vector
+    # e_a, so the matrix is the old reflect, a linear map, on every weight
+    rs = system(series)
+    n = rs.ambient_dim
+    basis = [Weight(tuple(Fraction(int(a == b)) for b in range(n))) for a in range(n)]
+    for alpha in roots_to_pair(rs):
+        columns = [ref.reflect(e, alpha, rs).coords for e in basis]
+        assert reflection(alpha, rs) == tuple(zip(*columns))
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,13 +14,10 @@ wall time, the child's peak RSS (from os.wait4, so it is that child's
 alone), the exit code and a digest of stdout, which lets two BENCH files
 confirm that two commits print the same bytes.
 
-Each CLI row also keeps host_kernel_s, the host's speed while the row ran:
-perfbench's bench_speed.SpeedSampler times its kernel in this process every
-INTERVAL_S while the row's child processes run, and host_kernel_s is its
-kernel_s over the row.  The file keeps ref_kernel_s, bench_speed.REF_S.  A
-wall time times ref_kernel_s / host_kernel_s is the time on a host where the
-kernel takes REF_S, so rows recorded at different host speeds compare after
-that scaling.
+Rows hold raw wall times, with no correction for the host's speed: a
+reading of the host's speed taken in this process did not follow the speed
+of the busy child.  Compare two commits by recording their files in
+alternating runs on one host.
 
 Usage, from the root of an orbitkit checkout:
     python3 scripts/bench_record.py [--out-dir .]
@@ -38,10 +35,6 @@ import subprocess
 import sys
 import tempfile
 import time
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-import bench_speed  # noqa: E402
 
 SEEDS = (1, 2)
 WORKLOADS = ("orbit-survey", "orbit-rank4", "cech-h", "cech-chern")
@@ -85,21 +78,13 @@ def time_cli(argv: list[str], env: dict) -> dict:
 
 
 def cli_row(name: str, argv: list[str], env: dict, tmp: str) -> dict:
-    """REPEATS runs of one CLI command, and the host's speed while they ran."""
-    sampler = bench_speed.SpeedSampler()
-    sampler.start()
-    t0 = time.perf_counter()
-    try:
-        runs = [time_cli(argv, env) for _ in range(REPEATS)]
-        t1 = time.perf_counter()
-    finally:
-        sampler.stop()
+    """REPEATS runs of one CLI command."""
+    runs = [time_cli(argv, env) for _ in range(REPEATS)]
     return {
         "name": name,
         "argv": [a.replace(tmp, "<tmp>") for a in argv],
         "wall_s_median": statistics.median(r["wall_s"] for r in runs),
         "peak_rss_mib_max": max(r["peak_rss_mib"] for r in runs),
-        "host_kernel_s": sampler.kernel_s(t0, t1),
         "runs": runs,
     }
 
@@ -150,7 +135,6 @@ def main(argv=None) -> int:
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "machine": platform.machine()},
         "perfbench": [run_perfbench(w, s, seconds) for w in WORKLOADS for s in SEEDS],
-        "ref_kernel_s": bench_speed.REF_S,
         "cli": [],
     }
     env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))

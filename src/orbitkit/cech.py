@@ -16,15 +16,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
+from math import comb
 from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .frozen import frozen
 from .linalg import parse_integer, parse_rational, smith_eliminate
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
+
+# the closure of the input lines may hold at most this many simplices; past it
+# parsing refuses the nerve (exit 4 on the CLI).  The 256 x 256 torus has
+# about 393k.
+MAX_SIMPLICES = 10**6
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -76,14 +82,39 @@ def _zero(ring: str):
 
 def _close(by_dim: dict[int, set[Simplex]]) -> Nerve:
     """Nerve of the validated simplices grouped by dimension: each level
-    gains the faces of the level above, then is sorted."""
+    gains the faces of the level above, then is sorted.
+
+    A k-simplex has 2^(k+1) - 1 faces, and the sum of that over the input
+    bounds the size of the nerve.  Only when the bound passes MAX_SIMPLICES
+    is the nerve built by _counted_closure, which counts as it builds.
+    """
     if not by_dim:
         return Nerve(0, ((),))
     levels = [by_dim.get(k, set()) for k in range(max(by_dim) + 1)]
-    for k in range(len(levels) - 1, 0, -1):
-        levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
+    if sum(len(level) * ((2 << k) - 1) for k, level in enumerate(levels)) > MAX_SIMPLICES:
+        _counted_closure(levels)
+    else:
+        for k in range(len(levels) - 1, 0, -1):
+            levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
     top = tuple([tuple(sorted(level)) for level in levels])
     return Nerve(top[0][-1][0] + 1, top)
+
+
+def _counted_closure(levels: list[set[Simplex]]) -> None:
+    """Close the levels in place from the vertices up, so that the simplices
+    held are the smallest ones; CapExceededError as soon as they number
+    more than MAX_SIMPLICES."""
+    too_many = f"the nerve has more than {MAX_SIMPLICES} simplices"
+    total = 0
+    for k, level in enumerate(levels):
+        for s in chain.from_iterable(levels[k + 1 :]):
+            # s alone has comb(|s|, k + 1) distinct k-faces
+            if total + max(len(level), comb(len(s), k + 1)) > MAX_SIMPLICES:
+                raise CapExceededError(too_many)
+            level.update(combinations(s, k + 1))
+        total += len(level)
+        if total > MAX_SIMPLICES:
+            raise CapExceededError(too_many)
 
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:

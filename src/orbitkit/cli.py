@@ -1,7 +1,8 @@
 """Command-line surface: orbit reports, Cech computations, oracle audits.
 
 Exit codes: 0 ok, 2 usage, 3 input parse, 4 cap exceeded (a series with
-more than rootsys.MAX_ROOTS roots), 5 internal theorem violation.
+more than rootsys.MAX_ROOTS roots, a nerve with more than
+cech.MAX_SIMPLICES simplices), 5 internal theorem violation.
 Rationals are serialized as "p/q" strings in lowest terms, never floats,
 and JSON output is canonical (sorted keys), so identical inputs are
 byte-identical across runs.
@@ -13,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,22 +44,29 @@ MIN_AUDIT_SAMPLES = 1
 MAX_AUDIT_SAMPLES = 10_000
 
 
-def _sample_count(text: str) -> int:
+def _bounded_int(text: str, low: int, high: Optional[int] = None) -> int:
+    """An integer argument in [low, high]; outside it, a usage error naming the bound."""
     try:
         value = int(text)
     except ValueError:
-        # int() refuses more than 4300 digits; an integer is read by its sign
-        # and at most one significant digit more than the bound has
-        m = re.fullmatch(r"([+-]?)([0-9]+(?:_[0-9]+)*)", text.strip())
-        if m is None:
+        # int() refuses more than 4300 digits; Decimal reads such an integer
+        # exactly and compares it exactly with the bounds
+        if re.fullmatch(r"\s*[+-]?[0-9]+(?:_[0-9]+)*\s*", text) is None:
             raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}") from None
-        digits = m[2].replace("_", "").lstrip("0") or "0"
-        value = int(m[1] + digits[: len(str(MAX_AUDIT_SAMPLES)) + 1])
-    if not MIN_AUDIT_SAMPLES <= value <= MAX_AUDIT_SAMPLES:
-        low = value < MIN_AUDIT_SAMPLES
-        bound = f"at least {MIN_AUDIT_SAMPLES}" if low else f"at most {MAX_AUDIT_SAMPLES}"
+        value = Decimal(text)
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if value < low else f"at most {high}"
         raise argparse.ArgumentTypeError(f"must be {bound}, got {shorten(text)}")
-    return value
+    return int(value)
+
+
+def _sample_count(text: str) -> int:
+    return _bounded_int(text, MIN_AUDIT_SAMPLES, MAX_AUDIT_SAMPLES)
+
+
+def _seed(text: str) -> int:
+    # numpy's default_rng takes any integer >= 0
+    return _bounded_int(text, 0)
 
 
 def _rational(token: str, what: str) -> Fraction:
@@ -231,27 +240,24 @@ def cmd_cech(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     # imported lazily: numpy/scipy are only needed for the oracle surface
     from . import oracle
-    from .orbit import orbit_dimension
-    from .rootsys import (
-        SeriesSpec,
-        ambient_weight,
-        build_root_system,
-        default_order,
-        fundamental_weights,
-    )
+    from .pipeline import analyze_orbit
+    from .rootsys import SeriesSpec, build_root_system, default_order, fundamental_weights
 
     n = args.n
     alg = oracle.special_unitary_basis(n)
     rs = build_root_system(SeriesSpec((("A", n - 1),)))
-    matches = oracle.match_roots(oracle.numeric_root_decomposition(alg), rs)
+    roots = oracle.numeric_root_decomposition(alg)
+    matches = oracle.match_roots(roots, rs)
     max_match = max(res for _, _, res in matches)
-    audit = oracle.root_property_audit(alg)
+    audit = oracle.root_property_audit(roots)
     if args.lam:
-        lam = ambient_weight(_parse_lambda(args.lam), rs)
+        coords = _parse_lambda(args.lam)
     else:
-        lam = fundamental_weights(default_order(rs))[0]
-    kks = oracle.numeric_kks_check(lam, alg, samples=args.samples, seed=args.seed)
-    rank_ok = oracle.stabilizer_rank(lam, alg) == orbit_dimension(lam, rs)
+        coords = fundamental_weights(default_order(rs))[0].coords
+    report = analyze_orbit(rs, coords, _resolve_lattice("sc", rs))
+    lam = report.lam
+    kks = oracle.numeric_kks_check(report, alg, matches, samples=args.samples, seed=args.seed)
+    rank_ok = oracle.stabilizer_rank(lam, alg) == report.dim_orbit
     payload = {
         "algebra": f"su({n})",
         "basis_dim": alg.dim,
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--n", type=int, default=3, help="su(n) size, 2..5")
     p_audit.add_argument("--lambda", dest="lam", default=None)
     p_audit.add_argument("--samples", type=_sample_count, default=20)
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--seed", type=_seed, default=0)
     p_audit.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

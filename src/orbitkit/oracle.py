@@ -6,6 +6,9 @@ decomposition of the adjoint action of the diagonal torus, the KKS blocks
 from explicit bracket evaluations, and moment-map equivariance from central
 finite differences of the coadjoint flow.
 
+The oracle builds no exact object: the caller hands in one decomposition,
+its match_roots against the exact root system and one pipeline OrbitReport.
+
 Tolerances, separated by orders of magnitude from double-precision noise:
 construction 1e-12, spectral matching 1e-8, KKS blocks (relative), rank
 and root audit 1e-9, finite differences 1e-6 (central, step 1e-5).
@@ -14,7 +17,7 @@ and root audit 1e-9, finite differences 1e-6 (central, step 1e-5).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -22,13 +25,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, OrbitkitError
 from .frozen import frozen
-from .orbit import (
-    admissible_positive_system,
-    kks_matrix,
-    polarization,
-    singular_roots,
-)
-from .rootsys import RootSystem, SeriesSpec, Weight, build_root_system
+from .rootsys import RootSystem, Weight
+
+if TYPE_CHECKING:
+    from .pipeline import OrbitReport
 
 CONSTRUCTION_TOL = 1e-12
 SPECTRAL_TOL = 1e-8
@@ -96,9 +96,7 @@ def _verify_construction(alg: MatrixAlgebra) -> None:
             raise OracleError("basis matrix is not trace-free")
         if np.max(np.abs(m + m.conj().T)) > CONSTRUCTION_TOL:
             raise OracleError("basis matrix is not anti-Hermitian")
-    gram = np.array(
-        [[alg.form(x, y) for y in alg.basis] for x in alg.basis]
-    )
+    gram = np.array([[alg.form(x, y) for y in alg.basis] for x in alg.basis])
     for i, x in enumerate(alg.basis):
         for j, y in enumerate(alg.basis):
             b = x @ y - y @ x
@@ -260,31 +258,25 @@ class KKSCheckReport:
 
 
 def numeric_kks_check(
-    lam: Weight,
+    report: OrbitReport,
     alg: MatrixAlgebra,
+    matches: Sequence[tuple[NumericRoot, Weight, float]],
     samples: int = 20,
     seed: int = 0,
 ) -> KKSCheckReport:
-    """(a) compare lambda([A_alpha, B_alpha]) against the exact KKS blocks;
-    (b) verify moment-map equivariance by central finite differences."""
-    v_lam = lambda_vector(lam, alg)
-    rs = build_root_system(SeriesSpec((("A", alg.n - 1),)))
-    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
-    exact_blocks = kks_matrix(lam, polarization(lam, order))
-
-    matches = {
-        ex.coords: nr for nr, ex, _ in match_roots(numeric_root_decomposition(alg), rs)
-    }
+    """(a) compare lambda([A_alpha, B_alpha]) against the report's exact KKS
+    blocks, each root space read from matches (match_roots of alg against the
+    report's root system); (b) verify moment-map equivariance by central
+    finite differences."""
+    v_lam = lambda_vector(report.lam, alg)
+    spaces = {ex.coords: nr.eigenvector for nr, ex, _ in matches}
     block_residual = 0.0
-    for alpha, value in zip(exact_blocks.basis_labels, exact_blocks.blocks):
-        nr = matches[alpha.coords]
-        a, b = _real_pair(nr.eigenvector)
+    for alpha, value in zip(report.kks.basis_labels, report.kks.blocks):
+        a, b = _real_pair(spaces[alpha.coords])
         numeric = _eval_functional(v_lam, _br(a, b))
         expected = float(value)
-        if expected == 0.0:
-            residual = abs(numeric)
-        else:
-            residual = abs(numeric - expected) / abs(expected)
+        # relative, except against an exact 0
+        residual = abs(numeric - expected) / (abs(expected) or 1.0)
         block_residual = max(block_residual, residual)
         if residual > KKS_REL_TOL:
             raise OracleError(
@@ -294,23 +286,16 @@ def numeric_kks_check(
 
     rng = np.random.default_rng(seed)
     equiv_residual = 0.0
-    worst = None
     for _ in range(samples):
-        i, j = rng.integers(0, alg.dim, size=2)
-        x, y = alg.basis[int(i)], alg.basis[int(j)]
+        i, j = (int(k) for k in rng.integers(0, alg.dim, size=2))
+        x, y = alg.basis[i], alg.basis[j]
         exact = _eval_functional(v_lam, _br(x, y))
-        h = FD_STEP
-        plus = _coadjoint_pullback(v_lam, x, y, h)
-        minus = _coadjoint_pullback(v_lam, x, y, -h)
-        fd = (plus - minus) / (2 * h)
+        plus, minus = (_coadjoint_pullback(v_lam, x, y, t) for t in (FD_STEP, -FD_STEP))
+        fd = (plus - minus) / (2 * FD_STEP)
         residual = abs(fd - exact)
-        if residual > equiv_residual:
-            equiv_residual = residual
-            worst = (int(i), int(j))
+        equiv_residual = max(equiv_residual, residual)
         if residual > FD_TOL:
-            raise OracleError(
-                f"equivariance residual {residual:.2e} at basis pair {worst}"
-            )
+            raise OracleError(f"equivariance residual {residual:.2e} at basis pair {(i, j)}")
     return KKSCheckReport(block_residual, equiv_residual, samples)
 
 
@@ -323,12 +308,7 @@ def _coadjoint_pullback(v_lam: np.ndarray, x: np.ndarray, y: np.ndarray, t: floa
 def stabilizer_rank(lam: Weight, alg: MatrixAlgebra) -> int:
     """Numeric rank of X -> lambda([X, .]), which is the orbit dimension."""
     v_lam = lambda_vector(lam, alg)
-    m = np.array(
-        [
-            [_eval_functional(v_lam, _br(x, y)) for y in alg.basis]
-            for x in alg.basis
-        ]
-    )
+    m = np.array([[_eval_functional(v_lam, _br(x, y)) for y in alg.basis] for x in alg.basis])
     return int(np.linalg.matrix_rank(m, tol=RANK_TOL))
 
 
@@ -343,14 +323,14 @@ class RootAuditReport:
         return not self.failures
 
 
-def root_property_audit(alg: MatrixAlgebra) -> RootAuditReport:
-    """Numeric audit of the root-space bracket relations.
+def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
+    """Numeric audit of the root-space bracket relations on a
+    numeric_root_decomposition.
 
     conj(root space) is the negated root's space; brackets land in the space
     of the summed functional when that is a root, in the torus when the
     functionals cancel, and vanish otherwise.
     """
-    roots = numeric_root_decomposition(alg)
     failures = []
     max_res = 0.0
     checks = 0
@@ -361,9 +341,7 @@ def root_property_audit(alg: MatrixAlgebra) -> RootAuditReport:
         if res > AUDIT_TOL:
             failures.append(f"{message} (residual {res:.2e})")
 
-    by_key = {}
-    for r in roots:
-        by_key[tuple(np.round(r.functional, 6))] = r
+    by_key = {tuple(np.round(r.functional, 6)): r for r in roots}
 
     for r in roots:
         checks += 1

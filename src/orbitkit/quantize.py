@@ -90,7 +90,7 @@ def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     coroots span the coroot lattice and the simple roots the root lattice,
     so sc and adjoint are tested against the simple roots alone; adjoint
     through the root system's cached root-lattice test."""
-    require_ambient(lam, rs)
+    require_ambient(lam.coords, rs)
     if lattice.kind == SIMPLY_CONNECTED:
         # <lam, alpha^vee> = k / D with k an integer, lam = numerators / D
         nums, d = lam.integer_form

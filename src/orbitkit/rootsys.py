@@ -339,7 +339,7 @@ def coroot_value(p: int, support: tuple[int, int, int, int]) -> int:
 def root_numerators(w: Weight, rs: RootSystem) -> list[int]:
     """(w, alpha) D for every root alpha of rs, in rs.roots order, where D is
     w's integer-form denominator."""
-    require_ambient(w, rs)
+    require_ambient(w.coords, rs)
     return numerator_scan(w.integer_form[0], rs.supports)
 
 
@@ -347,28 +347,24 @@ def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
     """Exact pairing of two ambient weights: the ambient dot product of their
     numerators, a product only where eta is nonzero, over the product of
     their denominators."""
-    n = rs.ambient_dim
-    if len(xi.coords) != n or len(eta.coords) != n:
-        require_ambient(eta if len(xi.coords) == n else xi, rs)
+    require_ambient(xi.coords, rs)
+    require_ambient(eta.coords, rs)
     (nx, dx), (ne, de) = xi.integer_form, eta.integer_form
     return Fraction(sum(nx[i] * e for i, e in enumerate(ne) if e), dx * de)
 
 
-def require_ambient(w: Weight, rs: RootSystem):
-    if len(w.coords) != rs.ambient_dim:
-        raise InputError(
-            f"weight has {len(w.coords)} coordinates, expected {rs.ambient_dim}"
-        )
+def require_ambient(coords: Sequence, space: RootSystem | SeriesSpec) -> None:
+    """The one weight-dimension rule: a weight on space has one coordinate per
+    ambient dimension."""
+    if len(coords) != space.ambient_dim:
+        raise InputError(f"weight has {len(coords)} coordinates, expected {space.ambient_dim}")
 
 
 def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:
     """Ingest ambient coordinates, projecting A-blocks onto their sum-zero
     hyperplane when needed; the projection is flagged on the result."""
     c = list(vec(coords))
-    if len(c) != rs.ambient_dim:
-        raise InputError(
-            f"weight has {len(c)} coordinates, expected {rs.ambient_dim}"
-        )
+    require_ambient(c, rs)
     projected = False
     for letter, _, start, stop in rs.spec.blocks():
         if letter != "A":
@@ -424,7 +420,7 @@ def default_order(rs: RootSystem) -> RootOrder:
 
 def is_dominant(lam: Weight, order: RootOrder) -> bool:
     """True iff lam pairs non-negatively with every positive (simple) root."""
-    require_ambient(lam, order.rs)
+    require_ambient(lam.coords, order.rs)
     return all(p >= 0 for p in numerator_scan(lam.integer_form[0], order.simple_supports))
 
 

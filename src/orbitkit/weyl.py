@@ -59,10 +59,7 @@ def weyl_orbit_size(lam: Weight, spec: SeriesSpec) -> int:
     (B, C, D), times the Weyl group of the same type on the z zero
     coordinates of a B, C or D block.
     """
-    if len(lam.coords) != spec.ambient_dim:
-        raise InputError(
-            f"weight has {len(lam.coords)} coordinates, expected {spec.ambient_dim}"
-        )
+    require_ambient(lam.coords, spec)
     stabilizer = 1
     for letter, _, start, stop in spec.blocks():
         if letter == "T":
@@ -183,7 +180,7 @@ def dominant_representative(
     straightening sequence (reflect at any negative simple pairing), so it
     is short in practice but carries no minimality guarantee.
     """
-    require_ambient(lam, order.rs)
+    require_ambient(lam.coords, order.rs)
     supports = order.simple_supports
     nums, d = lam.integer_form
     nums = list(nums)

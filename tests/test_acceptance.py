@@ -12,6 +12,7 @@ from itertools import product
 from orbitkit import (
     LatticeSpec,
     Weight,
+    analyze_orbit,
     build_root_system,
     default_order,
     fundamental_weights,
@@ -141,8 +142,10 @@ def test_criterion_4_kks_validation():
         alg = oracle.special_unitary_basis(n)
         series = f"A{n-1}"
         rs, weights = suite_weights(series, 20, seed=40 + n)
+        matches = oracle.match_roots(oracle.numeric_root_decomposition(alg), rs)
         for lam in weights:
-            rep = oracle.numeric_kks_check(lam, alg, samples=0)
+            exact = analyze_orbit(rs, lam.coords, SC)
+            rep = oracle.numeric_kks_check(exact, alg, matches, samples=0)
             worst = max(worst, rep.block_residual)
             assert rep.block_residual < 1e-9
     # exact scaling covariance for 10 rational t
@@ -164,11 +167,13 @@ def test_criterion_4_kks_validation():
 def test_criterion_5_moment_map_equivariance():
     alg = oracle.special_unitary_basis(3)
     rs = build_root_system(parse_series("A2"))
+    matches = oracle.match_roots(oracle.numeric_root_decomposition(alg), rs)
     rng = random.Random(5)
     worst = 0.0
     for k in range(10):
         lam = random_weight(rs, rng, sum_zero=True)
-        rep = oracle.numeric_kks_check(lam, alg, samples=10, seed=k)
+        exact = analyze_orbit(rs, lam.coords, SC)
+        rep = oracle.numeric_kks_check(exact, alg, matches, samples=10, seed=k)
         worst = max(worst, rep.equivariance_residual)
         assert rep.equivariance_residual < 1e-6
     report(5, f"100 (X, Y, lambda) samples, worst residual {worst:.2e}")

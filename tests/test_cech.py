@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbitkit import (
+    CapExceededError,
     InputError,
     build_nerve,
     chern_class,
@@ -147,6 +148,38 @@ class TestBuildNerve:
         with pytest.raises(InputError) as err:
             parse_nerve_lines(["0 1", "2 x"])
         assert "line 2" in str(err.value)
+
+
+# -- size bound ---------------------------------------------------------------
+
+def closure_size(simplices):
+    return len({f for s in simplices for k in range(1, len(s) + 1)
+                for f in itertools.combinations(s, k)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 8), min_size=1, max_size=9).map(sorted), min_size=1,
+             max_size=6),
+    st.integers(0, 700),
+)
+def test_the_simplex_bound_refuses_exactly_the_nerves_past_it(simplices, limit):
+    full = build_nerve(simplices)
+    assert sum(map(len, full.simplices)) == closure_size(simplices)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cech, "MAX_SIMPLICES", limit)
+        if closure_size(simplices) > limit:
+            with pytest.raises(CapExceededError, match=f"more than {limit} simplices"):
+                build_nerve(simplices)
+        else:
+            assert build_nerve(simplices) == full
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_a_line_of_n_vertices_is_refused_before_its_faces_are_built(n):
+    # its closure has 2^n - 1 faces; a 30-vertex line ran out of memory
+    with pytest.raises(CapExceededError, match=f"more than {cech.MAX_SIMPLICES}"):
+        parse_nerve_lines([" ".join(map(str, range(n)))])
 
 
 # -- coboundary ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from orbitkit.cli import (
     EXIT_THEOREM,
     MAX_AUDIT_SAMPLES,
     _sample_count,
+    _seed,
     canonical_json,
     main,
 )
@@ -347,6 +348,17 @@ class TestCechCommand:
         assert code == EXIT_OK
         assert out.strip() == f"H^{k} = 0"
 
+    def test_a_nerve_past_the_simplex_bound_is_refused(self, capsys, tmp_path):
+        # a 40-vertex line closes to 2^40 - 1 faces; it ran out of memory
+        nerve = tmp_path / "line.nerve"
+        nerve.write_text(" ".join(map(str, range(40))) + "\n")
+        code, out, err = run(capsys, "cech", "h", "--nerve", str(nerve), "--k", "1")
+        assert code == EXIT_CAP
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "cap_exceeded"
+        assert error["message"] == "the nerve has more than 1000000 simplices"
+
     def test_h_triangle_q_rank(self, capsys, tmp_path):
         nerve = tmp_path / "tri.nerve"
         nerve.write_text(TRIANGLE)
@@ -501,6 +513,26 @@ class TestAuditCommand:
     def test_leading_zeros_past_the_integer_digit_limit_are_read(self):
         assert _sample_count("0" * 5000 + "5") == 5
         assert _sample_count("+" + "0_" * 3000 + "10_000") == MAX_AUDIT_SAMPLES
+
+    @pytest.mark.parametrize("seed", ["-1", "-" + "9" * 5000])
+    def test_seed_must_not_be_negative(self, capsys, seed):
+        # numpy's default_rng raised a ValueError with a traceback (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--n", "2", "--samples", "1", f"--seed={seed}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0" in err
+        assert "Traceback" not in err and len(err) < 1000
+
+    def test_any_seed_from_zero_up_is_taken(self, capsys):
+        outs = []
+        for seed in ("0", "-0", "123456789012345678901234567890"):
+            code, out, _ = run(capsys, "audit", "--n", "2", "--samples", "3",
+                               "--seed", seed, "--output", "json")
+            assert code == EXIT_OK
+            outs.append(json.loads(out)["equivariance_samples"])
+        assert outs == [3, 3, 3]
+        assert _seed("0" * 5000 + "7") == 7
 
     def test_the_bounds_themselves_are_accepted(self):
         assert _sample_count(str(MAX_AUDIT_SAMPLES)) == MAX_AUDIT_SAMPLES == 10_000

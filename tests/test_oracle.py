@@ -1,24 +1,43 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from orbitkit import (
+    LatticeSpec,
     Weight,
+    analyze_orbit,
     build_root_system,
     fundamental_weights,
     orbit_dimension,
     parse_series,
 )
-from orbitkit import oracle
+from orbitkit import oracle, pipeline, rootsys
+from orbitkit.quantize import SIMPLY_CONNECTED
 from orbitkit.cli import main
 from orbitkit.errors import InputError
 
 
 def su(n):
     return oracle.special_unitary_basis(n)
+
+
+@lru_cache(maxsize=None)
+def a_system_and_matches(n):
+    """A_{n-1} and the numeric roots of su(n) matched onto it, once per n."""
+    rs = build_root_system(parse_series(f"A{n - 1}"))
+    return rs, oracle.match_roots(oracle.numeric_root_decomposition(su(n)), rs)
+
+
+def kks_check(lam, alg, **kwargs):
+    """numeric_kks_check of the exact report for lam against alg."""
+    rs, matches = a_system_and_matches(alg.n)
+    report = analyze_orbit(rs, lam.coords, LatticeSpec(SIMPLY_CONNECTED))
+    return oracle.numeric_kks_check(report, alg, matches, **kwargs)
 
 
 def random_sum_zero_weight(n, rng):
@@ -93,13 +112,13 @@ class TestRootDecomposition:
 class TestRootPropertyAudit:
     @pytest.mark.parametrize("n", [2, 3])
     def test_audit_passes(self, n):
-        report = oracle.root_property_audit(su(n))
+        report = oracle.root_property_audit(oracle.numeric_root_decomposition(su(n)))
         assert report.ok
         assert report.max_residual < 1e-9
 
     def test_su3_bracket_lands_in_sum_space(self):
         # [g^a1, g^a2] lands in g^(a1+a2): covered by the audit's pair scan
-        report = oracle.root_property_audit(su(3))
+        report = oracle.root_property_audit(oracle.numeric_root_decomposition(su(3)))
         assert report.checks == 6 + 36
 
     def test_self_bracket_vanishes(self):
@@ -112,18 +131,18 @@ class TestRootPropertyAudit:
 class TestKKSCheck:
     def test_su2_fundamental(self, a1):
         lam = Weight((Fraction(1, 2), Fraction(-1, 2)))
-        report = oracle.numeric_kks_check(lam, su(2), samples=20)
+        report = kks_check(lam, su(2), samples=20)
         assert report.block_residual < oracle.KKS_REL_TOL
 
     def test_su3_fundamental(self, a2, a2_order):
         lam = fundamental_weights(a2_order)[0]
-        report = oracle.numeric_kks_check(lam, su(3), samples=100, seed=1)
+        report = kks_check(lam, su(3), samples=100, seed=1)
         assert report.block_residual < oracle.KKS_REL_TOL
         assert report.equivariance_residual < oracle.FD_TOL
 
     def test_zero_weight(self, a2):
         lam = Weight((Fraction(0),) * 3)
-        report = oracle.numeric_kks_check(lam, su(3), samples=25)
+        report = kks_check(lam, su(3), samples=25)
         assert report.block_residual == 0.0
         assert report.equivariance_residual < 1e-12
 
@@ -133,16 +152,16 @@ class TestKKSCheck:
         alg = su(n)
         for _ in range(20):
             lam = random_sum_zero_weight(n, rng)
-            report = oracle.numeric_kks_check(lam, alg, samples=5, seed=0)
+            report = kks_check(lam, alg, samples=5, seed=0)
             assert report.block_residual < oracle.KKS_REL_TOL
 
     def test_dimension_guard(self):
         with pytest.raises(InputError):
-            oracle.numeric_kks_check(Weight((Fraction(1),)), su(2))
+            oracle.lambda_vector(Weight((Fraction(1),)), su(2))
 
     def test_sum_zero_guard(self):
         with pytest.raises(InputError):
-            oracle.numeric_kks_check(Weight((Fraction(1), Fraction(1))), su(2))
+            oracle.lambda_vector(Weight((Fraction(1), Fraction(1))), su(2))
 
 
 class TestStabilizerRank:
@@ -198,3 +217,31 @@ def test_audit_flags_a_projected_lambda(capsys):
     assert "projected onto the sum-zero hyperplane" in capsys.readouterr().out
     assert main(["audit", "--n", "2", "--lambda", "1/2,-1/2", "--output", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["lambda_projected"] is False
+
+
+def test_audit_builds_each_exact_and_numeric_fact_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(oracle, "numeric_root_decomposition")
+    count(oracle, "match_roots")
+    count(rootsys, "build_root_system")
+    # the pipeline's own binding, in case the audit ever hands it a series string
+    count(pipeline, "build_root_system")
+    for argv in (["--n", "3"], ["--n", "4", "--lambda", "1,0,-1,0"]):
+        calls.clear()
+        assert main(["audit", *argv, "--samples", "2", "--output", "json"]) == 0
+        capsys.readouterr()
+        assert calls == {
+            "numeric_root_decomposition": 1,
+            "match_roots": 1,
+            "build_root_system": 1,
+        }

@@ -20,8 +20,14 @@ from orbitkit import (
     weight_from_fundamental,
 )
 from orbitkit.linalg import identity, mat, mat_mul, mat_vec, vec
-from orbitkit.rootsys import MAX_ROOTS, coroot_value, default_chamber_seed, numerator_scan
-from orbitkit.weyl import reflection
+from orbitkit.rootsys import (
+    MAX_ROOTS,
+    coroot_value,
+    default_chamber_seed,
+    numerator_scan,
+    require_ambient,
+)
+from orbitkit.weyl import reflection, weyl_orbit_size
 
 from exact_reference import rref_solve, simple_root_coefficients
 from root_reference import coroot_pairing, reflect as ref_reflect
@@ -349,6 +355,24 @@ def test_pairing_rejects_either_wrong_dimension(a2):
     for bad in ((w(1, 0), alpha), (alpha, w(1, 0, 0, 0))):
         with pytest.raises(InputError, match="coordinates, expected 3"):
             pairing(*bad, a2)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda rs, c: require_ambient(c, rs),
+        lambda rs, c: ambient_weight(c, rs),
+        lambda rs, c: weyl_orbit_size(Weight(c), rs.spec),
+        lambda rs, c: pairing(Weight(c), rs.roots[0], rs),
+        lambda rs, c: pairing(rs.roots[0], Weight(c), rs),
+    ],
+    ids=["require_ambient", "ambient_weight", "weyl_orbit_size", "pairing", "pairing_eta"],
+)
+def test_every_entry_point_words_the_dimension_rule_alike(a2, check):
+    for coords in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(InputError) as exc:
+            check(a2, frac_vec(coords))
+        assert str(exc.value) == f"weight has {len(coords)} coordinates, expected 3"
 
 
 class TestCorootKernel:

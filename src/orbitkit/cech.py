@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
-from .linalg import parse_integer, parse_rational, smith_eliminate
+from .linalg import parse_integer, parse_rational, smith_eliminate, unit_reduce
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
 
@@ -254,7 +254,10 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:
 
 
 def _invariant_factors(nerve: Nerve, k: int) -> list[int]:
-    return smith_eliminate(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))[0]
+    """Invariant factors of delta_k: its unit pivots first, then the Smith
+    normal form of what they leave."""
+    units, residue, width = unit_reduce(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
+    return [1] * units + smith_eliminate(residue, width)[0]
 
 
 @frozen
@@ -271,9 +274,10 @@ class CohomologyGroup:
 def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
     """H^k of the nerve from the invariant factors of delta_k and delta_{k-1}.
 
-    Each comes from one sparse elimination that builds no transform.  A rank
-    is the number of invariant factors, over Q as over Z; the ring only
-    decides whether the torsion factors of delta_{k-1} are kept.
+    Each comes from unit_reduce and one sparse elimination of its residue,
+    neither of which builds a transform.  A rank is the number of invariant
+    factors, over Q as over Z; the ring only decides whether the torsion
+    factors of delta_{k-1} are kept.
     """
     if k < 0:
         raise InputError("cohomology degree must be >= 0")

@@ -3,14 +3,16 @@
 Everything here works on tuples of exact rationals (vectors) and tuples of
 such tuples (row-major matrices); a ``Vec`` entry is a ``fractions.Fraction``
 or a plain ``int``, as in the integer roots of ``rootsys``.  No floating
-point.  There is one elimination, :func:`smith_eliminate`, the integer
-Smith normal form on rows stored as {column: value}.  It returns the
+point.  There is one elimination kernel, :func:`smith_eliminate`, the
+integer Smith normal form on rows stored as {column: value}.  It returns the
 invariant factors and builds a transform only on request: the Cech module
 has it carry a cocycle through the row operations to read off cohomology
 coordinates, and integer row-span membership asks for the right transform.
 Rational rank and solve read it too, after scaling each row to integers:
 over Q the rank is the number of invariant factors, and u·a·v = d gives a
-particular solution.
+particular solution.  :func:`unit_reduce` is its unit-only front end for
+callers that need the invariant factors alone: it takes the ±1 pivots in a
+fill-reducing order and leaves the rest to :func:`smith_eliminate`.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def smith_eliminate(
     columns: bool = False,
 ) -> tuple[list[int], Optional[list[SparseRow]], Optional[list[SparseRow]]]:
     """Smith normal form u·a·v = d of a sparse integer matrix: the one
-    integer elimination of the package.
+    integer elimination kernel of the package.
 
     a has width columns, and rows[i] holds the nonzero entries of its row i
     as {column: value}.  Returns (factors, y, v):
@@ -127,15 +129,17 @@ def smith_eliminate(
       single column b gives u·b without ever forming u.
     * v, when columns is set: its columns, v[j] = {row: value}.
 
-    The pivot rule is part of the contract, because ``cech.chern_class``
-    reads its coordinates off y.  Step t pivots on the first entry of least
-    nonzero magnitude, in row-major order, of the trailing block d[t:][t:];
-    the search stops at the first ±1, since nothing is smaller.  The pivot is
-    swapped to (t, t) and made positive, then row t and column t are
-    reduced by floor division.  Nonzero remainders restart step t.  A pivot
-    of 1 divides everything, so step t ends there; a larger pivot that fails
-    to divide some trailing entry has the first such row added to row t,
-    and step t restarts.
+    The diagonal does not depend on the pivot order: d₁⋯d_k is the gcd of
+    the k×k minors of a (Newman, *Integral Matrices*, Ch. II).  The pivot
+    rule below binds only y and v, and it is part of the contract because
+    ``cech.chern_class`` reads its coordinates off y.  Step t pivots on the
+    first entry of least nonzero magnitude, in row-major order, of the
+    trailing block d[t:][t:]; the search stops at the first ±1, since
+    nothing is smaller.  The pivot is swapped to (t, t) and made positive,
+    then row t and column t are reduced by floor division.  Nonzero
+    remainders restart step t.  A pivot of 1 divides everything, so step t
+    ends there; a larger pivot that fails to divide some trailing entry has
+    the first such row added to row t, and step t restarts.
 
     The work follows the nonzero entries: rows and columns keep their
     identities while swaps move their positions, and a column→rows index
@@ -268,6 +272,82 @@ def smith_eliminate(
     if v is not None:
         v = [v[j] for j in colat]
     return factors, y, v
+
+
+def unit_reduce(rows: list[SparseRow], width: int) -> tuple[int, list[SparseRow], int]:
+    """Eliminate ±1 pivots only, ahead of :func:`smith_eliminate`: the
+    unit-pivots-first scheme of Dumas, Saunders and Villard (J. Symbolic
+    Comput. 2001) in the fill-reducing order of Markowitz (1957).
+
+    Rows are taken shortest first, and in each row the unit column that the
+    fewest rows hold.  Its other rows are cleared by the pivot row, then the
+    pivot's row and column are dropped: a ±1 splits off as a direct summand.
+    Returns (units, residue, residue_width), where the residue holds the
+    nonzero rows left, on the columns that still hold an entry, renumbered
+    in order.  The invariant factors of the matrix are [1] * units followed
+    by those of the residue.  The rows are reduced in place, so a caller
+    passes rows it does not read again; a stored zero is carried as an
+    entry, never taken as a pivot.
+    """
+    rows_in: list[set[int]] = [set() for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j in row:
+            rows_in[j].add(i)
+    # waiting[n] stacks the rows queued at length n = queued[i], row 0 on
+    # top at the start.  A row that shrank is queued again at once; one that
+    # grew, when it comes up at its old length; one that held no unit, when
+    # it changes.
+    queued = list(map(len, rows))
+    waiting: list[list[int]] = [[] for _ in range(width + 1)]
+    for i in reversed(range(len(rows))):
+        waiting[queued[i]].append(i)
+    units = n = 0
+    while n <= width:
+        if not waiting[n]:
+            n += 1
+            continue
+        r = waiting[n].pop()
+        row = rows[r]
+        if n != queued[r] or not row:
+            continue
+        if len(row) > n:
+            queued[r] = len(row)
+            waiting[queued[r]].append(r)
+            continue
+        c = None
+        for j, x in row.items():
+            if (x == 1 or x == -1) and (c is None or len(rows_in[j]) < least):
+                c, least = j, len(rows_in[j])
+        if c is None:
+            queued[r] = width + 1
+            continue
+        units += 1
+        rows[r] = {}
+        p = row.pop(c)
+        for j in row:
+            rows_in[j].remove(r)
+        col = rows_in[c]
+        col.remove(r)
+        for i in col:
+            other = rows[i]
+            f = -other.pop(c) * p
+            for j, x in row.items():
+                z = other.get(j)
+                if z is None:
+                    other[j] = f * x
+                    rows_in[j].add(i)
+                elif z + f * x:
+                    other[j] = z + f * x
+                else:
+                    del other[j]
+                    rows_in[j].remove(i)
+            if other and len(other) < queued[i]:
+                queued[i] = len(other)
+                waiting[queued[i]].append(i)
+                n = min(n, queued[i])
+        col.clear()
+    kept = {j: t for t, j in enumerate([j for j in range(width) if rows_in[j]])}
+    return units, [{kept[j]: x for j, x in row.items()} for row in rows if row], len(kept)
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:

@@ -22,7 +22,7 @@ from orbitkit.cech import (
     parse_nerve_lines,
 )
 from orbitkit import cech, linalg
-from orbitkit.linalg import mat, smith_eliminate, smith_normal_form
+from orbitkit.linalg import mat, smith_eliminate, smith_normal_form, unit_reduce
 
 from exact_reference import _rref, det
 from gfp_reference import rank_mod_p
@@ -468,6 +468,56 @@ def test_smith_normal_form_matches_reference(rows):
     assert smith_normal_form(rows) == snf_reference(rows)
 
 
+@st.composite
+def row_scaled_matrices(draw):
+    """Unit-heavy matrices with some rows scaled, so that unit pivots and
+    torsion meet in one matrix."""
+    rows = draw(unit_heavy_matrices())
+    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=len(rows), max_size=len(rows)))
+    return [[x * c for x in row] for row, c in zip(rows, scales)]
+
+
+torsion_matrices = st.one_of(
+    unit_heavy_matrices(),
+    row_scaled_matrices(),
+    # products of small matrices have larger invariant factors
+    st.tuples(unit_heavy_matrices(), st.integers(0, 7)).map(
+        lambda case: [[x * (case[1] + 1) for x in row] for row in case[0]]
+    ),
+)
+
+
+# -- unit pivots first ----------------------------------------------------------
+
+def unit_reduced_factors(rows, width):
+    """Invariant factors through unit_reduce, on a copy of the rows, and the
+    elimination of its residue."""
+    units, residue, rest = unit_reduce([dict(row) for row in rows], width)
+    assert all(0 <= j < rest for row in residue for j in row)
+    return [1] * units + smith_eliminate(residue, rest)[0]
+
+
+@pytest.mark.parametrize(
+    "rows, width, reduced",
+    [
+        # no unit: the matrix is the residue
+        ([{0: 2, 1: 4}, {0: 6, 1: 8}], 2, (0, [{0: 2, 1: 4}, {0: 6, 1: 8}], 2)),
+        # zero rows, the pivot's column and the column that cancels are
+        # dropped, and the one left is renumbered
+        ([{}, {0: 2, 1: 1, 2: 4}, {}, {0: 6, 1: 3, 2: 2}], 3, (1, [{0: -10}], 1)),
+        ([{}, {0: 3}, {}], 2, (0, [{0: 3}], 1)),
+        # row 0 holds no unit when it comes up, and is taken again once it
+        # gains one at its old length
+        ([{0: 2, 1: 3}, {0: 1, 1: 1, 2: 1}, {2: 2, 3: 3}], 4, (2, [{0: 2, 1: 3}], 2)),
+        ([{}, {}], 0, (0, [], 0)),  # width 0
+        ([], 3, (0, [], 0)),  # no rows
+    ],
+)
+def test_unit_reduce_on_edge_cases(rows, width, reduced):
+    assert unit_reduced_factors(rows, width) == smith_eliminate(rows, width)[0]
+    assert unit_reduce(rows, width) == reduced
+
+
 def relabelled_grid(n, klein, perm):
     return build_nerve(
         [tuple(sorted(perm[x] for x in s)) for s in grid_triangles(n, klein)]
@@ -600,23 +650,24 @@ def cube_tetrahedra(c):
 
 
 def assert_ranks_mod_p(rows, width):
-    """rank_p(a) = #{d_i : p does not divide d_i} for each of PRIMES; returns
-    the invariant factors."""
+    """rank_p(a) = #{d_i : p does not divide d_i} for each of PRIMES, on the
+    invariant factors of the ruled elimination, which unit_reduce followed by
+    the elimination of its residue must reproduce; returns the factors."""
     factors = smith_eliminate(rows, width)[0]
     for p in PRIMES:
         assert rank_mod_p(rows, p) == sum(1 for d in factors if d % p), (p, factors)
+    assert unit_reduced_factors(rows, width) == factors
     return factors
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
-    unit_heavy_matrices(),
-    # products of small matrices have larger invariant factors
-    st.tuples(unit_heavy_matrices(), st.integers(0, 7)).map(
-        lambda case: [[x * (case[1] + 1) for x in row] for row in case[0]]
-    ),
-))
+@settings(max_examples=300, deadline=None)
+@given(torsion_matrices)
+@example([[2, 4], [6, 8]])  # no unit at all
+@example([[0, 0, 0], [1, -1, 3], [0, 0, 0], [2, 2, 4]])  # zero rows
+@example([[], [], []])  # width 0
+@example([])  # no rows
 def test_ranks_mod_p_match_the_invariant_factors(rows):
+    # sparse() stores the zeros, which unit_reduce carries as entries
     assert_ranks_mod_p(sparse(rows), len(rows[0]) if rows else 0)
 
 
@@ -644,9 +695,17 @@ def test_coboundary_ranks_mod_p_match_the_invariant_factors(name):
     nerve = build_nerve(GF_P_NERVES[name])
     torsion = []
     for k in range(nerve.dimension):
-        factors = assert_ranks_mod_p(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
-        torsion += [d for d in factors if d > 1]
-    # the Klein bottle and RP^2 have H^2 = Z/2, so p = 2 drops a rank there
+        rows, width = coboundary_matrix(nerve, k), len(nerve.of_dim(k))
+        factors = assert_ranks_mod_p(rows, width)
+        # the factors that cohomology reads, through unit_reduce
+        assert cech._invariant_factors(nerve, k) == factors
+        units, residue, rest = unit_reduce(coboundary_matrix(nerve, k), width)
+        left = [d for d in smith_eliminate(residue, rest)[0] if d > 1]
+        # every unit pivot was taken: each residue row carries a torsion factor
+        assert len(residue) == len(left)
+        torsion += left
+    # the Klein bottle and RP^2 have H^2 = Z/2, so p = 2 drops a rank there;
+    # no unit pivot can leave a 2, so it comes out of the residue
     assert torsion == ([2] if name.startswith(("klein", "rp2")) else [])
 
 

@@ -468,25 +468,6 @@ def test_smith_normal_form_matches_reference(rows):
     assert smith_normal_form(rows) == snf_reference(rows)
 
 
-@st.composite
-def row_scaled_matrices(draw):
-    """Unit-heavy matrices with some rows scaled, so that unit pivots and
-    torsion meet in one matrix."""
-    rows = draw(unit_heavy_matrices())
-    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=len(rows), max_size=len(rows)))
-    return [[x * c for x in row] for row, c in zip(rows, scales)]
-
-
-torsion_matrices = st.one_of(
-    unit_heavy_matrices(),
-    row_scaled_matrices(),
-    # products of small matrices have larger invariant factors
-    st.tuples(unit_heavy_matrices(), st.integers(0, 7)).map(
-        lambda case: [[x * (case[1] + 1) for x in row] for row in case[0]]
-    ),
-)
-
-
 # -- unit pivots first ----------------------------------------------------------
 
 def unit_reduced_factors(rows, width):
@@ -647,6 +628,25 @@ def cube_tetrahedra(c):
                 verts.append(tuple(p))
             tets.append(tuple(sorted((x * (c + 1) + y) * (c + 1) + z for x, y, z in verts)))
     return tets
+
+
+@st.composite
+def row_scaled_matrices(draw):
+    """Unit-heavy matrices with some rows scaled, so that unit pivots and
+    torsion meet in one matrix."""
+    rows = draw(unit_heavy_matrices())
+    scales = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=len(rows), max_size=len(rows)))
+    return [[x * c for x in row] for row, c in zip(rows, scales)]
+
+
+torsion_matrices = st.one_of(
+    unit_heavy_matrices(),
+    row_scaled_matrices(),
+    # products of small matrices have larger invariant factors
+    st.tuples(unit_heavy_matrices(), st.integers(0, 7)).map(
+        lambda case: [[x * (case[1] + 1) for x in row] for row in case[0]]
+    ),
+)
 
 
 def assert_ranks_mod_p(rows, width):

@@ -6,11 +6,9 @@ long as BENCHMARK.json's run_seconds, and times the CLI on a fixed size
 ladder:
 
 * regular `orbit` reports at B22, A31, D22 and C22;
-* `cech h --k 1` and `cech chern` on examples/torus32.*, and on 64 x 64 and
-  128 x 128 tori that scripts/torus_example.py writes into a temp dir;
-* `cech h --k 1` alone on a 256 x 256 torus written the same way: `cech
-  chern` there still takes minutes, since its coordinates are read in the
-  basis of the ruled elimination.
+* `cech h --k 1` and `cech chern` on examples/torus32.*, and on 64 x 64,
+  128 x 128 and 256 x 256 tori that scripts/torus_example.py writes into a
+  temp dir.
 
 Each CLI command runs REPEATS times in a fresh process; the file keeps every
 wall time, the child's peak RSS (from os.wait4, so it is that child's
@@ -42,8 +40,7 @@ import time
 SEEDS = (1, 2)
 WORKLOADS = ("orbit-survey", "orbit-rank4", "cech-h", "cech-chern")
 REPEATS = 3
-TORUS_SIZES = (64, 128)
-H_ONLY_TORUS_SIZES = (256,)
+TORUS_SIZES = (64, 128, 256)
 
 
 def git(*args: str) -> str:
@@ -105,20 +102,19 @@ def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
         regular("D22", list(range(22, 0, -1))),
         regular("C22", list(range(22, 0, -1))),
     ]
-    tori = [("torus32", os.path.join("examples", "torus32"), True)]
-    for n in TORUS_SIZES + H_ONLY_TORUS_SIZES:
+    tori = [("torus32", os.path.join("examples", "torus32"))]
+    for n in TORUS_SIZES:
         prefix = os.path.join(tmp, f"torus{n}")
         subprocess.run([sys.executable, os.path.join("scripts", "torus_example.py"),
                         "--n", str(n), "--seed", str(n), "--out", prefix], check=True)
-        tori.append((f"torus{n}", prefix, n in TORUS_SIZES))
-    for name, prefix, chern in tori:
+        tori.append((f"torus{n}", prefix))
+    for name, prefix in tori:
         ladder.append((f"cech h --k 1 {name}",
                        ["cech", "h", "--nerve", prefix + ".nerve", "--k", "1",
                         "--output", "json"]))
-        if chern:
-            ladder.append((f"cech chern {name}",
-                           ["cech", "chern", "--nerve", prefix + ".nerve", "--cocycle",
-                            prefix + ".cochain", "--output", "json"]))
+        ladder.append((f"cech chern {name}",
+                       ["cech", "chern", "--nerve", prefix + ".nerve", "--cocycle",
+                        prefix + ".cochain", "--output", "json"]))
     return ladder
 
 

@@ -3,9 +3,10 @@
 The nerve of a cover is an abstract simplicial complex; cochains live on its
 strictly increasing simplex tuples and the coboundary is the alternating
 face sum.  Cohomology over both rings comes from the integer Smith normal
-form of the sparse coboundary matrices; carrying a cocycle through the same
-row operations yields coordinates for integer 2-cocycle classes (the
-Chern-class data of transition functions).
+form of the sparse coboundary matrices.  Integer 2-cocycle classes (the
+Chern-class data of transition functions) pair with the 2-cycles that the
+same elimination finds, put in Hermite normal form, so their coordinates
+depend on the nerve and the class alone.
 
 A single nerve is the input; refinements and the direct limit are out of
 scope, so the cover is assumed to have contractible intersections.
@@ -23,7 +24,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
-from .linalg import parse_integer, parse_rational, smith_eliminate, unit_reduce
+from .linalg import (
+    add_into, hermite_rows, parse_integer, parse_rational, smith_eliminate, unit_reduce,
+)
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
 
@@ -306,14 +309,29 @@ class ChernClass:
 
 
 def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
-    """Class of an integer 2-cocycle in the Smith basis modulo coboundaries.
+    """Class of an integer 2-cocycle, a function of the nerve and the class.
 
     Validity means the cocycle condition (vanishing coboundary); on failure
     the witness is the first 3-simplex, in sorted order, on which the
     coboundary is nonzero.  Cochains differing by a coboundary of an
-    integer 1-cochain receive identical coordinates.  The coordinates are
-    y = u·a for the left transform u of delta_1, computed by carrying a
-    through the elimination, so u itself is never formed.
+    integer 1-cochain receive identical coordinates.
+
+    The free part of H^2 is Hom(H_2, Z) (universal coefficients; Hatcher,
+    *Algebraic Topology*, §3.1), and free_coords gives the class there, one
+    number per free generator.  The 2-cycles Z_2 are read off unit_reduce
+    of delta_1 with the identity carried, and the elimination of its
+    residue; their row Hermite normal form h, on the 2-simplices in sorted
+    order, is a basis that depends on the nerve alone, and w_i = <a, h_i>.
+    With no 3-simplices H_2 = Z_2 and free_coords is w: on a torus, the
+    pairing of a with the fundamental cycle that is +1 on the first sorted
+    triangle.  Otherwise w vanishes on the boundaries B_2, and free_coords
+    are its coordinates in the Hermite basis of that annihilator.
+
+    torsion_coords are <a, y_i> mod d_i for the residue's Smith rows y_i
+    with invariant factor d_i > 1.  With one torsion summand and free rank
+    0 (RP^2, the Klein bottle) that is the class itself; otherwise it
+    depends on the splitting the elimination picks, which is the same on
+    every run for one nerve.
     """
     if a.degree != 2 or a.ring != RING_Z:
         raise InputError("chern_class expects an integer 2-cochain")
@@ -323,11 +341,41 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
         w, x, y, z = (get(f, 0) for f in combinations(s, 3))
         if x + z != w + y:
             return ChernClass(False, s, (), ())
-    column = [{0: int(v)} if (v := a.values.get(s, 0)) else {} for s in nerve.of_dim(2)]
-    factors, carried, _ = smith_eliminate(
-        coboundary_matrix(nerve, 1), len(nerve.of_dim(1)), column
+    value = [int(get(s, 0)) for s in nerve.of_dim(2)]
+    _, residue, width, carried, zeros = unit_reduce(
+        coboundary_matrix(nerve, 1), len(nerve.of_dim(1)), [{i: 1} for i in range(len(value))]
     )
-    y = [row.get(0, 0) for row in carried]
-    torsion = tuple([(y[i] % f, f) for i, f in enumerate(factors) if f > 1])
-    free = tuple(y[len(factors):])
-    return ChernClass(True, None, free, torsion)
+    factors, y, _ = smith_eliminate(residue, width, carried)
+    cycles = hermite_rows(zeros + y[len(factors):])
+    w = [_pair(value, h) for h in cycles]
+    if nerve.of_dim(3):
+        bounds = _coordinates(cycles, coboundary_matrix(nerve, 2))
+        rank, _, v = smith_eliminate(bounds, len(cycles), columns=True)
+        ann = hermite_rows(v[len(rank):])
+        (coords,) = _coordinates(ann, [{i: x for i, x in enumerate(w) if x}])
+        w = [coords.get(i, 0) for i in range(len(ann))]
+    torsion = tuple([(_pair(value, yi) % f, f) for yi, f in zip(y, factors) if f > 1])
+    return ChernClass(True, None, tuple(w), torsion)
+
+
+def _pair(value: list[int], row: Mapping[int, int]) -> int:
+    return sum([value[i] * x for i, x in row.items()])
+
+
+def _coordinates(
+    basis: list[dict[int, int]], vectors: Iterable[Mapping[int, int]]
+) -> list[dict[int, int]]:
+    """{i: c_i} with vector = sum of c_i * basis[i], for each vector of the
+    lattice that a row Hermite basis spans: each leading entry left is
+    cleared by the basis row whose pivot it is."""
+    row_at = {min(row): i for i, row in enumerate(basis)}
+    out = []
+    for vector in vectors:
+        rest, coords = dict(vector), {}
+        while rest:
+            j = min(rest)
+            i = row_at[j]
+            coords[i] = q = rest[j] // basis[i][j]
+            add_into(rest, basis[i], -q)
+        out.append(coords)
+    return out

@@ -6,13 +6,15 @@ or a plain ``int``, as in the integer roots of ``rootsys``.  No floating
 point.  There is one elimination kernel, :func:`smith_eliminate`, the
 integer Smith normal form on rows stored as {column: value}.  It returns the
 invariant factors and builds a transform only on request: the Cech module
-has it carry a cocycle through the row operations to read off cohomology
-coordinates, and integer row-span membership asks for the right transform.
-Rational rank and solve read it too, after scaling each row to integers:
-over Q the rank is the number of invariant factors, and u·a·v = d gives a
-particular solution.  :func:`unit_reduce` is its unit-only front end for
-callers that need the invariant factors alone: it takes the ±1 pivots in a
-fill-reducing order and leaves the rest to :func:`smith_eliminate`.
+has it carry a block through the row operations to read off the 2-cycles
+and torsion rows, and integer row-span membership asks for the right
+transform.  Rational rank and solve read it too, after scaling each row to
+integers: over Q the rank is the number of invariant factors, and
+u·a·v = d gives a particular solution.  :func:`unit_reduce` is its
+unit-only front end: it takes the ±1 pivots in a fill-reducing order,
+carrying a block too when asked, and leaves the rest to
+:func:`smith_eliminate`.  :func:`hermite_rows` puts a lattice basis in the
+one form that does not depend on the elimination that found it.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ IntMat = list[list[int]]
 SparseRow = dict[int, int]
 
 
-def _add_into(dst: SparseRow, src: Mapping[int, int], c: int) -> None:
+def add_into(dst: SparseRow, src: Mapping[int, int], c: int) -> None:
     """dst += c * src on sparse rows, c nonzero."""
     for j, x in src.items():
         z = dst.get(j, 0) + c * x
@@ -131,8 +133,11 @@ def smith_eliminate(
 
     The diagonal does not depend on the pivot order: d₁⋯d_k is the gcd of
     the k×k minors of a (Newman, *Integral Matrices*, Ch. II).  The pivot
-    rule below binds only y and v, and it is part of the contract because
-    ``cech.chern_class`` reads its coordinates off y.  Step t pivots on the
+    rule below binds only y and v.  It is part of the contract where those
+    reach an output: the torsion rows of the residue that
+    ``cech.chern_class`` reads, :func:`solve` and :func:`smith_normal_form`;
+    the free part of a Chern class goes through :func:`hermite_rows` and
+    depends on no pivot order.  Step t pivots on the
     first entry of least nonzero magnitude, in row-major order, of the
     trailing block d[t:][t:]; the search stops at the first ±1, since
     nothing is smaller.  The pivot is swapped to (t, t) and made positive,
@@ -187,7 +192,7 @@ def smith_eliminate(
                 del row[j]
                 rows_in[j].remove(dst)
         if y is not None:
-            _add_into(y[dst], y[src], c)
+            add_into(y[dst], y[src], c)
 
     t = 0
     while True:
@@ -231,7 +236,7 @@ def smith_eliminate(
             for j, x in row.items():
                 rows_in[j].remove(r)
                 if v is not None:
-                    _add_into(v[j], v[c], -x)
+                    add_into(v[j], v[c], -x)
             d[r] = {c: 1}
             t += 1
             continue
@@ -252,7 +257,7 @@ def smith_eliminate(
                     del other[j]
                     rows_in[j].remove(i)
             if v is not None:
-                _add_into(v[j], v[c], -q)
+                add_into(v[j], v[c], -q)
             if j in row:
                 dirty = True
         if dirty:
@@ -274,7 +279,7 @@ def smith_eliminate(
     return factors, y, v
 
 
-def unit_reduce(rows: list[SparseRow], width: int) -> tuple[int, list[SparseRow], int]:
+def unit_reduce(rows: list[SparseRow], width: int, carry: Optional[list[SparseRow]] = None):
     """Eliminate ±1 pivots only, ahead of :func:`smith_eliminate`: the
     unit-pivots-first scheme of Dumas, Saunders and Villard (J. Symbolic
     Comput. 2001) in the fill-reducing order of Markowitz (1957).
@@ -288,6 +293,14 @@ def unit_reduce(rows: list[SparseRow], width: int) -> tuple[int, list[SparseRow]
     by those of the residue.  The rows are reduced in place, so a caller
     passes rows it does not read again; a stored zero is carried as an
     entry, never taken as a pivot.
+
+    carry, a block of len(rows) sparse rows, has every row operation
+    replayed on it in place, and two lists follow the three results: the
+    carried rows of the residue rows, in their order, and those of the
+    rows that became zero without being a pivot.  With carry the identity,
+    each carried row times the matrix is the row as reduced, so the zero
+    rows' carried rows lie in its left kernel.  A pivot's carried row is
+    set to None once its column is cleared, as nothing reads it again.
     """
     rows_in: list[set[int]] = [set() for _ in range(width)]
     for i, row in enumerate(rows):
@@ -322,12 +335,16 @@ def unit_reduce(rows: list[SparseRow], width: int) -> tuple[int, list[SparseRow]
             queued[r] = width + 1
             continue
         units += 1
-        rows[r] = {}
+        rows[r] = None  # a pivot row, told apart from the rows that become {}
         p = row.pop(c)
         for j in row:
             rows_in[j].remove(r)
         col = rows_in[c]
         col.remove(r)
+        if carry is not None:
+            for i in col:
+                add_into(carry[i], carry[r], -rows[i][c] * p)
+            carry[r] = None
         for i in col:
             other = rows[i]
             f = -other.pop(c) * p
@@ -347,7 +364,51 @@ def unit_reduce(rows: list[SparseRow], width: int) -> tuple[int, list[SparseRow]
                 n = min(n, queued[i])
         col.clear()
     kept = {j: t for t, j in enumerate([j for j in range(width) if rows_in[j]])}
-    return units, [{kept[j]: x for j, x in row.items()} for row in rows if row], len(kept)
+    residue = [{kept[j]: x for j, x in row.items()} for row in rows if row]
+    if carry is None:
+        return units, residue, len(kept)
+    return (units, residue, len(kept), [carry[i] for i, row in enumerate(rows) if row],
+            [carry[i] for i, row in enumerate(rows) if row == {}])
+
+
+def hermite_rows(rows: Iterable[Mapping[int, int]]) -> list[SparseRow]:
+    """Row Hermite normal form of the lattice that the sparse integer rows
+    span: its nonzero rows in echelon order, each with a positive leading
+    entry, its pivot, and every entry above a pivot in [0, pivot).  It is
+    unique for the lattice (Cohen, *A Course in Computational Algebraic
+    Number Theory*, §2.4.2), so it does not depend on how the rows came."""
+    rest = [dict(row) for row in rows if row]
+    waiting: dict[int, list[int]] = {}  # leading column -> rows, a bucket queue
+    for i, row in enumerate(rest):
+        waiting.setdefault(min(row), []).append(i)
+    out: list[SparseRow] = []
+    holders: dict[int, list[SparseRow]] = {}  # column -> rows of out that may hold it
+    for j in range(1 + max([max(row) for row in rest], default=-1)):
+        col = waiting.pop(j, None)
+        if col is None:
+            continue
+        while len(col) > 1:  # Euclid on column j; a row it clears waits for its next column
+            p = rest[min(col, key=lambda i: abs(rest[i][j]))]
+            for i in col:
+                if rest[i] is not p:
+                    add_into(rest[i], p, -(rest[i][j] // p[j]))
+                    if j not in rest[i] and rest[i]:
+                        waiting.setdefault(min(rest[i]), []).append(i)
+            col = [i for i in col if j in rest[i]]
+        p = rest[col[0]]
+        if p[j] < 0:
+            for k in p:
+                p[k] = -p[k]
+        changed = [p]
+        for row in holders.pop(j, []):
+            if q := row.get(j, 0) // p[j]:
+                add_into(row, p, -q)
+                changed.append(row)
+        for row in changed:
+            for k in p:
+                holders.setdefault(k, []).append(row)
+        out.append(p)
+    return out
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:

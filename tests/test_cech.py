@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,9 @@ from orbitkit.cech import (
     parse_nerve_lines,
 )
 from orbitkit import cech, linalg
-from orbitkit.linalg import mat, smith_eliminate, smith_normal_form, unit_reduce
+from orbitkit.linalg import hermite_rows, mat, smith_eliminate, smith_normal_form, unit_reduce
 
-from exact_reference import _rref, det
+from exact_reference import _rref, det, rref_solve
 from gfp_reference import rank_mod_p
 from snf_reference import smith_normal_form as snf_reference
 
@@ -499,6 +500,44 @@ def test_unit_reduce_on_edge_cases(rows, width, reduced):
     assert unit_reduce(rows, width) == reduced
 
 
+def carried_unit_reduce(rows, width):
+    """unit_reduce of a copy of the rows with the identity carried."""
+    identity = [{i: 1} for i in range(len(rows))]
+    return unit_reduce([dict(row) for row in rows], width, identity)
+
+
+def times(carried, rows, width):
+    """The sparse row carried times the matrix, as a dense row."""
+    out = [0] * width
+    for i, c in carried.items():
+        for j, x in rows[i].items():
+            out[j] += c * x
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy_matrices())
+@example([[0, 0], [1, 1], [1, 1], [2, 2]])  # a zero row from the start and one made
+@example([[2, 4], [4, 2]])  # no unit: the carried rows are the identity
+@example([])
+def test_carried_rows_times_the_matrix_are_the_reduced_rows(dense_rows):
+    width = len(dense_rows[0]) if dense_rows else 0
+    rows = [{j: x for j, x in enumerate(row) if x} for row in dense_rows]
+    units, residue, rest, carried, zeros = carried_unit_reduce(rows, width)
+    # without carry the results are the same, and cohomology reads those
+    assert unit_reduce([dict(row) for row in rows], width) == (units, residue, rest)
+    assert len(carried) == len(residue) and units + len(residue) + len(zeros) == len(rows)
+    products = [times(c, rows, width) for c in carried]
+    kept = [j for j in range(width) if any(p[j] for p in products)]
+    assert rest == len(kept)
+    assert residue == [{t: p[j] for t, j in enumerate(kept) if p[j]} for p in products]
+    for z in zeros:
+        assert times(z, rows, width) == [0] * width
+    # the zero rows and the residue's left kernel give the whole left kernel
+    rank = len(smith_eliminate(rows, width)[0])
+    assert len(zeros) + len(residue) - len(smith_eliminate(residue, rest)[0]) == len(rows) - rank
+
+
 def relabelled_grid(n, klein, perm):
     return build_nerve(
         [tuple(sorted(perm[x] for x in s)) for s in grid_triangles(n, klein)]
@@ -793,6 +832,193 @@ class TestChernClass:
         nerve = build_nerve(TETRA_BOUNDARY)
         with pytest.raises(InputError):
             chern_class(nerve, make_cochain(nerve, 1, {}))
+
+
+def coherent_orientation(triangles):
+    """+1 or -1 per triangle of an orientable closed surface, found by walking
+    across shared edges so that the two triangles on an edge induce opposite
+    orientations on it; +1 on the first triangle in sorted order."""
+
+    def boundary(t, sign):
+        a, b, c = t
+        return {(b, c): sign, (a, c): -sign, (a, b): sign}
+
+    on_edge = defaultdict(list)
+    for t in triangles:
+        for e in itertools.combinations(t, 2):
+            on_edge[e].append(t)
+    first = min(triangles)
+    eps, todo = {first: 1}, [first]
+    while todo:
+        t = todo.pop()
+        for e, sign in boundary(t, eps[t]).items():
+            for other in on_edge[e]:
+                if other not in eps:
+                    eps[other] = -sign * boundary(other, 1)[e]
+                    todo.append(other)
+    total = defaultdict(int)
+    for t, sign in eps.items():
+        for e, x in boundary(t, sign).items():
+            total[e] += x
+    assert len(eps) == len(triangles) and not any(total.values())
+    return eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=3, max_value=8).flatmap(
+    lambda n: st.tuples(st.just(n), st.permutations(range(n * n)))), st.data())
+def test_torus_class_is_the_pairing_with_the_fundamental_cycle(case, data):
+    n, perm = case
+    nerve = relabelled_grid(n, False, perm)
+    values = {s: data.draw(st.integers(-3, 3)) for s in nerve.of_dim(2)}
+    eps = coherent_orientation(nerve.of_dim(2))
+    cls = chern_class(nerve, make_cochain(nerve, 2, values))
+    assert cls.valid and cls.torsion_coords == ()
+    assert cls.free_coords == (sum(eps[s] * x for s, x in values.items()),)
+
+
+def shifted_face(nerve, rng, m):
+    """delta(b) for a random integer 1-cochain b, plus m on one face."""
+    b = make_cochain(nerve, 1, {e: rng.randint(-3, 3) for e in nerve.of_dim(1)})
+    values = dict(coboundary(b, nerve).values)
+    values[rng.choice(nerve.of_dim(2))] += m
+    return make_cochain(nerve, 2, values)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_klein_and_projective_plane_classes_are_the_face_multiple_mod_2(n):
+    rng = random.Random(n)
+    klein = relabelled_grid(n, True, rng.sample(range(n * n), n * n))
+    perm = rng.sample(range(6), 6)
+    rp2 = build_nerve([tuple(sorted(perm[v] for v in s)) for s in PROJECTIVE_PLANE])
+    for nerve in (klein, rp2):
+        for m in (0, 1, -1, 2, 3, -4):
+            cls = chern_class(nerve, shifted_face(nerve, rng, m))
+            assert (cls.free_coords, cls.torsion_coords) == ((), ((m % 2, 2),))
+
+
+@st.composite
+def nerve_with_cocycles(draw):
+    """A random nerve of dimension up to 3, two integer 2-cocycles on it --
+    integer combinations of a basis of ker delta_2 -- and a 1-cochain."""
+    nerve = draw(nerves())
+    width = len(nerve.of_dim(2))
+    rank, _, v = smith_eliminate(coboundary_matrix(nerve, 2), width, columns=True)
+
+    def cocycle():
+        values = [0] * width
+        for col in v[len(rank):]:
+            c = draw(st.integers(-3, 3))
+            for i, x in col.items():
+                values[i] += c * x
+        return make_cochain(nerve, 2, dict(zip(nerve.of_dim(2), values)))
+
+    b = {e: draw(st.integers(-5, 5)) for e in nerve.of_dim(1)}
+    return nerve, cocycle(), cocycle(), make_cochain(nerve, 1, b)
+
+
+def plus(nerve, *cochains):
+    return make_cochain(nerve, 2, {
+        s: sum(c.values.get(s, 0) for c in cochains) for s in nerve.of_dim(2)
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(nerve_with_cocycles())
+def test_the_class_has_one_free_coordinate_per_free_generator(case):
+    nerve, a, a2, b = case
+    cls = chern_class(nerve, a)
+    assert cls.valid
+    assert len(cls.free_coords) == cohomology(nerve, 2).free_rank
+    # a function of the class alone
+    assert chern_class(nerve, plus(nerve, a, coboundary(b, nerve))) == cls
+    # and additive in its free part
+    both = chern_class(nerve, plus(nerve, a, a2))
+    assert both.free_coords == tuple(
+        [x + y for x, y in zip(cls.free_coords, chern_class(nerve, a2).free_coords)])
+
+
+def reference_free_coords(nerve, a):
+    """The free part through the dense reference Smith normal form of all of
+    delta_1, in the same canonical bases: the Hermite basis h of the
+    2-cycles, and with 3-simplices the Hermite basis of the w that vanish
+    on every boundary."""
+    rows = dense(coboundary_matrix(nerve, 1), len(nerve.of_dim(1)))
+    d, u, _ = snf_reference(rows)
+    rank = sum(1 for i, row in enumerate(d) if i < len(row) and row[i])
+    cycles = hermite_rows([{j: x for j, x in enumerate(row) if x} for row in u[rank:]])
+    w = [sum(a.values[s] * h.get(i, 0) for i, s in enumerate(nerve.of_dim(2)))
+         for h in cycles]
+    if not nerve.of_dim(3) or not cycles:
+        return tuple(w)
+    cols = mat([[h.get(i, 0) for h in cycles] for i in range(len(nerve.of_dim(2)))])
+    bounds = [
+        rref_solve(cols, [row.get(i, 0) for i in range(len(nerve.of_dim(2)))])
+        for row in coboundary_matrix(nerve, 2)
+    ]
+    d, _, v = snf_reference([[int(x) for x in row] for row in bounds])
+    rank = sum(1 for i, row in enumerate(d) if i < len(row) and row[i])
+    kernel = [{i: v[i][j] for i in range(len(cycles)) if v[i][j]}
+              for j in range(rank, len(cycles))]
+    ann = hermite_rows(kernel)
+    if not ann:
+        return ()
+    coords = rref_solve(mat([[k.get(i, 0) for k in ann] for i in range(len(cycles))]), w)
+    return tuple([int(x) for x in coords])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(nerve_with_cocycles().map(lambda case: case[:2]),
+                 grid_cochains().map(lambda case: (
+                     case[0], make_cochain(case[0], 2, dict(zip(case[0].of_dim(2), case[1])))))))
+def test_the_class_matches_the_ruled_reference(case):
+    nerve, a = case
+    assert chern_class(nerve, a).free_coords == reference_free_coords(nerve, a)
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_a_coboundary_on_the_cube_grid_has_no_free_coordinate(c):
+    rng = random.Random(c)
+    perm = rng.sample(range((c + 1) ** 3), (c + 1) ** 3)
+    nerve = build_nerve([tuple(sorted(perm[v] for v in s)) for s in cube_tetrahedra(c)])
+    b = make_cochain(nerve, 1, {e: rng.randint(-3, 3) for e in nerve.of_dim(1)})
+    cls = chern_class(nerve, make_cochain(nerve, 2, dict(coboundary(b, nerve).values)))
+    assert cls.valid and cls.is_trivial()
+    assert (cls.free_coords, cls.torsion_coords) == ((), ())
+
+
+def test_a_hollow_cube_grid_class_pairs_with_the_cavity_sphere():
+    """The 3x3x3 cube grid without its middle cube has H^2 = Z, generated by
+    the dual of the cavity's boundary sphere S, so the one free coordinate
+    is <a, S> up to a sign fixed once for the nerve."""
+    side = 4
+    middle = {(x * side + y) * side + z for x, y, z in itertools.product((1, 2), repeat=3)}
+    rng = random.Random(3)
+    perm = rng.sample(range(side**3), side**3)
+    removed = [t for t in cube_tetrahedra(3) if set(t) <= middle]
+    nerve = build_nerve([
+        tuple(sorted(perm[v] for v in t)) for t in cube_tetrahedra(3) if t not in removed
+    ])
+    assert cohomology(nerve, 2).describe() == "Z"
+    faces = [f for t in removed for f in itertools.combinations(t, 3)]
+    sphere = sorted(tuple(sorted(perm[v] for v in f)) for f in faces if faces.count(f) == 1)
+    eps = coherent_orientation(sphere)
+    width = len(nerve.of_dim(2))
+    rank, _, v = smith_eliminate(coboundary_matrix(nerve, 2), width, columns=True)
+    signs = set()
+    for _ in range(6):
+        values = [0] * width
+        for col in v[len(rank):]:
+            c = rng.randint(-2, 2)
+            for i, x in col.items():
+                values[i] += c * x
+        a = make_cochain(nerve, 2, dict(zip(nerve.of_dim(2), values)))
+        (free,) = chern_class(nerve, a).free_coords
+        pairing = sum(eps[s] * a.values[s] for s in sphere)
+        assert abs(free) == abs(pairing)
+        if pairing:
+            signs.add(free // pairing)
+    assert len(signs) == 1
 
 
 def test_parse_cochain_lines():

@@ -4,11 +4,14 @@ by sha256.
 ``golden_chern.json`` lists seeded integer 2-cocycles delta(b) + m*[face] on
 randomly relabelled torus grids (n = 6, 8, 10, 12) and Klein-bottle grids
 (n = 7, 9, 11), with the sha256 of `cech chern --output json` on each.  The
-free coordinate of a torus class is read through the left transform of the
-Smith normal form of delta_1, so its sign pins that transform, not just the
-invariant factors.  The fixture was generated at commit
-798cd9cbcdc78ca660461a6ad67920b1b593db4e, before the Smith normal form took
-unit pivots without rescanning, by running from the repository root:
+free coordinate of a torus class is its pairing with the fundamental cycle
+that is +1 on the first triangle in sorted order, the row Hermite normal
+form of the 2-cycles, so its sign pins that canonical basis and no
+elimination order.  The Klein entries were generated at commit
+798cd9cbcdc78ca660461a6ad67920b1b593db4e; the torus entries were
+regenerated when the class moved to that basis, six of the eight changing
+bytes (the free coordinate of torus n = 6, m = -1 went 1 -> -1, for
+instance), by running from the repository root:
 
     PYTHONPATH=src python tests/test_golden_chern.py > tests/golden_chern.json
 
@@ -19,8 +22,9 @@ the exit code; they were appended at commit
 7db324537aad161145aed8a18c43270293fcf228, before the cocycle check read the
 coboundary one 3-simplex at a time.
 
-A change that keeps the Smith transforms identical keeps this test passing;
-regenerate the fixture only for a deliberate change of output.
+The bytes depend only on the nerve and the class, so a change of
+elimination order keeps this test passing; regenerate the fixture only for
+a deliberate change of output, and only the cases whose bytes change.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitkit.linalg import (
     MAX_RATIONAL_DIGITS,
+    hermite_rows,
     in_integer_row_span,
     mat,
     mat_vec,
@@ -13,6 +14,7 @@ from orbitkit.linalg import (
     solve,
     vec,
 )
+from snf_reference import smith_normal_form as snf_reference
 
 from exact_reference import _rref, kernel_basis, rref_solve
 
@@ -167,3 +169,56 @@ def test_parse_rational_past_the_digit_bound(token):
 def test_parse_rational_refuses_what_fraction_refuses(token):
     with pytest.raises(ValueError):
         parse_rational(token)
+
+
+# -- row Hermite normal form ------------------------------------------------------
+
+@st.composite
+def lattices_and_mixes(draw):
+    """Integer rows up to 5x6 and a unimodular 5x5 product of elementary row
+    operations, which changes the rows but not the lattice they span."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)]
+    mix = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(0, 8)) if m > 1 else 0):
+        i, j = draw(st.permutations(range(m)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 3)))
+        mix[i] = [x + c * y for x, y in zip(mix[i], mix[j])]
+    return rows, mix
+
+
+def as_sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def spans(basis, rows, n):
+    """Whether every row is an integer combination of the basis rows."""
+    return all(in_integer_row_span(mat(basis) or mat([[0] * n]), vec(row)) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices_and_mixes())
+def test_hermite_rows_depend_on_the_lattice_alone(case):
+    rows, mix = case
+    n = len(rows[0]) if rows else 1
+    h = hermite_rows(as_sparse(rows))
+    mixed = [[sum(c * row[j] for c, row in zip(mrow, rows)) for j in range(n)] for mrow in mix]
+    assert hermite_rows(as_sparse(mixed)) == h
+    # echelon, positive pivots, entries above a pivot reduced into [0, pivot)
+    pivots = [min(row) for row in h]
+    assert pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(h, pivots)):
+        assert row[p] > 0 and 0 not in row.values()
+        assert all(0 <= other.get(p, 0) < row[p] for other in h[:i])
+    # the same lattice: each side spans the other, and h has its rank
+    dense_h = [[row.get(j, 0) for j in range(n)] for row in h]
+    assert spans(dense_h, rows, n) and spans(rows, dense_h, n)
+    d, _, _ = snf_reference(rows) if rows else ([], [], [])
+    assert len(h) == sum(1 for i, drow in enumerate(d) if i < n and drow[i])
+
+
+def test_hermite_rows_of_a_small_lattice():
+    assert hermite_rows([{0: -4, 1: 6}, {0: 6, 1: 2}, {}]) == [{0: 2, 1: 8}, {1: 22}]
+    assert hermite_rows([{2: -1}, {0: 3, 2: 5}]) == [{0: 3}, {2: 1}]
+    assert hermite_rows([]) == []

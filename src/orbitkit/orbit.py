@@ -18,6 +18,7 @@ from .rootsys import (
     is_dominant,
     positive_roots,
     root_numerators,
+    root_sums,
 )
 
 # Convention constant for the KKS blocks: with unit-Frobenius-norm root
@@ -87,13 +88,11 @@ def singular_roots(lam: Weight, rs: RootSystem) -> tuple[Weight, ...]:
 
 def _check_closed(subset: tuple[Weight, ...], rs: RootSystem, what: str) -> None:
     coords = {a.coords for a in subset}
-    for a in subset:
-        for b, s in rs.sums[a.coords].items():
-            if b in coords and s not in coords:
-                raise TheoremViolationError(
-                    f"{what} not closed under addition at "
-                    f"{a.to_strings()} + {list(map(str, b))}"
-                )
+    for a, b, s in root_sums(coords, coords, rs):
+        if s not in coords:
+            raise TheoremViolationError(
+                f"{what} not closed under addition at {list(map(str, a))} + {list(map(str, b))}"
+            )
 
 
 def stabilizer_report(lam: Weight, rs: RootSystem) -> StabilizerReport:
@@ -154,17 +153,13 @@ def check_admissibility(
     # exactly one of each +/- pair, and additively closed inside it.
     cond_i = all((c in pos_sing) != (tuple([-x for x in c]) in pos_sing) for c in sing)
     cond_i = cond_i and not any(
-        b in pos_sing and s in sing and s not in pos_sing
-        for a in pos_sing
-        for b, s in rs.sums[a].items()
+        s in sing and s not in pos_sing for _, _, s in root_sums(pos_sing, pos_sing, rs)
     )
 
     # (ii) alpha in pos \ pos_sing, beta singular, alpha+beta a root
-    #      => alpha+beta back in pos \ pos_sing
+    #      => alpha+beta back in pos \ pos_sing; enumerated from the singular side
     cond_ii = not any(
-        b in sing and (s not in pos or s in pos_sing)
-        for a in pos - pos_sing
-        for b, s in rs.sums[a].items()
+        s not in pos or s in pos_sing for _, _, s in root_sums(sing, pos - pos_sing, rs)
     )
     dom = is_dominant(lam, order)
     return AdmissibilityCertificate(cond_i, cond_ii, dom)
@@ -202,12 +197,13 @@ def _build_polarization(
 ) -> Polarization:
     """Polarization of an order already certified admissible for singular;
     isotropy is left to lagrangian_check."""
-    rs = order.rs
     sing_set = {a.coords for a in singular}
     b_roots = tuple([a for a in order.positive if a.coords not in sing_set])
-    if 2 * len(b_roots) != len(rs.roots) - len(singular):
+    if 2 * len(b_roots) != len(order.rs.roots) - len(singular):
         raise TheoremViolationError("polarization is not half-dimensional")
-    _check_closed(b_roots + singular, rs, "polarization label set")
+    # b_roots + singular is closed, unchecked: a sum of two positives pairs
+    # positively with the seed, singular is closed (stabilizer_report checks
+    # it), and condition (ii) sends b_roots + singular into b_roots
     return Polarization(order=order, b_roots=b_roots, admissibility=cert)
 
 

@@ -31,6 +31,8 @@ dominance, straightening and ``sc`` integrality scan the simple roots.
 :func:`coroot_value` is the only division by (alpha, alpha): the Cartan
 matrix and ``weyl.reflection`` read it too.  ``RootSystem.supports`` and
 ``RootSystem.index`` are the only per-root tables read off coordinates.
+:func:`root_sums` is the only root addition: it pairs just the subsets that a
+check reads, the singular set, its positive part, and the positive roots.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, permutations, product
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
@@ -196,27 +199,13 @@ class RootSystem:
     roots: tuple[Weight, ...]
 
     @cached_property
-    def sums(self) -> dict[Vec, dict[Vec, Vec]]:
-        """Root addition: sums[a][b] = a + b for the roots a, b whose sum is a
-        root.  A root has at most two nonzero coordinates, so only roots b
-        sharing one with a, or single-coordinate roots when a is one too
-        (B_n: e_i + e_j), are tried: O(|Phi| rank) pairs.  A sum of two roots
-        has coordinates in [-4, 4], so the base-16 number with those digits
-        names it, and adds like it."""
-        code, keys = {}, {}
-        for a, (i, x, j, y) in zip(self.roots, self.supports):
-            code[a.coords] = (x << 4 * i) + (y << 4 * j)
-            # coordinate -> the roots nonzero there; -1 -> the single-coordinate roots
-            keys[a.coords] = (i, j) if y else (i, -1)
-        by_code = {c: a for a, c in code.items()}
-        near = defaultdict(list)
-        for a, ks in keys.items():
-            for k in ks:
-                near[k].append(a)
-        return {
-            a: {b: s for k in keys[a] for b in near[k] if (s := by_code.get(code[a] + code[b]))}
-            for a in code
-        }
+    def codes(self) -> tuple[dict[Vec, tuple[int, tuple[int, int]]], dict[int, Vec]]:
+        """({root: (code, keys)}, {code: root}) for root_sums: a root's code is
+        the base-16 number with its coordinates as digits, its keys are the
+        coordinates it touches, -1 standing in for a second one."""
+        code = {a.coords: ((x << 4 * i) + (y << 4 * j), (i, j) if y else (i, -1))
+                for a, (i, x, j, y) in zip(self.roots, self.supports)}
+        return code, {c: a for a, (c, _) in code.items()}
 
     @cached_property
     def supports(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -303,17 +292,12 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
     for letter, r, start, stop in spec.blocks():
         idx = range(start, stop)
         if letter == "A":
-            for i in idx:
-                for j in idx:
-                    if i != j:
-                        add((i, 1), (j, -1))
+            for i, j in permutations(idx, 2):
+                add((i, 1), (j, -1))
         elif letter in ("B", "C", "D"):
-            for i in idx:
-                for j in idx:
-                    if i < j:
-                        for si in (1, -1):
-                            for sj in (1, -1):
-                                add((i, si), (j, sj))
+            for i, j in combinations(idx, 2):
+                for si, sj in product((1, -1), repeat=2):
+                    add((i, si), (j, sj))
             if letter != "D":
                 k = 1 if letter == "B" else 2
                 for i in idx:
@@ -321,6 +305,30 @@ def build_root_system(spec: SeriesSpec) -> RootSystem:
                     add((i, -k))
     ordered = tuple([Weight(v) for v in sorted(roots)])
     return RootSystem(spec, ordered)
+
+
+def root_sums(left: Collection[Vec], right: Iterable[Vec], rs: RootSystem) -> Iterator[tuple]:
+    """(a, b, a + b) for the roots a in left and b in right whose sum is a
+    root, each pair once: the one place that knows root addition.  A sum of
+    two roots has coordinates in [-4, 4], so it adds as RootSystem.codes.  It
+    needs a shared coordinate, or two single-coordinate roots (B_n: e_i +
+    e_j), so a meets only the roots of right bucketed under its keys."""
+    if not left:
+        return
+    code, by_code = rs.codes
+    near = defaultdict(list)
+    for b in right:
+        cb, kb = code[b]
+        for k in kb:
+            near[k].append((b, cb, kb))
+    for a in left:
+        ca, (i, j) = code[a]
+        for b, cb, _ in near[i]:
+            if s := by_code.get(ca + cb):
+                yield a, b, s
+        for b, cb, kb in near[j]:  # b touching i too was met above: C_n's e_i - e_j, e_i + e_j
+            if i not in kb and (s := by_code.get(ca + cb)):
+                yield a, b, s
 
 
 def numerator_scan(nums: Sequence[int], supports) -> list[int]:
@@ -367,11 +375,7 @@ def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:
     require_ambient(c, rs)
     projected = False
     for letter, _, start, stop in rs.spec.blocks():
-        if letter != "A":
-            continue
-        block = c[start:stop]
-        total = sum(block, Fraction(0))
-        if total != 0:
+        if letter == "A" and (total := sum(c[start:stop], Fraction(0))):
             mean = total / (stop - start)
             for i in range(start, stop):
                 c[i] -= mean
@@ -405,8 +409,8 @@ def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
         )
     pos = [alpha for alpha, p in zip(rs.roots, scan) if p > 0]
     # simple roots are the positive roots that are not a sum of two positives
-    pos_set = {a.coords for a in pos}
-    sums = {s for a in pos_set for b, s in rs.sums[a].items() if b in pos_set}
+    pos_coords = [a.coords for a in pos]
+    sums = {s for _, _, s in root_sums(pos_coords, pos_coords, rs)}
     simple = [a for a in pos if a.coords not in sums]
     # textbook enumeration: alpha_1 = e1 - e2 first, ties broken lexicographically
     simple.sort(key=lambda a: (rs.supports[rs.index[a.coords]][0], a.coords))

@@ -2,7 +2,8 @@
 agree with:
 
 * the pairwise root-sum loops used before every root-sum question went
-  through `RootSystem.sums`, and the old all-coroots validation of a custom
+  through one enumerator (now `rootsys.root_sums`, which `root_sums` here
+  restates pair by pair), and the old all-coroots validation of a custom
   lattice; each is O(|S|^2 n) exact work over the ambient coordinates, so
   keep the subsets given to them small on large root systems;
 * the `Fraction`-sum pairing kernels used before weights met roots in
@@ -132,6 +133,17 @@ def is_integral_sc(lam, order):
     return all(
         coroot_pairing(lam, alpha, order.rs).denominator == 1
         for alpha in order.simple
+    )
+
+
+def root_sums(left, right, rs):
+    """Every (a, b, a + b) with a in left, b in right and a + b a root, found
+    by adding each pair of coordinate tuples; sorted."""
+    return sorted(
+        (a, b, s)
+        for a in left
+        for b in right
+        if (s := tuple(x + y for x, y in zip(a, b))) in rs.index
     )
 
 

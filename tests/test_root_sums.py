@@ -1,11 +1,13 @@
-"""Root addition through `RootSystem.sums`, checked against the pairwise
+"""Root addition through `rootsys.root_sums`, checked against the pairwise
 loops it replaced (`tests/root_reference.py`) on series up to B22 and D22,
 including products with torus factors.
 
-The checks compared are the closure of a root subset, conditions (i) and
-(ii) of T1-admissibility, and the simple roots of a positive system.  Two
-orbit facts ride along: dim O_lambda = 2 |b_roots|, and integrality is
-invariant under every simple reflection.
+The checks compared are the enumerator itself, the closure of a root subset,
+conditions (i) and (ii) of T1-admissibility, and the simple roots of a
+positive system.  The closure of b_roots + singular, which the polarization
+no longer checks at run time, is checked here.  Two orbit facts ride along:
+dim O_lambda = 2 |b_roots|, and integrality is invariant under every simple
+reflection.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from orbitkit import (
     is_integral,
     pairing,
     parse_series,
+    polarization,
     positive_roots,
     singular_roots,
 )
 from orbitkit.orbit import _check_closed, admissible_chamber_seed, check_admissibility
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
-from orbitkit.rootsys import RootOrder
+from orbitkit.rootsys import RootOrder, root_sums
 
 SC = LatticeSpec(SIMPLY_CONNECTED)
 AD = LatticeSpec(ADJOINT)
@@ -105,13 +108,24 @@ def test_table_lists_every_root_sum():
     for series in SMALL + ("B8", "D8", "C6xA2", "A12xT2", "B10xD10xT2", "B22", "D22"):
         rs = system(series)
         roots = [a.coords for a in rs.roots]
-        for a in roots:
-            expected = {}
-            for b in roots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in rs.index:
-                    expected[b] = s
-            assert rs.sums[a] == expected, (series, a)
+        assert sorted(root_sums(roots, roots, rs)) == ref.root_sums(roots, roots, rs), series
+        assert list(root_sums([], roots, rs)) == list(root_sums(roots, [], rs)) == []
+    b2, c2 = system("B2"), system("C2")
+    # B_n: e_1 + e_2 from two single-coordinate roots
+    assert list(root_sums([(1, 0)], [(0, 1), (0, -1), (-1, 0)], b2)) == [
+        ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, -1), (1, -1))]
+    # C_n: (e_1 - e_2) + (e_1 + e_2) = 2 e_1, listed once though both share both coordinates
+    assert list(root_sums([(1, -1)], [(1, 1)], c2)) == [((1, -1), (1, 1), (2, 0))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_st.flatmap(lambda s: st.tuples(
+    st.just(system(s)), st.sets(st.sampled_from(system(s).roots), max_size=40),
+    st.sets(st.sampled_from(system(s).roots), max_size=40))))
+def test_root_sums_of_two_subsets_agree_with_reference(case):
+    rs, left, right = case
+    left, right = [a.coords for a in left], [a.coords for a in right]
+    assert sorted(root_sums(left, right, rs)) == ref.root_sums(left, right, rs)
 
 
 def test_roots_are_integer_tuples():
@@ -150,8 +164,15 @@ def admissibility_cases(draw):
     return lam, order, singular_roots(lam, rs)
 
 
+A2 = system("A2")
+# one root of each +/- pair, yet (e1 - e2) + (e2 - e3) = e1 - e3 is negative: (i) fails
+A2_CYCLE = RootOrder(A2, Weight((0, 0, 0)),
+                     tuple(Weight(c) for c in ((1, -1, 0), (0, 1, -1), (-1, 0, 1))), ())
+
+
 @settings(max_examples=150, deadline=None)
 @given(admissibility_cases())
+@example((Weight((0, 0, 0)), A2_CYCLE, A2.roots))
 def test_admissibility_agrees_with_reference(case):
     lam, order, sing = case
     cert = check_admissibility(lam, order, sing)
@@ -163,6 +184,10 @@ def test_admissibility_agrees_with_reference(case):
 @example(("B2", Weight((2, 1))))
 @example(("B22", Weight(tuple(range(22, 0, -1)))))
 @example(("D22xT1", Weight(tuple(range(23, 0, -1)))))
+# seeds chamber_seeds never draws: one zero coordinate (regular for D), all negative (B)
+@example(("D4", Weight((2, 0, -3, 1))))
+@example(("D22xT1", Weight(tuple(range(21, -1, -1)) + (0,))))
+@example(("B22", Weight(tuple(range(-1, -23, -1)))))
 def test_simple_roots_agree_with_reference(case):
     series, seed = case
     rs = system(series)
@@ -170,6 +195,20 @@ def test_simple_roots_agree_with_reference(case):
     simple = {a.coords for a in order.simple}
     assert simple == {a.coords for a in ref.simple_roots(order.positive)}
     assert len(simple) == rs.rank - rs.spec.torus_rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_st.flatmap(lambda s: st.tuples(st.just(s), near_regular(system(s)))))
+@example(("B22", Weight((0,) * 22)))
+@example(("B22", Weight(tuple(range(22, 0, -1)))))
+def test_polarization_labels_and_singular_roots_are_closed(case):
+    """The guarantee that lets the polarization run no closure pass of its own:
+    b_roots + singular is closed for the admissible order of lambda."""
+    series, lam = case
+    rs = system(series)
+    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    pol = polarization(lam, order)
+    ref.check_closed(pol.b_roots + singular_roots(lam, rs), rs, "polarization label set")
 
 
 @st.composite

@@ -135,7 +135,7 @@ def test_cartan_integers(a2, b2):
 
 @pytest.mark.parametrize("series", ["A2", "A3", "B2", "B3", "C3", "D3"])
 def test_closure_audit(series):
-    # root sums that are roots are stored, and nothing extraneous is stored
+    # index knows every root that a sum of two roots can land on
     rs = build_root_system(parse_series(series))
     coords = {a.coords for a in rs.roots}
     for a in rs.roots:

@@ -14,11 +14,10 @@ from .rootsys import (
     RootOrder,
     RootSystem,
     Weight,
-    default_order,
     is_dominant,
-    positive_roots,
     root_numerators,
     root_sums,
+    sign_split,
 )
 
 # Convention constant for the KKS blocks: with unit-Frobenius-norm root
@@ -100,8 +99,8 @@ def stabilizer_report(lam: Weight, rs: RootSystem) -> StabilizerReport:
     singular set (a theorem; failure indicates an arithmetic bug)."""
     sing = singular_roots(lam, rs)
     _check_closed(sing, rs, "singular root set")
-    positive = default_order(rs).positive_set
-    t1 = tuple([a for a in sing if a.coords in positive])
+    rho, index = rs.rho_numerators, rs.index
+    t1 = tuple([a for a in sing if rho[index[a.coords]] > 0])
     return StabilizerReport(
         lam=lam,
         singular=sing,
@@ -116,27 +115,6 @@ def stabilizer_report(lam: Weight, rs: RootSystem) -> StabilizerReport:
 def orbit_dimension(lam: Weight, rs: RootSystem) -> int:
     """dim O_lambda = dim g - dim g_lambda = #roots - #singular roots."""
     return len(rs.roots) - len(singular_roots(lam, rs))
-
-
-def admissible_chamber_seed(lam: Weight, rs: RootSystem) -> Weight:
-    """Deterministic regular seed whose chamber closure contains lam.
-
-    The default regular direction rho is scaled down until it cannot flip the
-    sign of any nonzero pairing of lam, then added to lam; ties on the walls
-    through lam are broken by rho itself.
-    """
-    rho = default_order(rs).chamber_seed
-    # the least |(lam, a)| / |(rho, a)| as the integer ratio of the
-    # numerators, |(lam, a)| D_lam over |(rho, a)| D_rho; rho is regular
-    best = None
-    for la, ra in zip(root_numerators(lam, rs), root_numerators(rho, rs)):
-        if la and (best is None or abs(la) * best[1] < best[0] * abs(ra)):
-            best = (abs(la), abs(ra))
-    if best is None:
-        t = Fraction(1)
-    else:
-        t = Fraction(best[0] * rho.integer_form[1], 2 * best[1] * lam.integer_form[1])
-    return Weight(tuple([x + t * r for x, r in zip(lam.coords, rho.coords)]))
 
 
 def check_admissibility(
@@ -170,8 +148,10 @@ def admissible_positive_system(
 ) -> tuple[RootOrder, AdmissibilityCertificate]:
     """Positive system making lam dominant, with its explicit admissibility
     certificate for singular, the singular set of lam; certificate failure is
-    a theorem violation."""
-    order = positive_roots(rs, admissible_chamber_seed(lam, rs))
+    a theorem violation.  A root is positive when p or r is, p and r its scan
+    entries for lam and rho: the chamber of lam + t rho for all small t > 0."""
+    scan = [p or r for p, r in zip(root_numerators(lam, rs), rs.rho_numerators)]
+    order = RootOrder(rs, *sign_split(rs, scan))
     cert = check_admissibility(lam, order, singular)
     if not cert.holds():
         raise TheoremViolationError(
@@ -201,9 +181,9 @@ def _build_polarization(
     b_roots = tuple([a for a in order.positive if a.coords not in sing_set])
     if 2 * len(b_roots) != len(order.rs.roots) - len(singular):
         raise TheoremViolationError("polarization is not half-dimensional")
-    # b_roots + singular is closed, unchecked: a sum of two positives pairs
-    # positively with the seed, singular is closed (stabilizer_report checks
-    # it), and condition (ii) sends b_roots + singular into b_roots
+    # b_roots + singular is closed, unchecked: a sum of two positives is
+    # positive, singular is closed (stabilizer_report checks it), and
+    # condition (ii) sends b_roots + singular into b_roots
     return Polarization(order=order, b_roots=b_roots, admissibility=cert)
 
 

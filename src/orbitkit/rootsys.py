@@ -26,8 +26,10 @@ reflection maps numerators over D to numerators over the same D.
 :func:`numerator_scan` is the one kernel: it returns (w, alpha) D for each
 root of a support list.  :func:`root_numerators` runs it over all of the
 roots, and every report fact read off pairings with lambda (singular set,
-admissible chamber, positive system, KKS blocks) reads such a scan;
-dominance, straightening and ``sc`` integrality scan the simple roots.
+admissible order, KKS blocks) reads such a scan; dominance, straightening
+and ``sc`` integrality scan the simple roots.  :func:`sign_split` reads a
+positive system off a scan: rho's (``RootSystem.rho_numerators``), a seed's,
+or ``p or r`` per root for lambda's entry p and rho's r.
 :func:`coroot_value` is the only division by (alpha, alpha): the Cartan
 matrix and ``weyl.reflection`` read it too.  ``RootSystem.supports`` and
 ``RootSystem.index`` are the only per-root tables read off coordinates.
@@ -47,7 +49,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
-from .linalg import Vec, _row_span_member, mat, solve, vec
+from .linalg import Vec, _row_span_member, mat, parse_rational, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
@@ -183,9 +185,9 @@ class Weight:
 
 
 def weight_from_strings(items: Sequence[str]) -> Weight:
-    """Build a Weight from "p/q" strings (the JSON wire format)."""
+    """Build a Weight from "p/q" strings (the JSON wire format), as the CLI reads them."""
     try:
-        coords = tuple([Fraction(s) for s in items])
+        coords = tuple([parse_rational(s) for s in items])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational in weight: {exc}") from exc
     return Weight(coords)
@@ -223,18 +225,22 @@ class RootSystem:
         return {a.coords: k for k, a in enumerate(self.roots)}
 
     @cached_property
-    def _default_split(self) -> tuple[Weight, tuple[Weight, ...], tuple[Weight, ...]]:
+    def rho_numerators(self) -> tuple[int, ...]:
+        """root_numerators of rho, the default_chamber_seed: one scan per root system."""
+        return tuple(root_numerators(default_chamber_seed(self), self))
+
+    @cached_property
+    def _default_split(self) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
         # no RootOrder here: its back-reference would make every root
         # system a reference cycle, freed only by the cycle collector
-        order = positive_roots(self, default_chamber_seed(self))
-        return order.chamber_seed, order.positive, order.simple
+        return sign_split(self, self.rho_numerators)
 
     @cached_property
     def root_lattice_member(self) -> Callable[[Vec], bool]:
         """Membership test for the root lattice, the integer span of the
         simple roots: one Smith normal form per root system.  The test holds
         no reference back to the root system, so caching it makes no cycle."""
-        return _row_span_member(tuple([a.coords for a in self._default_split[2]]))
+        return _row_span_member(tuple([a.coords for a in self._default_split[1]]))
 
     @cached_property
     def ambient_dim(self) -> int:
@@ -255,7 +261,6 @@ class RootOrder:
     """A choice of positive system, with its simple (indecomposable) roots."""
 
     rs: RootSystem
-    chamber_seed: Weight
     positive: tuple[Weight, ...]
     simple: tuple[Weight, ...]
 
@@ -407,6 +412,11 @@ def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
         raise InputError(
             f"chamber seed lies on the wall of root {rs.roots[scan.index(0)].to_strings()}"
         )
+    return RootOrder(rs, *sign_split(rs, scan))
+
+
+def sign_split(rs: RootSystem, scan: Sequence[int]) -> tuple[tuple[Weight, ...], ...]:
+    """(positive, simple) of the chamber where each root has its scan entry's sign."""
     pos = [alpha for alpha, p in zip(rs.roots, scan) if p > 0]
     # simple roots are the positive roots that are not a sum of two positives
     pos_coords = [a.coords for a in pos]
@@ -414,7 +424,7 @@ def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
     simple = [a for a in pos if a.coords not in sums]
     # textbook enumeration: alpha_1 = e1 - e2 first, ties broken lexicographically
     simple.sort(key=lambda a: (rs.supports[rs.index[a.coords]][0], a.coords))
-    return RootOrder(rs, chamber_seed, tuple(pos), tuple(simple))
+    return tuple(pos), tuple(simple)
 
 
 def default_order(rs: RootSystem) -> RootOrder:

@@ -32,13 +32,13 @@ from orbitkit import (
 )
 from orbitkit.orbit import (
     _build_polarization,
-    admissible_chamber_seed,
     admissible_positive_system,
     kks_matrix,
+    stabilizer_report,
 )
 from orbitkit.linalg import mat_vec
 from orbitkit.quantize import SIMPLY_CONNECTED
-from orbitkit.rootsys import coroot_value, pairing, root_numerators
+from orbitkit.rootsys import coroot_value, default_chamber_seed, pairing, root_numerators
 from orbitkit.weyl import reflection
 
 SC = LatticeSpec(SIMPLY_CONNECTED)
@@ -118,13 +118,11 @@ def test_reflection_matrices_are_the_reference_reflections(series):
 def test_orbit_callers_agree_with_the_fraction_sums(case):
     rs, lam, _ = case
     assert singular_roots(lam, rs) == ref.singular_roots(lam, rs)
-    seed = admissible_chamber_seed(lam, rs)
-    assert seed.coords == ref.admissible_chamber_seed(lam, rs).coords
-    order = positive_roots(rs, seed)
-    assert list(order.positive) == ref.positive_split(rs, seed)
-    assert is_dominant(lam, order) == ref.is_dominant(lam, order) == True  # noqa: E712
+    seed = ref.admissible_chamber_seed(lam, rs)
     sing = singular_roots(lam, rs)
     order, cert = admissible_positive_system(lam, rs, sing)
+    assert list(order.positive) == ref.positive_split(rs, seed)
+    assert is_dominant(lam, order) == ref.is_dominant(lam, order) == True  # noqa: E712
     pol = _build_polarization(order, sing, cert)
     assert kks_matrix(lam, pol).blocks == ref.kks_blocks(lam, pol.b_roots, rs)
     default = default_order(rs)
@@ -135,6 +133,48 @@ def test_orbit_callers_agree_with_the_fraction_sums(case):
     assert dom.coords == ref_dom.coords
     assert is_integral(lam, SC, rs) == ref.is_integral_sc(lam, default)
     assert is_integral(dom, SC, rs) == ref.is_integral_sc(dom, default)
+
+
+@st.composite
+def wall_weights(draw, rs):
+    """lambda = 0, or coordinates drawn from at most three small values, each
+    maybe negated: they repeat, cancel and vanish, torus coordinates too, so
+    lambda lies on many walls."""
+    if draw(st.integers(0, 5)) == 0:
+        return Weight((0,) * rs.ambient_dim)
+    pool = draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))),
+                         min_size=1, max_size=3))
+    return Weight(tuple(draw(st.sampled_from(pool)) * draw(st.sampled_from((1, -1)))
+                        for _ in range(rs.ambient_dim)))
+
+
+wall_cases = st.sampled_from(SERIES).flatmap(
+    lambda s: st.tuples(st.just(system(s)), wall_weights(system(s)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wall_cases)
+@example((system("A3xT1"), Weight((0,) * 5)))
+@example((system("B2xC3xD4xT1"), Weight((1, 1, 0, -1, 1, 0, 0, -1, 1, 2))))
+def test_admissible_order_is_the_chamber_of_the_reference_seed(case):
+    # p or r per root is the sign of (lam + t rho, alpha) for every small
+    # t > 0, the old seed's t among them
+    rs, lam = case
+    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    want = positive_roots(rs, ref.admissible_chamber_seed(lam, rs))
+    assert order.positive == want.positive
+    assert order.simple == want.simple
+
+
+@settings(max_examples=60, deadline=None)
+@given(wall_cases)
+@example((system("A3xT1"), Weight((0,) * 5)))
+def test_t1_equations_are_the_singular_roots_positive_for_rho(case):
+    rs, lam = case
+    positive = {a.coords for a in ref.positive_split(rs, default_chamber_seed(rs))}
+    want = tuple(a for a in ref.singular_roots(lam, rs) if a.coords in positive)
+    assert stabilizer_report(lam, rs).t1_equations == want
 
 
 @settings(max_examples=40, deadline=None)

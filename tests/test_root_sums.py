@@ -34,7 +34,7 @@ from orbitkit import (
     positive_roots,
     singular_roots,
 )
-from orbitkit.orbit import _check_closed, admissible_chamber_seed, check_admissibility
+from orbitkit.orbit import _check_closed, check_admissibility
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
 from orbitkit.rootsys import RootOrder, root_sums
 
@@ -150,7 +150,7 @@ def admissibility_cases(draw):
     lam = draw(near_regular(rs))
     kind = draw(st.sampled_from(("admissible", "chamber", "signs")))
     if kind == "admissible":
-        order = positive_roots(rs, admissible_chamber_seed(lam, rs))
+        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
     elif kind == "chamber":
         order = positive_roots(rs, draw(chamber_seeds(rs)))
     else:
@@ -160,14 +160,13 @@ def admissibility_cases(draw):
             for a, flip in zip(rs.roots, flips)
             if a.coords > tuple(-x for x in a.coords)
         )
-        order = RootOrder(rs, lam, pos, ())
+        order = RootOrder(rs, pos, ())
     return lam, order, singular_roots(lam, rs)
 
 
 A2 = system("A2")
 # one root of each +/- pair, yet (e1 - e2) + (e2 - e3) = e1 - e3 is negative: (i) fails
-A2_CYCLE = RootOrder(A2, Weight((0, 0, 0)),
-                     tuple(Weight(c) for c in ((1, -1, 0), (0, 1, -1), (-1, 0, 1))), ())
+A2_CYCLE = RootOrder(A2, tuple(Weight(c) for c in ((1, -1, 0), (0, 1, -1), (-1, 0, 1))), ())
 
 
 @settings(max_examples=150, deadline=None)

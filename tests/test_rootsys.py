@@ -272,6 +272,14 @@ class TestWeightWireFormat:
         with pytest.raises(InputError):
             weight_from_strings(["pi"])
 
+    def test_oversized_rational_refused_before_it_is_built(self):
+        from orbitkit import weight_from_strings
+
+        with pytest.raises(InputError, match="more than 100 digits"):
+            weight_from_strings(["1", "1e999999999"])
+        with pytest.raises(InputError, match="more than 100 digits"):
+            weight_from_strings(["1" * 101 + "/3"])
+
 
 class TestFundamentalBasis:
     def test_a1(self, a1):

@@ -30,6 +30,7 @@ from orbitkit import (
 from orbitkit import weyl
 from orbitkit.linalg import identity, mat_mul, mat_vec
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
+from orbitkit.rootsys import default_chamber_seed
 
 from models import (
     brute_dominant_points,
@@ -325,7 +326,7 @@ class TestDominantRepresentative:
         zero = (Fraction(0),) * rs.ambient_dim
         samples.append(zero)
         for alpha in rs.roots:
-            seed = default_order(rs).chamber_seed
+            seed = default_chamber_seed(rs)
             proj = sum(s * a for s, a in zip(seed.coords, alpha.coords))
             norm = sum(a * a for a in alpha.coords)
             wall = tuple(

@@ -6,14 +6,18 @@ long as BENCHMARK.json's run_seconds, and times the CLI on a fixed size
 ladder:
 
 * regular `orbit` reports at B22, A31, D22 and C22;
-* `cech h --k 1` and `cech chern` on examples/torus32.*, and on 64 x 64,
-  128 x 128 and 256 x 256 tori that scripts/torus_example.py writes into a
-  temp dir.
+* `cech h --k 0`, `cech h --k 1` and `cech chern` on examples/torus32.*,
+  and on 64 x 64, 128 x 128 and 256 x 256 tori that
+  scripts/torus_example.py writes into a temp dir.
 
 Each CLI command runs REPEATS times in a fresh process; the file keeps every
 wall time, the child's peak RSS (from os.wait4, so it is that child's
 alone), the exit code and a digest of stdout, which lets two BENCH files
 confirm that two commits print the same bytes.
+
+Like the benchmark, every child runs without bytecode of the checkout's
+sources: the script deletes the __pycache__ directories under src/ and
+perfbench/ and sets PYTHONDONTWRITEBYTECODE.
 
 Rows hold raw wall times, with no correction for the host's speed: a
 reading of the host's speed taken in this process did not follow the speed
@@ -31,6 +35,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -109,9 +114,10 @@ def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
                         "--n", str(n), "--seed", str(n), "--out", prefix], check=True)
         tori.append((f"torus{n}", prefix))
     for name, prefix in tori:
-        ladder.append((f"cech h --k 1 {name}",
-                       ["cech", "h", "--nerve", prefix + ".nerve", "--k", "1",
-                        "--output", "json"]))
+        for k in ("0", "1"):
+            ladder.append((f"cech h --k {k} {name}",
+                           ["cech", "h", "--nerve", prefix + ".nerve", "--k", k,
+                            "--output", "json"]))
         ladder.append((f"cech chern {name}",
                        ["cech", "chern", "--nerve", prefix + ".nerve", "--cocycle",
                         prefix + ".cochain", "--output", "json"]))
@@ -125,6 +131,15 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join("src", "orbitkit", "__init__.py")):
         sys.stderr.write("bench_record.py: run from the root of an orbitkit checkout\n")
         return 2
+
+    # the benchmark runs in a checkout without bytecode: left in place, the
+    # bytecode of the checkout's own sources about halves setup_s
+    for top in ("src", "perfbench"):
+        for root, dirs, _ in os.walk(top):
+            if "__pycache__" in dirs:
+                dirs.remove("__pycache__")
+                shutil.rmtree(os.path.join(root, "__pycache__"))
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
     sha = git("rev-parse", "--short", "HEAD")
     with open("BENCHMARK.json") as fh:

@@ -3,10 +3,11 @@
 The nerve of a cover is an abstract simplicial complex; cochains live on its
 strictly increasing simplex tuples and the coboundary is the alternating
 face sum.  Cohomology over both rings comes from the integer Smith normal
-form of the sparse coboundary matrices.  Integer 2-cocycle classes (the
-Chern-class data of transition functions) pair with the 2-cycles that the
-same elimination finds, put in Hermite normal form, so their coordinates
-depend on the nerve and the class alone.
+form of the sparse coboundary matrices; that of delta_0, the incidence
+matrix of the nerve's graph, is read off a union-find.  Integer 2-cocycle
+classes (the Chern-class data of transition functions) pair with the
+2-cycles that the same elimination finds, put in Hermite normal form, so
+their coordinates depend on the nerve and the class alone.
 
 A single nerve is the input; refinements and the direct limit are out of
 scope, so the cover is assumed to have contractible intersections.
@@ -54,12 +55,18 @@ class Nerve:
         return self.simplices[k] if 0 <= k <= self.dimension else ()
 
     @cached_property
-    def _indices(self) -> list[dict[Simplex, int]]:
-        return [{s: i for i, s in enumerate(level)} for level in self.simplices]
+    def _indices(self) -> dict[int, dict[Simplex, int]]:
+        return {}
 
     def index_of(self, k: int) -> Mapping[Simplex, int]:
-        """Read-only {k-simplex: position in of_dim(k)}, built once per nerve."""
-        return MappingProxyType(self._indices[k] if 0 <= k <= self.dimension else {})
+        """Read-only {k-simplex: position in of_dim(k)}, each level's map
+        built on its first call."""
+        if not 0 <= k <= self.dimension:
+            return MappingProxyType({})
+        indices = self._indices
+        if k not in indices:
+            indices[k] = {s: i for i, s in enumerate(self.simplices[k])}
+        return MappingProxyType(indices[k])
 
 
 @frozen
@@ -258,9 +265,34 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:
 
 def _invariant_factors(nerve: Nerve, k: int) -> list[int]:
     """Invariant factors of delta_k: its unit pivots first, then the Smith
-    normal form of what they leave."""
+    normal form of what they leave.  delta_0, the incidence matrix of the
+    nerve's graph, is totally unimodular (Schrijver, *Theory of Linear and
+    Integer Programming*, §19.3): its factors are V - c ones, c the number
+    of components, one per edge that joins two components."""
+    if k == 0:
+        return [1] * _joining_edges(nerve)
+    if not nerve.of_dim(k + 1):
+        return []
     units, residue, width = unit_reduce(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
     return [1] * units + smith_eliminate(residue, width)[0]
+
+
+def _joining_edges(nerve: Nerve) -> int:
+    """Union-find over the edges (Tarjan, *J. ACM* 22, 1975), with path
+    halving; a vertex is its position in of_dim(0), never its id."""
+    at = {v: i for i, (v,) in enumerate(nerve.of_dim(0))}
+    parent = list(range(len(at)))
+    joined = 0
+    for a, b in nerve.of_dim(1):
+        a, b = at[a], at[b]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            joined += 1
+    return joined
 
 
 @frozen
@@ -277,8 +309,11 @@ class CohomologyGroup:
 def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
     """H^k of the nerve from the invariant factors of delta_k and delta_{k-1}.
 
-    Each comes from unit_reduce and one sparse elimination of its residue,
-    neither of which builds a transform.  A rank is the number of invariant
+    Those of delta_0, all ones, are counted by a union-find over the edges;
+    any other comes from unit_reduce and one sparse elimination of its
+    residue, neither of which builds a transform, and from k at the
+    dimension up delta_k has no rows and no factors.  Only the levels an
+    elimination reads get an index map.  A rank is the number of invariant
     factors, over Q as over Z; the ring only decides whether the torsion
     factors of delta_{k-1} are kept.
     """

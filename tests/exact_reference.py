@@ -5,17 +5,21 @@ independent oracles for the rank and solve that now read `smith_eliminate`;
 the face-sum `cech.coboundary`, as the oracle for `coboundary_matrix`;
 and, as oracles for the one-pass readers of `cech`, the readers they
 replaced: `cech.build_nerve`, `cech.parse_nerve_lines`,
-`cech.parse_cochain_lines` and `cech.make_cochain`.
+`cech.parse_cochain_lines` and `cech.make_cochain`.  Besides those,
+`cohomology` reads H^k off dense matrices, the oracle for
+`cech.cohomology` on small nerves.
 """
 
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from orbitkit.cech import RING_Q, RING_Z, Cochain, Nerve, Simplex, _zero
+from orbitkit.cech import RING_Q, RING_Z, Cochain, CohomologyGroup, Nerve, Simplex, _zero
 from orbitkit.errors import InputError
 from orbitkit.linalg import Mat, Vec, mat, solve
 from orbitkit.rootsys import RootOrder, Weight
+
+from snf_reference import smith_normal_form
 
 
 def _rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
@@ -238,3 +242,23 @@ def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
             total = total + term if omit % 2 == 0 else total - term
         values[s] = total
     return Cochain(k + 1, c.ring, MappingProxyType(values))
+
+
+def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
+    """H^k from the invariant factors of delta_k and delta_{k-1}, each the
+    diagonal of the dense Smith normal form (tests/snf_reference.py) of a
+    matrix whose column j is the face-sum coboundary of the indicator of the
+    j-th simplex.  Dense, so keep the nerves small."""
+
+    def factors(degree: int) -> list[int]:
+        if degree < 0:
+            return []
+        columns = [coboundary(make_cochain(nerve, degree, {s: 1}), nerve).values
+                   for s in nerve.of_dim(degree)]
+        d = smith_normal_form([[c[t] for c in columns] for t in nerve.of_dim(degree + 1)])[0]
+        return [row[i] for i, row in enumerate(d) if i < len(row) and row[i]]
+
+    factors_k, factors_km1 = factors(k), factors(k - 1)
+    free = len(nerve.of_dim(k)) - len(factors_k) - len(factors_km1)
+    torsion = tuple(d for d in factors_km1 if d > 1) if ring == RING_Z else ()
+    return CohomologyGroup(k, free, torsion)

@@ -37,4 +37,21 @@ def test_the_ladder_times_both_cech_commands_up_to_the_256_torus(bench_record, m
     monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs: None)
     names = [name for name, _ in bench_record.cli_ladder("<dir>")]
     for n in (32, 64, 128, 256):
-        assert f"cech h --k 1 torus{n}" in names and f"cech chern torus{n}" in names
+        for command in ("cech h --k 0", "cech h --k 1", "cech chern"):
+            assert f"{command} torus{n}" in names
+
+
+def test_the_record_runs_without_bytecode_of_the_checkout(bench_record, monkeypatch, tmp_path):
+    for top in ("src/orbitkit", "perfbench"):
+        (tmp_path / top / "__pycache__").mkdir(parents=True)
+        (tmp_path / top / "__pycache__" / "x.pyc").write_bytes(b"")
+    (tmp_path / "src" / "orbitkit" / "__init__.py").write_text("")
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")  # restored after the test
+    monkeypatch.setattr(bench_record, "git", lambda *args: "")
+    monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: {})
+    monkeypatch.setattr(bench_record, "cli_ladder", lambda tmp: [])
+    assert bench_record.main(["--out-dir", str(tmp_path)]) == 0
+    assert not list(tmp_path.rglob("__pycache__"))
+    assert bench_record.os.environ["PYTHONDONTWRITEBYTECODE"] == "1"

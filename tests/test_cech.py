@@ -26,6 +26,7 @@ from orbitkit import cech, linalg
 from orbitkit.linalg import hermite_rows, mat, smith_eliminate, smith_normal_form, unit_reduce
 
 from exact_reference import _rref, det, rref_solve
+from exact_reference import cohomology as reference_cohomology
 from gfp_reference import rank_mod_p
 from snf_reference import smith_normal_form as snf_reference
 
@@ -746,6 +747,65 @@ def test_coboundary_ranks_mod_p_match_the_invariant_factors(name):
     # the Klein bottle and RP^2 have H^2 = Z/2, so p = 2 drops a rank there;
     # no unit pivot can leave a 2, so it comes out of the residue
     assert torsion == ([2] if name.startswith(("klein", "rp2")) else [])
+
+
+# -- delta_0 off a union-find --------------------------------------------------
+
+# small ids, spread-out ids and ids around 2^63: a union-find sized by
+# Nerve.vertex_count, the largest id + 1, could not be built
+vertex_ids = st.one_of(
+    st.integers(0, 9), st.integers(0, 10**6), st.integers(2**63 - 6, 2**63 + 6)
+)
+
+
+@st.composite
+def graphs(draw):
+    """A random graph on a random set of ids, often with isolated vertices
+    and several components, and now and then a triangle filled in."""
+    ids = sorted(draw(st.sets(vertex_ids, min_size=1, max_size=10)))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    triples = list(itertools.combinations(ids, 3))
+    triangles = draw(st.lists(st.sampled_from(triples), max_size=2)) if triples else []
+    return build_nerve([(v,) for v in ids] + edges + triangles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example(build_nerve([(0,)]))
+@example(build_nerve([(3,), (7,), (2**63 - 1, 2**63), (2**63, 2**63 + 1)]))
+@example(build_nerve([(0, 1), (1, 2), (0, 2), (5, 9), (9, 2**63)]))
+def test_the_union_find_factors_of_delta0_are_its_smith_factors(nerve):
+    rows, width = coboundary_matrix(nerve, 0), len(nerve.of_dim(0))
+    assert cech._invariant_factors(nerve, 0) == unit_reduced_factors(rows, width)
+    for k in (0, 1):
+        for ring in (RING_Z, RING_Q):
+            assert cohomology(nerve, k, ring) == reference_cohomology(nerve, k, ring)
+
+
+def test_cohomology_indexes_only_the_levels_it_eliminates():
+    nerve = build_nerve(grid_triangles(4))
+    assert cohomology(nerve, 0).describe() == "Z"
+    assert nerve._indices == {}
+    assert cohomology(nerve, 1).describe() == "Z + Z"
+    assert set(nerve._indices) == {1}
+    # each level's map is {simplex: position in the sorted level}
+    for k, level in enumerate(nerve.simplices):
+        assert nerve.index_of(k) == {s: i for i, s in enumerate(level)}
+
+
+def test_no_elimination_past_the_dimension(monkeypatch):
+    nerve = build_nerve(grid_triangles(4))
+    widths = []
+
+    def counted(rows, width, *carry):
+        widths.append(width)
+        return unit_reduce(rows, width, *carry)
+
+    monkeypatch.setattr(cech, "unit_reduce", counted)
+    assert [cohomology(nerve, k).describe() for k in (2, 3, 10**21)] == ["Z", "0", "0"]
+    # delta_1 once, for H^2; delta_2 and above have no rows
+    assert widths == [len(nerve.of_dim(1))]
 
 
 # -- chern class --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -347,6 +348,17 @@ class TestCechCommand:
         code, out, _ = run(capsys, "cech", "h", "--nerve", str(nerve), "--k", k)
         assert code == EXIT_OK
         assert out.strip() == f"H^{k} = 0"
+
+    def test_h_on_vertex_ids_near_10_to_the_18(self, capsys, tmp_path):
+        # a union-find sized by the largest id + 1 would not fit in memory
+        nerve = tmp_path / "far.nerve"
+        nerve.write_text("0 1000000000000000000\n5 999999999999999999 1000000000000000000\n")
+        start = time.perf_counter()
+        for k, group in (("0", "Z"), ("1", "0")):
+            code, out, _ = run(capsys, "cech", "h", "--nerve", str(nerve), "--k", k)
+            assert code == EXIT_OK
+            assert out.strip() == f"H^{k} = {group}"
+        assert time.perf_counter() - start < 5
 
     def test_a_nerve_past_the_simplex_bound_is_refused(self, capsys, tmp_path):
         # a 40-vertex line closes to 2^40 - 1 faces; it ran out of memory

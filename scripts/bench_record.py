@@ -5,7 +5,8 @@ It runs perfbench/run.py on every workload at seeds 1 and 2, each run as
 long as BENCHMARK.json's run_seconds, and times the CLI on a fixed size
 ladder:
 
-* regular `orbit` reports at B22, A31, D22 and C22;
+* regular `orbit` reports at B22, A31, D22 and C22, and the lambda = 0
+  D22 report on the adjoint lattice, where every root is singular;
 * `cech h --k 0`, `cech h --k 1` and `cech chern` on examples/torus32.*,
   and on 64 x 64, 128 x 128 and 256 x 256 tori that
   scripts/torus_example.py writes into a temp dir.
@@ -14,6 +15,11 @@ Each CLI command runs REPEATS times in a fresh process; the file keeps every
 wall time, the child's peak RSS (from os.wait4, so it is that child's
 alone), the exit code and a digest of stdout, which lets two BENCH files
 confirm that two commits print the same bytes.
+
+At the root cap a CLI row is mostly process start-up, so the same five
+orbit cases are also timed in process: one child builds the root system
+and runs analyze_orbit, with no JSON, INPROCESS_REPEATS times, and the row
+keeps every time and their minimum.
 
 Like the benchmark, every child runs without bytecode of the checkout's
 sources: the script deletes the __pycache__ directories under src/ and
@@ -46,6 +52,31 @@ SEEDS = (1, 2)
 WORKLOADS = ("orbit-survey", "orbit-rank4", "cech-h", "cech-chern")
 REPEATS = 3
 TORUS_SIZES = (64, 128, 256)
+INPROCESS_REPEATS = 7
+# (name, series, lambda, lattice) at the root cap, timed in process and by the CLI
+CAP_CASES = (
+    ("B22 regular", "B22", ",".join(map(str, range(22, 0, -1))), "sc"),
+    ("A31 regular", "A31", ",".join(map(str, range(31, -1, -1))), "sc"),
+    ("D22 regular", "D22", ",".join(map(str, range(22, 0, -1))), "sc"),
+    ("C22 regular", "C22", ",".join(map(str, range(22, 0, -1))), "sc"),
+    ("D22 zero adjoint", "D22", ",".join(["0"] * 22), "adjoint"),
+)
+# build plus report, no JSON; argv: series, lambda, lattice, repeats
+INPROCESS_PROBE = """
+import json, sys, time
+from fractions import Fraction
+from orbitkit import LatticeSpec, analyze_orbit, build_root_system, parse_series
+from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
+series, lam, flag, repeats = sys.argv[1:]
+lam = [Fraction(x) for x in lam.split(",")]
+kind = {"sc": SIMPLY_CONNECTED, "adjoint": ADJOINT}[flag]
+walls = []
+for _ in range(int(repeats)):
+    t0 = time.perf_counter()
+    analyze_orbit(build_root_system(parse_series(series)), lam, LatticeSpec(kind))
+    walls.append(time.perf_counter() - t0)
+print(json.dumps(walls))
+"""
 
 
 def git(*args: str) -> str:
@@ -95,17 +126,22 @@ def cli_row(name: str, argv: list[str], env: dict, tmp: str) -> dict:
     }
 
 
-def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
-    def regular(series: str, lam: list[int]) -> tuple[str, list[str]]:
-        return (f"orbit {series} regular",
-                ["orbit", "--series", series, "--lambda=" + ",".join(map(str, lam)),
-                 "--lattice", "sc", "--output", "json"])
+def inprocess_row(name: str, series: str, lam: str, lattice: str, env: dict) -> dict:
+    """INPROCESS_REPEATS in-process builds plus reports of one case, in one child."""
+    done = subprocess.run(
+        [sys.executable, "-c", INPROCESS_PROBE, series, lam, lattice, str(INPROCESS_REPEATS)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    walls = json.loads(done.stdout)
+    return {"name": name, "series": series, "lambda": lam, "lattice": lattice,
+            "build_report_s_min": min(walls), "runs_s": walls}
 
+
+def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
     ladder = [
-        regular("B22", list(range(22, 0, -1))),
-        regular("A31", list(range(31, -1, -1))),
-        regular("D22", list(range(22, 0, -1))),
-        regular("C22", list(range(22, 0, -1))),
+        (f"orbit {name}", ["orbit", "--series", series, "--lambda=" + lam, "--lattice", lattice,
+                           "--output", "json"])
+        for name, series, lam, lattice in CAP_CASES
     ]
     tori = [("torus32", os.path.join("examples", "torus32"))]
     for n in TORUS_SIZES:
@@ -157,6 +193,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         for name, cli_argv in cli_ladder(tmp):
             record["cli"].append(cli_row(name, cli_argv, env, tmp))
+    record["inprocess"] = [inprocess_row(*case, env) for case in CAP_CASES]
     path = os.path.join(args.out_dir, f"BENCH_{sha}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -103,10 +103,14 @@ def _close(by_dim: dict[int, set[Simplex]]) -> Nerve:
     levels = [by_dim.get(k, set()) for k in range(max(by_dim) + 1)]
     if sum(len(level) * ((2 << k) - 1) for k, level in enumerate(levels)) > MAX_SIMPLICES:
         _counted_closure(levels)
+        vertices = sorted(levels[0])
     else:
-        for k in range(len(levels) - 1, 0, -1):
+        for k in range(len(levels) - 1, 1, -1):
             levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
-    top = tuple([tuple(sorted(level)) for level in levels])
+        # the vertices are the ids of the edges and of the vertex lines:
+        # sort the ids rather than build and sort 2E one-tuples
+        vertices = [*zip(sorted(set(chain.from_iterable(chain(*levels[:2])))))]
+    top = (tuple(vertices), *[tuple(sorted(level)) for level in levels[1:]])
     return Nerve(top[0][-1][0] + 1, top)
 
 

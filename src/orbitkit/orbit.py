@@ -98,7 +98,9 @@ def stabilizer_report(lam: Weight, rs: RootSystem) -> StabilizerReport:
     """Populate the stabilizer data of lam and certify the closedness of its
     singular set (a theorem; failure indicates an arithmetic bug)."""
     sing = singular_roots(lam, rs)
-    _check_closed(sing, rs, "singular root set")
+    if len(sing) != len(rs.roots):
+        # when every root is singular, a root sum that is a root is singular
+        _check_closed(sing, rs, "singular root set")
     rho, index = rs.rho_numerators, rs.index
     t1 = tuple([a for a in sing if rho[index[a.coords]] > 0])
     return StabilizerReport(

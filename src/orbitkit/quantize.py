@@ -71,11 +71,13 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
                 f"lattice generator has {len(g)} coordinates, expected {rs.ambient_dim}"
             )
     lattice = LatticeSpec(CUSTOM, gens)
-    for alpha in rs.roots:
-        if not lattice.member(alpha.coords):
-            raise InputError(
-                f"root {alpha.to_strings()} is not a member of the custom lattice"
-            )
+    # every root is an integer combination of the simple roots; the roots
+    # are scanned only to name the first one missing
+    if not all(lattice.member(a.coords) for a in default_order(rs).simple):
+        alpha = next(a for a in rs.roots if not lattice.member(a.coords))
+        raise InputError(
+            f"root {alpha.to_strings()} is not a member of the custom lattice"
+        )
     weight_lattice = LatticeSpec(SIMPLY_CONNECTED)
     for g in gens:
         if not is_integral(Weight(g), weight_lattice, rs):

@@ -29,12 +29,14 @@ roots, and every report fact read off pairings with lambda (singular set,
 admissible order, KKS blocks) reads such a scan; dominance, straightening
 and ``sc`` integrality scan the simple roots.  :func:`sign_split` reads a
 positive system off a scan: rho's (``RootSystem.rho_numerators``), a seed's,
-or ``p or r`` per root for lambda's entry p and rho's r.
+or ``p or r`` per root for lambda's entry p and rho's r; its simple roots are
+the positive alpha with <2 rho, alpha^vee> = 2, read off one more scan.
 :func:`coroot_value` is the only division by (alpha, alpha): the Cartan
 matrix and ``weyl.reflection`` read it too.  ``RootSystem.supports`` and
 ``RootSystem.index`` are the only per-root tables read off coordinates.
 :func:`root_sums` is the only root addition: it pairs just the subsets that a
-check reads, the singular set, its positive part, and the positive roots.
+check reads, the singular set, its positive part, and the other positive
+roots.
 """
 
 from __future__ import annotations
@@ -226,7 +228,10 @@ class RootSystem:
 
     @cached_property
     def rho_numerators(self) -> tuple[int, ...]:
-        """root_numerators of rho, the default_chamber_seed: one scan per root system."""
+        """root_numerators of default_chamber_seed, one scan per root system.
+        The seed is rho on A and C blocks, rho + (1/2, ..., 1/2) on B blocks
+        and rho + (1, ..., 1) on D blocks: in rho's chamber, so its signs are
+        rho's, but its values are not rho's pairings."""
         return tuple(root_numerators(default_chamber_seed(self), self))
 
     @cached_property
@@ -416,15 +421,22 @@ def positive_roots(rs: RootSystem, chamber_seed: Weight) -> RootOrder:
 
 
 def sign_split(rs: RootSystem, scan: Sequence[int]) -> tuple[tuple[Weight, ...], ...]:
-    """(positive, simple) of the chamber where each root has its scan entry's sign."""
-    pos = [alpha for alpha, p in zip(rs.roots, scan) if p > 0]
-    # simple roots are the positive roots that are not a sum of two positives
-    pos_coords = [a.coords for a in pos]
-    sums = {s for _, _, s in root_sums(pos_coords, pos_coords, rs)}
-    simple = [a for a in pos if a.coords not in sums]
+    """(positive, simple) of the chamber where each root has its scan entry's
+    sign; every scan entry is nonzero."""
+    roots, supports = rs.roots, rs.supports
+    pos = [k for k, p in enumerate(scan) if p > 0]
+    pos_supports = [supports[k] for k in pos]
+    two_rho = [0] * rs.ambient_dim
+    for i, x, j, y in pos_supports:
+        two_rho[i] += x
+        two_rho[j] += y
+    # a positive root is simple iff <rho, alpha^vee> = 1, the height of
+    # alpha^vee (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, 1.10)
+    simple = [k for k, p, s in zip(pos, numerator_scan(two_rho, pos_supports), pos_supports)
+              if coroot_value(p, s) == 2]
     # textbook enumeration: alpha_1 = e1 - e2 first, ties broken lexicographically
-    simple.sort(key=lambda a: (rs.supports[rs.index[a.coords]][0], a.coords))
-    return tuple(pos), tuple(simple)
+    simple.sort(key=lambda k: (supports[k][0], roots[k].coords))
+    return tuple([roots[k] for k in pos]), tuple([roots[k] for k in simple])
 
 
 def default_order(rs: RootSystem) -> RootOrder:

@@ -1,12 +1,15 @@
-"""scripts/bench_record.py's CLI rows, checked without running the benchmark
-or the CLI ladder."""
+"""scripts/bench_record.py's CLI and in-process rows, checked without running
+the benchmark or the CLI ladder; one in-process row runs, on B2."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_record.py"
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,27 @@ def test_the_ladder_times_both_cech_commands_up_to_the_256_torus(bench_record, m
             assert f"{command} torus{n}" in names
 
 
+def test_the_ladder_times_the_cap_reports_and_the_zero_d22_adjoint_one(bench_record, monkeypatch):
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs: None)
+    ladder = dict(bench_record.cli_ladder("<dir>"))
+    for series in ("B22", "A31", "D22", "C22"):
+        assert ladder[f"orbit {series} regular"][-4:] == ["--lattice", "sc", "--output", "json"]
+    assert ladder["orbit D22 zero adjoint"] == [
+        "orbit", "--series", "D22", "--lambda=" + ",".join(["0"] * 22), "--lattice", "adjoint",
+        "--output", "json"]
+
+
+def test_an_inprocess_row_times_build_and_report_in_a_child(bench_record):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    row = bench_record.inprocess_row("B2 zero adjoint", "B2", "0,0", "adjoint", env)
+    assert set(row) == {"name", "series", "lambda", "lattice", "build_report_s_min", "runs_s"}
+    assert len(row["runs_s"]) == bench_record.INPROCESS_REPEATS
+    assert row["build_report_s_min"] == min(row["runs_s"]) > 0
+    names = [case[0] for case in bench_record.CAP_CASES]
+    assert names == ["B22 regular", "A31 regular", "D22 regular", "C22 regular",
+                     "D22 zero adjoint"]
+
+
 def test_the_record_runs_without_bytecode_of_the_checkout(bench_record, monkeypatch, tmp_path):
     for top in ("src/orbitkit", "perfbench"):
         (tmp_path / top / "__pycache__").mkdir(parents=True)
@@ -52,6 +76,10 @@ def test_the_record_runs_without_bytecode_of_the_checkout(bench_record, monkeypa
     monkeypatch.setattr(bench_record, "git", lambda *args: "")
     monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: {})
     monkeypatch.setattr(bench_record, "cli_ladder", lambda tmp: [])
+    monkeypatch.setattr(bench_record, "inprocess_row", lambda name, *args: {"name": name})
     assert bench_record.main(["--out-dir", str(tmp_path)]) == 0
     assert not list(tmp_path.rglob("__pycache__"))
     assert bench_record.os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+    record = json.loads((tmp_path / "BENCH_.json").read_text())
+    assert [row["name"] for row in record["inprocess"]] == [
+        case[0] for case in bench_record.CAP_CASES]

@@ -167,6 +167,24 @@ def test_admissible_order_is_the_chamber_of_the_reference_seed(case):
     assert order.simple == want.simple
 
 
+@settings(max_examples=40, deadline=None)
+@given(wall_cases)
+@example((system("D22"), Weight((0,) * 22)))
+@example((system("A3xB2xC2xD3xT1"), Weight((2, 2, -1, -3, 1, 0, 2, -2, 1, -1, 0, 1))))
+@example((system("B22"), Weight(tuple(range(22, 0, -1)))))
+@example((system("C22"), Weight(tuple(range(22, 0, -1)))))
+@example((system("A31"), Weight(tuple(range(31, -1, -1)))))
+def test_simple_roots_of_the_admissible_order_are_the_indecomposable_ones(case):
+    # the 2 rho rule against the old search for positive roots that are not
+    # a sum of two positives, in the same textbook order
+    rs, lam = case
+    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    want = ref.simple_roots(order.positive)
+    want.sort(key=lambda a: (next(i for i, x in enumerate(a.coords) if x), a.coords))
+    assert order.simple == tuple(want)
+    assert len(want) == rs.rank - rs.spec.torus_rank
+
+
 @settings(max_examples=60, deadline=None)
 @given(wall_cases)
 @example((system("A3xT1"), Weight((0,) * 5)))

@@ -228,6 +228,33 @@ def test_custom_lattice_matches_all_coroots_reference(case):
     assert _outcome(custom_lattice, gens, rs) == _outcome(ref.custom_lattice, gens, rs)
 
 
+@st.composite
+def root_sublattices(draw):
+    """Generators inside the root lattice: the simple roots, each maybe
+    scaled by 2 or 3 or dropped, plus a few integer combinations of roots.
+    The lattice is often all of Q and often misses a root deep in rs.roots."""
+    rs = _rs(draw(st.sampled_from(LATTICE_SERIES + ("B3xC2xD3xT1", "A4xD4", "C5"))))
+    gens = [tuple(k * x for x in a.coords) for a in default_order(rs).simple
+            if (k := draw(st.sampled_from((1, 1, 1, 2, 3, 0))))]
+    for _ in range(draw(st.integers(0, 2))):
+        picks = draw(st.lists(st.tuples(st.sampled_from(rs.roots), st.integers(-2, 2)),
+                              min_size=1, max_size=3))
+        gens.append(tuple(sum(k * a.coords[i] for a, k in picks)
+                          for i in range(rs.ambient_dim)))
+    if not gens:
+        gens.append(rs.roots[-1].coords)
+    return rs, draw(st.permutations(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_sublattices())
+def test_root_lattice_check_names_the_first_missing_root_as_the_reference(case):
+    # custom_lattice tests the simple roots only, and scans rs.roots only
+    # to name the missing one
+    rs, gens = case
+    assert _outcome(custom_lattice, gens, rs) == _outcome(ref.custom_lattice, gens, rs)
+
+
 class TestExtendability:
     def test_regular_vacuous(self, a1):
         lam = w("1/2", "-1/2")

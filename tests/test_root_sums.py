@@ -4,8 +4,9 @@ including products with torus factors.
 
 The checks compared are the enumerator itself, the closure of a root subset,
 conditions (i) and (ii) of T1-admissibility, and the simple roots of a
-positive system.  The closure of b_roots + singular, which the polarization
-no longer checks at run time, is checked here.  Two orbit facts ride along:
+positive system, which are now read off 2 rho with no root sum.  The closure
+of b_roots + singular, which the polarization no longer checks at run time,
+is checked here.  Two orbit facts ride along:
 dim O_lambda = 2 |b_roots|, and integrality is invariant under every simple
 reflection.
 """
@@ -34,6 +35,7 @@ from orbitkit import (
     positive_roots,
     singular_roots,
 )
+from orbitkit import orbit, rootsys  # modules, patched by one test
 from orbitkit.orbit import _check_closed, check_admissibility
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
 from orbitkit.rootsys import RootOrder, root_sums
@@ -194,6 +196,28 @@ def test_simple_roots_agree_with_reference(case):
     simple = {a.coords for a in order.simple}
     assert simple == {a.coords for a in ref.simple_roots(order.positive)}
     assert len(simple) == rs.rank - rs.spec.torus_rank
+
+
+def test_simple_roots_and_a_full_singular_set_add_no_roots(monkeypatch):
+    """The simple roots are read off 2 rho, with no root sum, and closure is
+    checked only where it can fail: not when every root is singular."""
+    def no_sums(*args):
+        raise AssertionError("sign_split enumerated root sums")
+
+    monkeypatch.setattr(rootsys, "root_sums", no_sums)
+    closure_checks = []
+    check = orbit._check_closed
+    monkeypatch.setattr(orbit, "_check_closed",
+                        lambda *args: closure_checks.append(args) or check(*args))
+    for series in ("B3xC2xD3xT1", "A4"):
+        rs = build_root_system(parse_series(series))  # no split cached yet
+        n = rs.ambient_dim
+        assert len(default_order(rs).simple) == rs.rank - rs.spec.torus_rank
+        positive_roots(rs, Weight(tuple(range(-1, -n - 1, -1))))
+        for lam in ((0,) * n, (1,) + (0,) * (n - 1), tuple(range(n))):
+            closure_checks.clear()
+            analyze_orbit(rs, lam, SC)
+            assert len(closure_checks) == (0 if not any(lam) else 1)
 
 
 @settings(max_examples=25, deadline=None)

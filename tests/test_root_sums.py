@@ -35,7 +35,7 @@ from orbitkit import (
     positive_roots,
     singular_roots,
 )
-from orbitkit import orbit, rootsys  # modules, patched by one test
+from orbitkit import orbit, rootsys
 from orbitkit.orbit import _check_closed, check_admissibility
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
 from orbitkit.rootsys import RootOrder, root_sums

@@ -18,8 +18,9 @@ confirm that two commits print the same bytes.
 
 At the root cap a CLI row is mostly process start-up, so the same five
 orbit cases are also timed in process: one child builds the root system
-and runs analyze_orbit, with no JSON, INPROCESS_REPEATS times, and the row
-keeps every time and their minimum.
+and runs analyze_orbit INPROCESS_REPEATS times, and after each report
+writes its JSON text, cli.canonical_json(report.to_json_dict()), timed
+apart.  The row keeps every time of each part and each part's minimum.
 
 Like the benchmark, every child runs without bytecode of the checkout's
 sources: the script deletes the __pycache__ directories under src/ and
@@ -61,21 +62,25 @@ CAP_CASES = (
     ("C22 regular", "C22", ",".join(map(str, range(22, 0, -1))), "sc"),
     ("D22 zero adjoint", "D22", ",".join(["0"] * 22), "adjoint"),
 )
-# build plus report, no JSON; argv: series, lambda, lattice, repeats
+# build plus report, then its JSON text, timed apart on each repeat;
+# argv: series, lambda, lattice, repeats
 INPROCESS_PROBE = """
 import json, sys, time
 from fractions import Fraction
-from orbitkit import LatticeSpec, analyze_orbit, build_root_system, parse_series
+from orbitkit import LatticeSpec, analyze_orbit, build_root_system, cli, parse_series
 from orbitkit.quantize import ADJOINT, SIMPLY_CONNECTED
 series, lam, flag, repeats = sys.argv[1:]
 lam = [Fraction(x) for x in lam.split(",")]
 kind = {"sc": SIMPLY_CONNECTED, "adjoint": ADJOINT}[flag]
-walls = []
+walls, emits = [], []
 for _ in range(int(repeats)):
     t0 = time.perf_counter()
-    analyze_orbit(build_root_system(parse_series(series)), lam, LatticeSpec(kind))
-    walls.append(time.perf_counter() - t0)
-print(json.dumps(walls))
+    report = analyze_orbit(build_root_system(parse_series(series)), lam, LatticeSpec(kind))
+    t1 = time.perf_counter()
+    cli.canonical_json(report.to_json_dict())
+    emits.append(time.perf_counter() - t1)
+    walls.append(t1 - t0)
+print(json.dumps([walls, emits]))
 """
 
 
@@ -127,14 +132,16 @@ def cli_row(name: str, argv: list[str], env: dict, tmp: str) -> dict:
 
 
 def inprocess_row(name: str, series: str, lam: str, lattice: str, env: dict) -> dict:
-    """INPROCESS_REPEATS in-process builds plus reports of one case, in one child."""
+    """INPROCESS_REPEATS in-process builds plus reports of one case, in one
+    child, each followed by the report's canonical JSON, timed apart."""
     done = subprocess.run(
         [sys.executable, "-c", INPROCESS_PROBE, series, lam, lattice, str(INPROCESS_REPEATS)],
         env=env, capture_output=True, text=True, check=True,
     )
-    walls = json.loads(done.stdout)
+    walls, emits = json.loads(done.stdout)
     return {"name": name, "series": series, "lambda": lam, "lattice": lattice,
-            "build_report_s_min": min(walls), "runs_s": walls}
+            "build_report_s_min": min(walls), "runs_s": walls,
+            "emit_s_min": min(emits), "emit_runs_s": emits}
 
 
 def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:

@@ -111,7 +111,7 @@ def _close(by_dim: dict[int, set[Simplex]]) -> Nerve:
         # sort the ids rather than build and sort 2E one-tuples
         vertices = [*zip(sorted(set(chain.from_iterable(chain(*levels[:2])))))]
     top = (tuple(vertices), *[tuple(sorted(level)) for level in levels[1:]])
-    return Nerve(top[0][-1][0] + 1, top)
+    return Nerve(len(top[0]), top)
 
 
 def _counted_closure(levels: list[set[Simplex]]) -> None:

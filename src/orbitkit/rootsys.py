@@ -182,8 +182,13 @@ class Weight:
         d = lcm(*[c.denominator for c in self.coords])
         return tuple([c.numerator * (d // c.denominator) for c in self.coords]), d
 
+    @cached_property
+    def strings(self) -> tuple[str, ...]:
+        """The coordinates as "p/q" strings, formatted once per weight."""
+        return tuple([str(c) for c in self.coords])
+
     def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coords]
+        return list(self.strings)
 
 
 def weight_from_strings(items: Sequence[str]) -> Weight:

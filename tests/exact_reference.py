@@ -137,8 +137,7 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
                 face = s[:omit] + s[omit + 1 :]
                 by_dim.setdefault(k - 1, set()).add(face)
     levels = tuple(tuple(sorted(by_dim.get(k, ()))) for k in range(top + 1))
-    vertex_count = max(v for s in levels[0] for v in s) + 1
-    return Nerve(vertex_count, levels)
+    return Nerve(len(levels[0]), levels)
 
 
 def parse_nerve_lines(lines: Iterable[str]) -> Nerve:

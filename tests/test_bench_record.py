@@ -1,5 +1,6 @@
 """scripts/bench_record.py's CLI and in-process rows, checked without running
-the benchmark or the CLI ladder; one in-process row runs, on B2."""
+the benchmark or the CLI ladder; one in-process row runs, on B2, and times
+the report's JSON text too."""
 
 import importlib.util
 import json
@@ -57,9 +58,11 @@ def test_the_ladder_times_the_cap_reports_and_the_zero_d22_adjoint_one(bench_rec
 def test_an_inprocess_row_times_build_and_report_in_a_child(bench_record):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     row = bench_record.inprocess_row("B2 zero adjoint", "B2", "0,0", "adjoint", env)
-    assert set(row) == {"name", "series", "lambda", "lattice", "build_report_s_min", "runs_s"}
-    assert len(row["runs_s"]) == bench_record.INPROCESS_REPEATS
-    assert row["build_report_s_min"] == min(row["runs_s"]) > 0
+    assert set(row) == {"name", "series", "lambda", "lattice", "build_report_s_min", "runs_s",
+                        "emit_s_min", "emit_runs_s"}
+    for runs, least in (("runs_s", "build_report_s_min"), ("emit_runs_s", "emit_s_min")):
+        assert len(row[runs]) == bench_record.INPROCESS_REPEATS
+        assert row[least] == min(row[runs]) > 0
     names = [case[0] for case in bench_record.CAP_CASES]
     assert names == ["B22 regular", "A31 regular", "D22 regular", "C22 regular",
                      "D22 zero adjoint"]

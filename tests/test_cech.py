@@ -112,6 +112,13 @@ class TestBuildNerve:
         assert len(nerve.of_dim(1)) == 3
         assert len(nerve.of_dim(2)) == 0
 
+    def test_vertex_count_counts_vertices_not_ids(self):
+        big = 10**18
+        lines = [f"{big} {big + 1}", f"{big + 1} {big + 7}", f"{big + 7} {big + 10**6}"]
+        nerve = parse_nerve_lines(lines)
+        assert nerve.vertex_count == 4 == len(nerve.of_dim(0))
+        assert nerve == build_nerve([tuple(map(int, line.split())) for line in lines])
+
     def test_tetrahedron_boundary(self):
         nerve = build_nerve(TETRA_BOUNDARY)
         assert len(nerve.of_dim(0)) == 4
@@ -751,8 +758,8 @@ def test_coboundary_ranks_mod_p_match_the_invariant_factors(name):
 
 # -- delta_0 off a union-find --------------------------------------------------
 
-# small ids, spread-out ids and ids around 2^63: a union-find sized by
-# Nerve.vertex_count, the largest id + 1, could not be built
+# small ids, spread-out ids and ids around 2^63: a union-find sized by the
+# largest id + 1 could not be built
 vertex_ids = st.one_of(
     st.integers(0, 9), st.integers(0, 10**6), st.integers(2**63 - 6, 2**63 + 6)
 )

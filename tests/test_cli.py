@@ -2,7 +2,9 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from orbitkit import LatticeSpec, analyze_orbit
 from orbitkit.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -15,6 +17,7 @@ from orbitkit.cli import (
     main,
 )
 from orbitkit.errors import TheoremViolationError
+from orbitkit.quantize import SIMPLY_CONNECTED
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 TETRA = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
@@ -549,3 +552,42 @@ class TestAuditCommand:
     def test_the_bounds_themselves_are_accepted(self):
         assert _sample_count(str(MAX_AUDIT_SAMPLES)) == MAX_AUDIT_SAMPLES == 10_000
         assert _sample_count("1") == 1
+
+
+# -- the canonical JSON writer ---------------------------------------------------
+
+# keys and strings with non-ASCII, control characters, quotes and backslashes
+texts = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\U0001f600'))
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),  # nan, inf and -0.0 among them
+    texts,
+)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(texts, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+# a singular non-dominant report with a torus fills every list of the payload
+PRODUCT_REPORT = {
+    **analyze_orbit(
+        "A3xB2xC2xD3xT1", [2, 2, -1, -3, 1, 0, 2, -2, 1, -1, 0, 1], LatticeSpec(SIMPLY_CONNECTED)
+    ).to_json_dict(),
+    "lattice": "sc",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}})
+@example([[[]], [{}], ({},)])
+@example(PRODUCT_REPORT)
+def test_canonical_json_is_json_dumps_with_sorted_keys_and_indent_2(tree):
+    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"

@@ -116,3 +116,30 @@ def test_report_root_system_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_each_root_is_formatted_once_and_no_payload_list_is_shared():
+    rs = build_root_system(parse_series("A2"))
+    report = analyze_orbit(rs, ["2/3", "-1/3", "-1/3"], SC)
+    first, second = report.to_json_dict(), report.to_json_dict()
+    assert first == second
+    lists = []
+
+    def collect(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        else:
+            lists.append(x)
+        for y in x:
+            if isinstance(y, (dict, list)):
+                collect(y)
+
+    collect(first)
+    collect(second)
+    assert len({id(x) for x in lists}) == len(lists)
+    # the positive singular root sits in five lists of the payload, each a
+    # copy of the strings cached on the root system's own Weight
+    alpha = report.stabilizer.t1_equations[0]
+    assert alpha is rs.roots[rs.index[alpha.coords]]
+    assert alpha.__dict__["strings"] == ("0", "1", "-1")
+    assert str(first).count("['0', '1', '-1']") == 5

@@ -1,11 +1,17 @@
-"""A source rule for `src/orbitkit` that keeps a long run of reports small.
+"""Source rules for `src/orbitkit`.
 
-CPython builds a tuple from an iterator of unknown length (a generator,
-`map`, `zip` or `filter`) at a guessed length and then resizes it, so the
-tuple is never taken from the per-length tuple free list, yet it joins that
-list when freed.  Over a survey of reports each length's list fills to its
-cap of 2000 tuples, dead memory the process keeps (about 1.3 MiB after 45 000
+Tuples from lists, which keeps a long run of reports small.  CPython builds
+a tuple from an iterator of unknown length (a generator, `map`, `zip` or
+`filter`) at a guessed length and then resizes it, so the tuple is never
+taken from the per-length tuple free list, yet it joins that list when
+freed.  Over a survey of reports each length's list fills to its cap of 2000
+tuples, dead memory the process keeps (about 1.3 MiB after 45 000
 orbit-survey reports).  So tuples and star-arguments are built from lists.
+
+Exact arithmetic outside the numeric oracle.  Every module but `oracle.py`
+computes in ints and Fractions, so none of them writes a float literal,
+calls `float`, imports numpy or scipy, or uses a `math` name other than the
+integer functions lcm, comb, factorial and prod.
 """
 
 import ast
@@ -56,3 +62,61 @@ def test_the_rule_sees_each_form():
         "e = lcm(*[x for x in y]) + tuple([*zip(*rows)])\n"
     )
     assert resized_tuples(source) == [1, 2, 3, 4]
+
+
+NUMERIC_PACKAGES = {"numpy", "scipy"}
+EXACT_MATH = {"lcm", "comb", "factorial", "prod"}
+
+
+def inexact_lines(source: str) -> list[int]:
+    """Lines with a float literal, a float() call, a numpy or scipy import,
+    or a math name outside EXACT_MATH."""
+    tree = ast.parse(source)
+    math_aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "math"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in NUMERIC_PACKAGES for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            top = node.module.split(".")[0]
+            if top in NUMERIC_PACKAGES or (
+                node.module == "math" and any(a.name not in EXACT_MATH for a in node.names)
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in math_aliases and node.attr not in EXACT_MATH:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "oracle.py"), ids=lambda p: p.name
+)
+def test_arithmetic_outside_the_oracle_is_exact(path):
+    assert inexact_lines(path.read_text()) == []
+
+
+def test_the_exactness_rule_sees_each_form():
+    source = (
+        "a = 0.5\n"
+        "b = float(x)\n"
+        "import numpy as np\n"
+        "from scipy.linalg import expm\n"
+        "from math import lcm, sqrt\n"
+        "import math as m\n"
+        "c = m.lcm(2, 3) + m.floor(x)\n"
+        "from numpy import linalg\n"
+        "d = 5 + lcm(2, 4) + x.float + floaty(1) + int(1e0 if x else 2)\n"
+        "import mathx, fractions\n"
+    )
+    assert inexact_lines(source) == [1, 2, 3, 4, 5, 7, 8, 9]

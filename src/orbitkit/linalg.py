@@ -13,8 +13,10 @@ integers: over Q the rank is the number of invariant factors, and
 u·a·v = d gives a particular solution.  :func:`unit_reduce` is its
 unit-only front end: it takes the ±1 pivots in a fill-reducing order,
 carrying a block too when asked, and leaves the rest to
-:func:`smith_eliminate`.  :func:`hermite_rows` puts a lattice basis in the
-one form that does not depend on the elimination that found it.
+:func:`smith_eliminate`.  Both update rows through one kernel,
+:func:`_add_indexed`, which keeps their column→rows index exact.
+:func:`hermite_rows` puts a lattice basis in the one form that does not
+depend on the elimination that found it.
 """
 
 from __future__ import annotations
@@ -112,6 +114,32 @@ def add_into(dst: SparseRow, src: Mapping[int, int], c: int) -> None:
             del dst[j]
 
 
+def _add_indexed(
+    dst: SparseRow, i: int, src: Mapping[int, int], c: int, rows_in: list[set[int]]
+) -> None:
+    """dst += c * src for dst the row i of a matrix, keeping its column
+    index exact: rows_in[j] holds the rows with an entry in column j."""
+    for j, x in src.items():
+        z = dst.get(j)
+        if z is None:
+            dst[j] = c * x
+            rows_in[j].add(i)
+        elif z + c * x:
+            dst[j] = z + c * x
+        else:
+            del dst[j]
+            rows_in[j].remove(i)
+
+
+def _column_index(rows: Iterable[Mapping[int, int]], width: int) -> list[set[int]]:
+    """rows_in[j]: the rows with an entry in column j."""
+    rows_in: list[set[int]] = [set() for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j in row:
+            rows_in[j].add(i)
+    return rows_in
+
+
 def smith_eliminate(
     rows: Sequence[Mapping[int, int]],
     width: int,
@@ -141,10 +169,10 @@ def smith_eliminate(
     first entry of least nonzero magnitude, in row-major order, of the
     trailing block d[t:][t:]; the search stops at the first ±1, since
     nothing is smaller.  The pivot is swapped to (t, t) and made positive,
-    then row t and column t are reduced by floor division.  Nonzero
-    remainders restart step t.  A pivot of 1 divides everything, so step t
-    ends there; a larger pivot that fails to divide some trailing entry has
-    the first such row added to row t, and step t restarts.
+    then row t and column t are reduced by floor division, a unit pivot as
+    any other.  Nonzero remainders restart step t; a unit leaves none.  A
+    pivot that fails to divide some trailing entry (never a unit) has the
+    first such row added to row t, and step t restarts.
 
     The work follows the nonzero entries: rows and columns keep their
     identities while swaps move their positions, and a column→rows index
@@ -157,10 +185,7 @@ def smith_eliminate(
     at = list(range(m))  # position -> row
     colat = list(range(width))  # position -> column
     colpos = list(range(width))  # column -> position
-    rows_in: list[set[int]] = [set() for _ in range(width)]
-    for i, row in enumerate(d):
-        for j in row:
-            rows_in[j].add(i)
+    rows_in = _column_index(d, width)
     skip = list(range(m + 1))  # union-find links past positions of zero rows
 
     def nonzero_rows(pos: int):
@@ -180,17 +205,7 @@ def smith_eliminate(
             pos += 1
 
     def add_row(dst: int, src: int, c: int) -> None:
-        row = d[dst]
-        for j, x in d[src].items():
-            z = row.get(j)
-            if z is None:
-                row[j] = c * x
-                rows_in[j].add(dst)
-            elif z + c * x:
-                row[j] = z + c * x
-            else:
-                del row[j]
-                rows_in[j].remove(dst)
+        _add_indexed(d[dst], dst, d[src], c, rows_in)
         if y is not None:
             add_into(y[dst], y[src], c)
 
@@ -224,51 +239,26 @@ def smith_eliminate(
                 y[r] = {j: -x for j, x in y[r].items()}
         p = row[c]
 
-        dirty = False
         for i in [i for i in rows_in[c] if i != r]:
             add_row(i, r, -(d[i][c] // p))
-            if c in d[i]:
-                dirty = True
-        if p == 1:
-            # a unit leaves no remainders: column t is clear but for row t,
-            # and the column operations recorded in v clear row t to {c: 1}
-            del row[c]
-            for j, x in row.items():
-                rows_in[j].remove(r)
-                if v is not None:
-                    add_into(v[j], v[c], -x)
-            d[r] = {c: 1}
-            t += 1
-            continue
-        # column t now holds row t and the rows left with a remainder
-        col = [(i, d[i]) for i in rows_in[c]]
-        for j, x in list(row.items()):
-            if j == c:
-                continue
-            q = x // p
-            for i, other in col:
-                z = other.get(j)
-                if z is None:
-                    other[j] = -q * other[c]
-                    rows_in[j].add(i)
-                elif z - q * other[c]:
-                    other[j] = z - q * other[c]
-                else:
-                    del other[j]
-                    rows_in[j].remove(i)
-            if v is not None:
+        # column t now holds row t and the rows left with a remainder; the
+        # column operations, recorded in v, leave row t its remainders
+        quotients = {j: x // p for j, x in row.items() if j != c}
+        for i in rows_in[c]:
+            _add_indexed(d[i], i, quotients, -d[i][c], rows_in)
+        if v is not None:
+            for j, q in quotients.items():
                 add_into(v[j], v[c], -q)
-            if j in row:
-                dirty = True
-        if dirty:
+        if len(rows_in[c]) > 1 or len(row) > 1:
             continue  # remainders became new smaller pivot candidates
 
         # pivot must divide the whole trailing block for the invariant chain
-        rest = (at[i] for i in nonzero_rows(t + 1))
-        offender = next((i for i in rest if any(x % p for x in d[i].values())), None)
-        if offender is not None:
-            add_row(r, offender, 1)
-            continue
+        if p > 1:
+            rest = (at[i] for i in nonzero_rows(t + 1))
+            offender = next((i for i in rest if any(x % p for x in d[i].values())), None)
+            if offender is not None:
+                add_row(r, offender, 1)
+                continue
         t += 1
 
     factors = [d[at[i]][colat[i]] for i in range(t)]
@@ -302,10 +292,7 @@ def unit_reduce(rows: list[SparseRow], width: int, carry: Optional[list[SparseRo
     rows' carried rows lie in its left kernel.  A pivot's carried row is
     set to None once its column is cleared, as nothing reads it again.
     """
-    rows_in: list[set[int]] = [set() for _ in range(width)]
-    for i, row in enumerate(rows):
-        for j in row:
-            rows_in[j].add(i)
+    rows_in = _column_index(rows, width)
     # waiting[n] stacks the rows queued at length n = queued[i], row 0 on
     # top at the start.  A row that shrank is queued again at once; one that
     # grew, when it comes up at its old length; one that held no unit, when
@@ -347,17 +334,7 @@ def unit_reduce(rows: list[SparseRow], width: int, carry: Optional[list[SparseRo
             carry[r] = None
         for i in col:
             other = rows[i]
-            f = -other.pop(c) * p
-            for j, x in row.items():
-                z = other.get(j)
-                if z is None:
-                    other[j] = f * x
-                    rows_in[j].add(i)
-                elif z + f * x:
-                    other[j] = z + f * x
-                else:
-                    del other[j]
-                    rows_in[j].remove(i)
+            _add_indexed(other, i, row, -other.pop(c) * p, rows_in)
             if other and len(other) < queued[i]:
                 queued[i] = len(other)
                 waiting[queued[i]].append(i)

@@ -233,10 +233,8 @@ class RootSystem:
 
     @cached_property
     def rho_numerators(self) -> tuple[int, ...]:
-        """root_numerators of default_chamber_seed, one scan per root system.
-        The seed is rho on A and C blocks, rho + (1/2, ..., 1/2) on B blocks
-        and rho + (1, ..., 1) on D blocks: in rho's chamber, so its signs are
-        rho's, but its values are not rho's pairings."""
+        """root_numerators of rho, default_chamber_seed, one scan per root
+        system."""
         return tuple(root_numerators(default_chamber_seed(self), self))
 
     @cached_property
@@ -399,19 +397,19 @@ def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:
 
 
 def default_chamber_seed(rs: RootSystem) -> Weight:
-    """Canonical regular vector: strictly decreasing within each factor block
-    (centered for A-blocks), zero on torus coordinates."""
+    """rho, half the sum of the positive roots it picks, on every factor
+    block: at the k-th coordinate (from 0) of a block of the given size,
+    size - k less (size + 1)/2 on A, 1/2 on B, 0 on C and 1 on D (Bourbaki,
+    Ch. VI, Plates I-IV); zero on torus coordinates.  Strictly decreasing in
+    each block, and positive but for D's last coordinate, so regular."""
     c = [Fraction(0)] * rs.ambient_dim
     for letter, _, start, stop in rs.spec.blocks():
         if letter == "T":
             continue
         size = stop - start
+        shift = {"A": Fraction(size + 1, 2), "B": Fraction(1, 2), "C": 0, "D": 1}[letter]
         for k, i in enumerate(range(start, stop)):
-            c[i] = Fraction(size - k)  # strictly positive: B/C roots hit +-e_i
-        if letter == "A":
-            mean = Fraction(size + 1, 2)
-            for i in range(start, stop):
-                c[i] -= mean
+            c[i] = Fraction(size - k) - shift
     return Weight(tuple(c))
 
 

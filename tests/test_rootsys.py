@@ -426,6 +426,20 @@ def test_default_seed_is_regular():
         assert all(pairing(seed, a, rs) != 0 for a in rs.roots)
 
 
+@pytest.mark.parametrize(
+    "series",
+    [f"{x}{n}" for x in "ABC" for n in range(1, 6)] + [f"D{n}" for n in range(2, 6)]
+    + ["A2xB3xC2xD4xT2"],
+)
+def test_default_seed_is_rho(series):
+    """2 * seed is the sum of the positive roots of the order it picks."""
+    rs = build_root_system(parse_series(series))
+    total = [Fraction(0)] * rs.ambient_dim
+    for a in default_order(rs).positive:
+        total = [t + x for t, x in zip(total, a.coords)]
+    assert [2 * x for x in default_chamber_seed(rs).coords] == total
+
+
 @st.composite
 def classical_series(draw, max_rank=8):
     """One or two A/B/C/D factors of rank at most max_rank, sometimes with a

@@ -12,6 +12,11 @@ Exact arithmetic outside the numeric oracle.  Every module but `oracle.py`
 computes in ints and Fractions, so none of them writes a float literal,
 calls `float`, imports numpy or scipy, or uses a `math` name other than the
 integer functions lcm, comb, factorial and prod.
+
+One sparse row update in `linalg`.  dst += c*src on a {column: value} row,
+keeping the column index rows_in[j] exact, is the private kernel
+`_add_indexed`; only it and the index builder `_column_index` add to a
+`rows_in` set, so no elimination writes the update out again.
 """
 
 import ast
@@ -120,3 +125,45 @@ def test_the_exactness_rule_sees_each_form():
         "import mathx, fractions\n"
     )
     assert inexact_lines(source) == [1, 2, 3, 4, 5, 7, 8, 9]
+
+
+INDEX_KEEPERS = {"_add_indexed", "_column_index"}
+
+
+def index_adders(source: str) -> list[str]:
+    """Functions that call rows_in[...].add(...), nested ones by their
+    outermost name."""
+    names = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and isinstance(node.func.value, ast.Subscript)
+                and isinstance(node.func.value.value, ast.Name)
+                and node.func.value.value.id == "rows_in"
+            ):
+                names.append(top.name)
+    return sorted(set(names))
+
+
+def test_one_sparse_row_update_keeps_the_column_index():
+    """In linalg, only the sparse row kernel and the index builder add to a
+    column index, so the update is written once."""
+    assert set(index_adders((SRC / "linalg.py").read_text())) <= INDEX_KEEPERS
+
+
+def test_the_index_rule_sees_nested_updates():
+    source = (
+        "def smith(rows_in):\n"
+        "    def add_row(i, j):\n"
+        "        rows_in[j].add(i)\n"
+        "def _add_indexed(rows_in):\n"
+        "    rows_in[0].add(1)\n"
+        "def other(holders):\n"
+        "    holders[0].add(1)\n"
+    )
+    assert index_adders(source) == ["_add_indexed", "smith"]

@@ -320,14 +320,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if audit.ok and rank_ok else EXIT_THEOREM
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitkit",
-        description="Exact coadjoint-orbit analysis and finite-nerve Cech cohomology.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _DeferredParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments, fill(self), when it
+    first parses, so that a call builds only the parsers of its command."""
 
-    p_orbit = sub.add_parser("orbit", help="analyze one coadjoint orbit")
+    def __init__(self, *args, fill, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _fill_orbit(p_orbit: argparse.ArgumentParser) -> None:
     p_orbit.add_argument("--series", required=True, help='factor string, e.g. "A2xT1"')
     p_orbit.add_argument(
         "--lambda",
@@ -342,24 +350,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_orbit.add_argument("--output", choices=("text", "json"), default="text")
 
-    p_cech = sub.add_parser("cech", help="finite-nerve Cech cohomology")
+
+def _fill_cech(p_cech: argparse.ArgumentParser) -> None:
     cech_sub = p_cech.add_subparsers(dest="cech_command", required=True)
-    p_h = cech_sub.add_parser("h", help="cohomology group of a nerve")
+    cech_sub.add_parser("h", help="cohomology group of a nerve", fill=_fill_h)
+    cech_sub.add_parser("chern", help="class of an integer 2-cocycle", fill=_fill_chern)
+
+
+def _fill_h(p_h: argparse.ArgumentParser) -> None:
     p_h.add_argument("--nerve", required=True, help="nerve file, one simplex per line")
     p_h.add_argument("--k", type=int, required=True, help="degree")
     p_h.add_argument("--ring", choices=("z", "q"), default="z")
     p_h.add_argument("--output", choices=("text", "json"), default="text")
-    p_chern = cech_sub.add_parser("chern", help="class of an integer 2-cocycle")
+
+
+def _fill_chern(p_chern: argparse.ArgumentParser) -> None:
     p_chern.add_argument("--nerve", required=True)
     p_chern.add_argument("--cocycle", required=True, help="2-cochain file")
     p_chern.add_argument("--output", choices=("text", "json"), default="text")
 
-    p_audit = sub.add_parser("audit", help="numeric su(n) oracle cross-checks")
+
+def _fill_audit(p_audit: argparse.ArgumentParser) -> None:
     p_audit.add_argument("--n", type=int, default=3, help="su(n) size, 2..5")
     p_audit.add_argument("--lambda", dest="lam", default=None)
     p_audit.add_argument("--samples", type=_sample_count, default=20)
     p_audit.add_argument("--seed", type=_seed, default=0)
     p_audit.add_argument("--output", choices=("text", "json"), default="text")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="orbitkit",
+        description="Exact coadjoint-orbit analysis and finite-nerve Cech cohomology.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
+    sub.add_parser("orbit", help="analyze one coadjoint orbit", fill=_fill_orbit)
+    sub.add_parser("cech", help="finite-nerve Cech cohomology", fill=_fill_cech)
+    sub.add_parser("audit", help="numeric su(n) oracle cross-checks", fill=_fill_audit)
     return parser
 
 

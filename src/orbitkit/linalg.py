@@ -330,7 +330,8 @@ def unit_reduce(rows: list[SparseRow], width: int, carry: Optional[list[SparseRo
         col.remove(r)
         if carry is not None:
             for i in col:
-                add_into(carry[i], carry[r], -rows[i][c] * p)
+                if rows[i][c]:  # a stored zero needs no carried update
+                    add_into(carry[i], carry[r], -rows[i][c] * p)
             carry[r] = None
         for i in col:
             other = rows[i]

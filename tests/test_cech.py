@@ -501,6 +501,9 @@ def unit_reduced_factors(rows, width):
         ([{0: 2, 1: 3}, {0: 1, 1: 1, 2: 1}, {2: 2, 3: 3}], 4, (2, [{0: 2, 1: 3}], 2)),
         ([{}, {}], 0, (0, [], 0)),  # width 0
         ([], 3, (0, [], 0)),  # no rows
+        # two rows of one length: row 0 is pivoted first and clears row 1,
+        # which would leave {0: -2} the other way round
+        ([{0: 1, 1: 2}, {0: 1, 1: 4}], 2, (1, [{0: 2}], 1)),
     ],
 )
 def test_unit_reduce_on_edge_cases(rows, width, reduced):
@@ -544,6 +547,34 @@ def test_carried_rows_times_the_matrix_are_the_reduced_rows(dense_rows):
     # the zero rows and the residue's left kernel give the whole left kernel
     rank = len(smith_eliminate(rows, width)[0])
     assert len(zeros) + len(residue) - len(smith_eliminate(residue, rest)[0]) == len(rows) - rank
+
+
+def test_a_carry_passes_over_a_stored_zero():
+    # a stored zero in the pivot's column clears with coefficient 0
+    assert unit_reduce([{0: 1}, {0: 0, 1: 2}], 2, [{0: 1}, {1: 1}]) == (
+        1, [{0: 2}], 1, [{1: 1}], []
+    )
+
+
+@st.composite
+def matrices_with_stored_zeros(draw):
+    """unit_heavy_matrices() as sparse rows that store some of their zeros,
+    with their width."""
+    dense_rows = draw(unit_heavy_matrices())
+    rows = [{j: x for j, x in enumerate(row) if x or draw(st.booleans())} for row in dense_rows]
+    return rows, len(dense_rows[0]) if dense_rows else 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_stored_zeros())
+@example(([{0: 1}, {0: 0, 1: 2}], 2))
+@example(([{0: 0, 1: 1}, {0: 0}, {0: 1, 1: 1}, {1: 0}], 2))
+def test_a_carry_over_stored_zeros_keeps_the_results(case):
+    rows, width = case
+    units, residue, rest, carried, zeros = carried_unit_reduce(rows, width)
+    assert unit_reduce([dict(row) for row in rows], width) == (units, residue, rest)
+    for z in zeros:
+        assert times(z, rows, width) == [0] * width
 
 
 def relabelled_grid(n, klein, perm):

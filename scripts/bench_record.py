@@ -21,6 +21,10 @@ orbit cases are also timed in process: one child builds the root system
 and runs analyze_orbit INPROCESS_REPEATS times, and after each report
 writes its JSON text, cli.canonical_json(report.to_json_dict()), timed
 apart.  The row keeps every time of each part and each part's minimum.
+The CLI's parser layer is timed in process as well: for one valid argv of
+each command in PARSE_CASES, one child runs cli.build_parser().parse_args
+in INPROCESS_REPEATS batches of PARSE_BATCH calls, and the row keeps each
+batch's time per call and their minimum.
 
 Like the benchmark, every child runs without bytecode of the checkout's
 sources: the script deletes the __pycache__ directories under src/ and
@@ -62,6 +66,14 @@ CAP_CASES = (
     ("C22 regular", "C22", ",".join(map(str, range(22, 0, -1))), "sc"),
     ("D22 zero adjoint", "D22", ",".join(["0"] * 22), "adjoint"),
 )
+# one valid argv of each command, parsed in process; the files need not exist
+PARSE_CASES = (
+    ("parse orbit", ["orbit", "--series", "A2", "--lambda", "1,0,-1"]),
+    ("parse cech h", ["cech", "h", "--nerve", "n", "--k", "1"]),
+    ("parse cech chern", ["cech", "chern", "--nerve", "n", "--cocycle", "c"]),
+    ("parse audit", ["audit", "--n", "3"]),
+)
+PARSE_BATCH = 200
 # build plus report, then its JSON text, timed apart on each repeat;
 # argv: series, lambda, lattice, repeats
 INPROCESS_PROBE = """
@@ -81,6 +93,20 @@ for _ in range(int(repeats)):
     emits.append(time.perf_counter() - t1)
     walls.append(t1 - t0)
 print(json.dumps([walls, emits]))
+"""
+# time per cli.build_parser().parse_args(argv) of each batch;
+# argv: repeats, batch, then the parsed argv
+PARSE_PROBE = """
+import json, sys, time
+from orbitkit import cli
+repeats, batch, *argv = sys.argv[1:]
+runs = []
+for _ in range(int(repeats)):
+    t0 = time.perf_counter()
+    for _ in range(int(batch)):
+        cli.build_parser().parse_args(argv)
+    runs.append((time.perf_counter() - t0) / int(batch))
+print(json.dumps(runs))
 """
 
 
@@ -144,6 +170,17 @@ def inprocess_row(name: str, series: str, lam: str, lattice: str, env: dict) -> 
             "emit_s_min": min(emits), "emit_runs_s": emits}
 
 
+def parse_row(name: str, argv: list[str], env: dict) -> dict:
+    """INPROCESS_REPEATS batches of PARSE_BATCH parses of argv by a newly
+    built CLI parser, in one child; each run is a batch's time per parse."""
+    done = subprocess.run(
+        [sys.executable, "-c", PARSE_PROBE, str(INPROCESS_REPEATS), str(PARSE_BATCH), *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(done.stdout)
+    return {"name": name, "argv": argv, "parse_s_min": min(runs), "runs_s": runs}
+
+
 def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
     ladder = [
         (f"orbit {name}", ["orbit", "--series", series, "--lambda=" + lam, "--lattice", lattice,
@@ -201,6 +238,7 @@ def main(argv=None) -> int:
         for name, cli_argv in cli_ladder(tmp):
             record["cli"].append(cli_row(name, cli_argv, env, tmp))
     record["inprocess"] = [inprocess_row(*case, env) for case in CAP_CASES]
+    record["inprocess"] += [parse_row(*case, env) for case in PARSE_CASES]
     path = os.path.join(args.out_dir, f"BENCH_{sha}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -320,19 +320,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if audit.ok and rank_ok else EXIT_THEOREM
 
 
-class _DeferredParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments, fill(self), when it
-    first parses, so that a call builds only the parsers of its command."""
+class _LazySubcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built, and filled by fill(parser), only
+    when that subcommand is parsed, so that a call builds the parsers of its
+    own command alone.  Until then the command's name maps to its fill."""
 
-    def __init__(self, *args, fill, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fill = fill
+    def add_parser(self, name, *, help, fill):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = fill
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._fill is not None:
-            fill, self._fill = self._fill, None
-            fill(self)
-        return super().parse_known_args(args, namespace)
+    def __call__(self, parser, namespace, values, option_string=None):
+        fill = self._name_parser_map.get(values[0])
+        if callable(fill):  # a built ArgumentParser is not callable
+            built = argparse.ArgumentParser(prog=f"{self._prog_prefix} {values[0]}")
+            fill(built)
+            self._name_parser_map[values[0]] = built
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _fill_orbit(p_orbit: argparse.ArgumentParser) -> None:
@@ -352,7 +355,7 @@ def _fill_orbit(p_orbit: argparse.ArgumentParser) -> None:
 
 
 def _fill_cech(p_cech: argparse.ArgumentParser) -> None:
-    cech_sub = p_cech.add_subparsers(dest="cech_command", required=True)
+    cech_sub = p_cech.add_subparsers(dest="cech_command", required=True, action=_LazySubcommands)
     cech_sub.add_parser("h", help="cohomology group of a nerve", fill=_fill_h)
     cech_sub.add_parser("chern", help="class of an integer 2-cocycle", fill=_fill_chern)
 
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitkit",
         description="Exact coadjoint-orbit analysis and finite-nerve Cech cohomology.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
+    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubcommands)
     sub.add_parser("orbit", help="analyze one coadjoint orbit", fill=_fill_orbit)
     sub.add_parser("cech", help="finite-nerve Cech cohomology", fill=_fill_cech)
     sub.add_parser("audit", help="numeric su(n) oracle cross-checks", fill=_fill_audit)

@@ -1,7 +1,7 @@
 """Reference argparse parser: `orbitkit.cli.build_parser` as it was before
-each subcommand's arguments were added only when that subcommand parses,
+each subcommand's parser was built only when that subcommand is parsed,
 kept verbatim as the oracle whose help, usage, error bytes, exit codes and
-namespaces the deferred parser must match.
+namespaces the lazily built parser must match.
 
 Run as a script to compare the two on every argv of ARGVS at each width of
 COLUMNS, without pytest:
@@ -134,12 +134,12 @@ def outcome(build, argv, columns):
 
 
 def main() -> int:
-    from orbitkit.cli import build_parser as deferred
+    from orbitkit.cli import build_parser as lazy
 
     bad = 0
     for argv in ARGVS:
         for columns in COLUMNS:
-            ours, ref = outcome(deferred, argv, columns), outcome(build_parser, argv, columns)
+            ours, ref = outcome(lazy, argv, columns), outcome(build_parser, argv, columns)
             if ours != ref:
                 bad += 1
                 print(f"mismatch at COLUMNS={columns} for {argv[:8]}: {ours!r} != {ref!r}")

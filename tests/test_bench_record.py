@@ -1,6 +1,6 @@
 """scripts/bench_record.py's CLI and in-process rows, checked without running
 the benchmark or the CLI ladder; one in-process row runs, on B2, and times
-the report's JSON text too."""
+the report's JSON text too, and one parser row runs, on `cech h`."""
 
 import importlib.util
 import json
@@ -68,6 +68,18 @@ def test_an_inprocess_row_times_build_and_report_in_a_child(bench_record):
                      "D22 zero adjoint"]
 
 
+def test_a_parse_row_times_the_cli_parser_in_a_child(bench_record):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    name, argv = bench_record.PARSE_CASES[1]
+    row = bench_record.parse_row(name, argv, env)
+    assert set(row) == {"name", "argv", "parse_s_min", "runs_s"}
+    assert row["argv"] == ["cech", "h", "--nerve", "n", "--k", "1"]
+    assert len(row["runs_s"]) == bench_record.INPROCESS_REPEATS
+    assert row["parse_s_min"] == min(row["runs_s"]) > 0
+    assert [case[0] for case in bench_record.PARSE_CASES] == [
+        "parse orbit", "parse cech h", "parse cech chern", "parse audit"]
+
+
 def test_the_record_runs_without_bytecode_of_the_checkout(bench_record, monkeypatch, tmp_path):
     for top in ("src/orbitkit", "perfbench"):
         (tmp_path / top / "__pycache__").mkdir(parents=True)
@@ -80,9 +92,10 @@ def test_the_record_runs_without_bytecode_of_the_checkout(bench_record, monkeypa
     monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: {})
     monkeypatch.setattr(bench_record, "cli_ladder", lambda tmp: [])
     monkeypatch.setattr(bench_record, "inprocess_row", lambda name, *args: {"name": name})
+    monkeypatch.setattr(bench_record, "parse_row", lambda name, *args: {"name": name})
     assert bench_record.main(["--out-dir", str(tmp_path)]) == 0
     assert not list(tmp_path.rglob("__pycache__"))
     assert bench_record.os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
     record = json.loads((tmp_path / "BENCH_.json").read_text())
     assert [row["name"] for row in record["inprocess"]] == [
-        case[0] for case in bench_record.CAP_CASES]
+        case[0] for case in bench_record.CAP_CASES + bench_record.PARSE_CASES]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import lt
 from types import MappingProxyType
@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import CapExceededError, InputError
 from .frozen import frozen
 from .linalg import (
-    add_into, hermite_rows, parse_integer, parse_rational, smith_eliminate, unit_reduce,
+    hermite_rows, lattice_coordinates, parse_integer, parse_rational, smith_eliminate, unit_reduce,
 )
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
@@ -44,8 +44,11 @@ Simplex = tuple[int, ...]
 
 @frozen
 class Nerve:
-    vertex_count: int
     simplices: tuple[tuple[Simplex, ...], ...]  # index = dimension
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.simplices[0])
 
     @property
     def dimension(self) -> int:
@@ -91,44 +94,31 @@ def _zero(ring: str):
 
 
 def _close(by_dim: dict[int, set[Simplex]]) -> Nerve:
-    """Nerve of the validated simplices grouped by dimension: each level
-    gains the faces of the level above, then is sorted.
-
-    A k-simplex has 2^(k+1) - 1 faces, and the sum of that over the input
-    bounds the size of the nerve.  Only when the bound passes MAX_SIMPLICES
-    is the nerve built by _counted_closure, which counts as it builds.
-    """
-    if not by_dim:
-        return Nerve(0, ((),))
-    levels = [by_dim.get(k, set()) for k in range(max(by_dim) + 1)]
-    if sum(len(level) * ((2 << k) - 1) for k, level in enumerate(levels)) > MAX_SIMPLICES:
-        _counted_closure(levels)
-        vertices = sorted(levels[0])
-    else:
-        for k in range(len(levels) - 1, 1, -1):
-            levels[k - 1].update(chain.from_iterable(map(combinations, levels[k], repeat(k))))
-        # the vertices are the ids of the edges and of the vertex lines:
-        # sort the ids rather than build and sort 2E one-tuples
-        vertices = [*zip(sorted(set(chain.from_iterable(chain(*levels[:2])))))]
-    top = (tuple(vertices), *[tuple(sorted(level)) for level in levels[1:]])
-    return Nerve(len(top[0]), top)
-
-
-def _counted_closure(levels: list[set[Simplex]]) -> None:
-    """Close the levels in place from the vertices up, so that the simplices
-    held are the smallest ones; CapExceededError as soon as they number
-    more than MAX_SIMPLICES."""
+    """Nerve of the validated simplices grouped by dimension, built from the
+    vertices, the ids of the lines, up: level k gains the k-faces of each
+    line above it, in chunks of as many lines as the bound leaves room for.
+    CapExceededError, exactly when the nerve has more than MAX_SIMPLICES
+    simplices, as soon as the levels built, the level being built or the
+    k-faces of one line pass it with them."""
     too_many = f"the nerve has more than {MAX_SIMPLICES} simplices"
+    levels = [by_dim.get(k, set()) for k in range(max(by_dim, default=0) + 1)]
+    # sort the ids rather than build and sort one-tuples
+    levels[0] = [*zip(sorted(set(chain.from_iterable(chain.from_iterable(levels)))))]
     total = 0
     for k, level in enumerate(levels):
-        for s in chain.from_iterable(levels[k + 1 :]):
-            # s alone has comb(|s|, k + 1) distinct k-faces
-            if total + max(len(level), comb(len(s), k + 1)) > MAX_SIMPLICES:
-                raise CapExceededError(too_many)
-            level.update(combinations(s, k + 1))
+        for j in range(k + 1, len(levels)) if k else ():
+            faces, lines, left = comb(j + 1, k + 1), iter(levels[j]), len(levels[j])
+            while left:
+                if total + max(len(level), faces) > MAX_SIMPLICES:
+                    raise CapExceededError(too_many)
+                n = min(left, max(1, (MAX_SIMPLICES - total - len(level)) // faces))
+                chunk = map(combinations, islice(lines, n), repeat(k + 1))
+                level.update(chain.from_iterable(chunk))
+                left -= n
         total += len(level)
         if total > MAX_SIMPLICES:
             raise CapExceededError(too_many)
+    return Nerve((tuple(levels[0]), *[tuple(sorted(level)) for level in levels[1:]]))
 
 
 def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
@@ -388,10 +378,10 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     cycles = hermite_rows(zeros + y[len(factors):])
     w = [_pair(value, h) for h in cycles]
     if nerve.of_dim(3):
-        bounds = _coordinates(cycles, coboundary_matrix(nerve, 2))
+        bounds = list(map(lattice_coordinates(cycles), coboundary_matrix(nerve, 2)))
         rank, _, v = smith_eliminate(bounds, len(cycles), columns=True)
         ann = hermite_rows(v[len(rank):])
-        (coords,) = _coordinates(ann, [{i: x for i, x in enumerate(w) if x}])
+        coords = lattice_coordinates(ann)({i: x for i, x in enumerate(w) if x})
         w = [coords.get(i, 0) for i in range(len(ann))]
     torsion = tuple([(_pair(value, yi) % f, f) for yi, f in zip(y, factors) if f > 1])
     return ChernClass(True, None, tuple(w), torsion)
@@ -400,21 +390,3 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
 def _pair(value: list[int], row: Mapping[int, int]) -> int:
     return sum([value[i] * x for i, x in row.items()])
 
-
-def _coordinates(
-    basis: list[dict[int, int]], vectors: Iterable[Mapping[int, int]]
-) -> list[dict[int, int]]:
-    """{i: c_i} with vector = sum of c_i * basis[i], for each vector of the
-    lattice that a row Hermite basis spans: each leading entry left is
-    cleared by the basis row whose pivot it is."""
-    row_at = {min(row): i for i, row in enumerate(basis)}
-    out = []
-    for vector in vectors:
-        rest, coords = dict(vector), {}
-        while rest:
-            j = min(rest)
-            i = row_at[j]
-            coords[i] = q = rest[j] // basis[i][j]
-            add_into(rest, basis[i], -q)
-        out.append(coords)
-    return out

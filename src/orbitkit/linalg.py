@@ -7,16 +7,17 @@ point.  There is one elimination kernel, :func:`smith_eliminate`, the
 integer Smith normal form on rows stored as {column: value}.  It returns the
 invariant factors and builds a transform only on request: the Cech module
 has it carry a block through the row operations to read off the 2-cycles
-and torsion rows, and integer row-span membership asks for the right
-transform.  Rational rank and solve read it too, after scaling each row to
-integers: over Q the rank is the number of invariant factors, and
+and torsion rows.  Rational rank and solve read it too, after scaling each
+row to integers: over Q the rank is the number of invariant factors, and
 u·a·v = d gives a particular solution.  :func:`unit_reduce` is its
 unit-only front end: it takes the ±1 pivots in a fill-reducing order,
 carrying a block too when asked, and leaves the rest to
 :func:`smith_eliminate`.  Both update rows through one kernel,
 :func:`_add_indexed`, which keeps their column→rows index exact.
 :func:`hermite_rows` puts a lattice basis in the one form that does not
-depend on the elimination that found it.
+depend on the elimination that found it, and :func:`lattice_coordinates`
+reads a vector's coordinates in that basis, or finds it off the lattice:
+integer row-span membership is the two together.
 """
 
 from __future__ import annotations
@@ -389,6 +390,30 @@ def hermite_rows(rows: Iterable[Mapping[int, int]]) -> list[SparseRow]:
     return out
 
 
+def lattice_coordinates(basis: list[SparseRow]) -> Callable[[SparseRow], Optional[SparseRow]]:
+    """Coordinates in a row Hermite basis (:func:`hermite_rows`): a function
+    that gives {i: c_i} with vector = sum of c_i * basis[i], for a vector
+    held by its nonzero entries, or None when it is off the lattice.  Each
+    leading entry left is cleared by the basis row whose pivot it is."""
+    row_at = {min(row): (i, row) for i, row in enumerate(basis)}
+
+    def coordinates(vector: Mapping[int, int]) -> Optional[SparseRow]:
+        rest, coords = dict(vector), {}
+        while rest:
+            j = min(rest)
+            if j not in row_at:
+                return None
+            i, row = row_at[j]
+            q, r = divmod(rest[j], row[j])
+            if r:
+                return None
+            coords[i] = q
+            add_into(rest, row, -q)
+        return coords
+
+    return coordinates
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form with transforms: returns (d, u, v) with u·a·v = d.
 
@@ -463,30 +488,17 @@ def in_integer_row_span(gens: Mat, target: Vec) -> bool:
 
 def _row_span_member(gens: Mat) -> Callable[[Vec], bool]:
     """Membership test for the integer row span of gens, for any number of
-    targets from one Smith normal form."""
-    if not gens:
-        return lambda target: all(x == 0 for x in target)
-    width = len(gens[0])
+    targets from one row Hermite basis."""
     scale = math.lcm(*[x.denominator for row in gens for x in row])
-    factors, _, v = smith_eliminate(
-        [{j: int(x * scale) for j, x in enumerate(row) if x} for row in gens],
-        width,
-        columns=True,
-    )
-    # column j of v with the j-th diagonal entry of d (0 past the rank)
-    checks = [(factors[j] if j < len(factors) else 0, col) for j, col in enumerate(v)]
+    rows = [{j: int(x * scale) for j, x in enumerate(row) if x} for row in gens]
+    coordinates = lattice_coordinates(hermite_rows(rows))
 
     def member(target: Vec) -> bool:
-        if len(target) != width:
+        if gens and len(target) != len(gens[0]):
             raise ValueError("dimension mismatch between generators and target")
-        # scaled by scale, x·A = b  <=>  z·D = b·V with z integral
         b = [x * scale for x in target]
         if any(x.denominator != 1 for x in b):
             return False
-        for dj, col in checks:
-            bv = sum(int(b[i]) * x for i, x in col.items())
-            if (bv % dj if dj else bv) != 0:
-                return False
-        return True
+        return coordinates({j: int(x) for j, x in enumerate(b) if x}) is not None
 
     return member

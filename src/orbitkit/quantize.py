@@ -55,7 +55,7 @@ class LatticeSpec:
 
     @cached_property
     def member(self) -> Callable[[Vec], bool]:
-        """Integer-span membership test, one Smith normal form for all uses."""
+        """Integer-span membership test, one row Hermite basis for all uses."""
         return _row_span_member(mat(self.generators))
 
 

@@ -246,7 +246,7 @@ class RootSystem:
     @cached_property
     def root_lattice_member(self) -> Callable[[Vec], bool]:
         """Membership test for the root lattice, the integer span of the
-        simple roots: one Smith normal form per root system.  The test holds
+        simple roots: one row Hermite basis per root system.  The test holds
         no reference back to the root system, so caching it makes no cycle."""
         return _row_span_member(tuple([a.coords for a in self._default_split[1]]))
 

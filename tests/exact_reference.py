@@ -128,7 +128,7 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
             raise InputError(f"simplex {s} is not strictly increasing")
         by_dim.setdefault(len(s) - 1, set()).add(s)
     if not by_dim:
-        return Nerve(0, ((),))
+        return Nerve(((),))
     top = max(by_dim)
     # close downward: every face of a listed simplex is listed
     for k in range(top, 0, -1):
@@ -137,7 +137,7 @@ def build_nerve(simplices: Iterable[Sequence[int]]) -> Nerve:
                 face = s[:omit] + s[omit + 1 :]
                 by_dim.setdefault(k - 1, set()).add(face)
     levels = tuple(tuple(sorted(by_dim.get(k, ()))) for k in range(top + 1))
-    return Nerve(len(levels[0]), levels)
+    return Nerve(levels)
 
 
 def parse_nerve_lines(lines: Iterable[str]) -> Nerve:

@@ -3,9 +3,13 @@ before its unit-pivot rewrite, kept verbatim as the oracle that the library
 routine must match bit for bit, transforms included.
 
 It rescans the whole trailing block for every pivot, so it is slow on
-coboundary matrices; keep the inputs given to it small.
+coboundary matrices; keep the inputs given to it small.  `in_row_span`
+reads integer row-span membership off its transform v, the test that
+`linalg.in_integer_row_span` ran before it moved to a Hermite basis.
 """
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 IntMat = list[list[int]]
@@ -98,3 +102,24 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
         t += 1
 
     return d, u, v
+
+
+def in_row_span(gens: Sequence[Sequence], target: Sequence) -> bool:
+    """Whether target is an integer combination of the rows of gens, both
+    rational.  With every entry times one common denominator, x·a = b and
+    u·a·v = d give z·d = b·v for z = x·u⁻¹, integral iff x is: b must be
+    integral, and each entry of b·v divisible by its diagonal entry of d,
+    or zero past the rank."""
+    scale = math.lcm(*[Fraction(x).denominator for row in gens for x in row])
+    b = [Fraction(x) * scale for x in target]
+    if any(x.denominator != 1 for x in b):
+        return False
+    if not gens:
+        return not any(b)
+    d, _, v = smith_normal_form([[int(Fraction(x) * scale) for x in row] for row in gens])
+    for j in range(len(b)):
+        bv = sum(int(b[i]) * v[i][j] for i in range(len(b)))
+        dj = d[j][j] if j < len(d) else 0
+        if (bv % dj if dj else bv) != 0:
+            return False
+    return True

@@ -184,6 +184,39 @@ def test_the_simplex_bound_refuses_exactly_the_nerves_past_it(simplices, limit):
             assert build_nerve(simplices) == full
 
 
+def relabelled_torus_triangles(n):
+    perm = random.Random(n).sample(range(n * n), n * n)
+    return [tuple(sorted(perm[x] for x in s)) for s in grid_triangles(n)]
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_a_torus_at_the_simplex_bound_is_built(n, monkeypatch):
+    triangles = relabelled_torus_triangles(n)
+    full = build_nerve(triangles)
+    size = sum(map(len, full.simplices))
+    assert size == 6 * n * n  # n^2 vertices, 3n^2 edges, 2n^2 triangles
+    # 7 faces per triangle pass the second cap, but the closure fits both
+    for cap in (size, 7 * len(triangles) - 1):
+        monkeypatch.setattr(cech, "MAX_SIMPLICES", cap)
+        assert build_nerve(triangles) == full
+
+
+def test_a_solid_tetrahedron_listing_its_faces_at_the_simplex_bound_is_built(monkeypatch):
+    # each level holds, before it is closed, every face the lines above add
+    simplices = [s for k in range(1, 5) for s in itertools.combinations(range(4), k)]
+    full = build_nerve(simplices)
+    monkeypatch.setattr(cech, "MAX_SIMPLICES", 15)
+    assert build_nerve(simplices) == full
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_a_torus_one_past_the_simplex_bound_is_refused(n, monkeypatch):
+    monkeypatch.setattr(cech, "MAX_SIMPLICES", 6 * n * n - 1)
+    with pytest.raises(CapExceededError) as err:
+        build_nerve(relabelled_torus_triangles(n))
+    assert str(err.value) == f"the nerve has more than {6 * n * n - 1} simplices"
+
+
 @pytest.mark.parametrize("n", [20, 30, 40])
 def test_a_line_of_n_vertices_is_refused_before_its_faces_are_built(n):
     # its closure has 2^n - 1 faces; a 30-vertex line ran out of memory

@@ -7,6 +7,7 @@ from orbitkit.linalg import (
     MAX_RATIONAL_DIGITS,
     hermite_rows,
     in_integer_row_span,
+    lattice_coordinates,
     mat,
     mat_vec,
     parse_rational,
@@ -14,7 +15,7 @@ from orbitkit.linalg import (
     solve,
     vec,
 )
-from snf_reference import smith_normal_form as snf_reference
+from snf_reference import in_row_span, smith_normal_form as snf_reference
 
 from exact_reference import _rref, kernel_basis, rref_solve
 
@@ -140,6 +141,33 @@ def test_zero_width_generators():
     assert in_integer_row_span(((), ()), ())
 
 
+@st.composite
+def spans_and_targets(draw):
+    """Rational generators up to 4x4, possibly none, of width 0, with zero
+    rows or with a row that is a combination of others, and a target that is
+    a combination of them plus, often, a small step off it."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    coeff = st.integers(-3, 3)
+    if rows and draw(st.booleans()):  # rank-deficient; a zero row when every c is 0
+        cs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)])
+    cs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+    target = [sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)]
+    if n and draw(st.booleans()):
+        step = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), 1, 2)))
+        target[draw(st.integers(0, n - 1))] += step
+    return rows, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans_and_targets())
+def test_row_span_membership_matches_the_smith_reference(case):
+    rows, target = case
+    assert in_integer_row_span(mat(rows), vec(target)) == in_row_span(rows, target)
+
+
 @pytest.mark.parametrize(
     "token,value",
     [
@@ -193,8 +221,9 @@ def as_sparse(rows):
 
 
 def spans(basis, rows):
-    """Whether every row is an integer combination of the basis rows."""
-    return all(in_integer_row_span(mat(basis), vec(row)) for row in rows)
+    """Whether every row is an integer combination of the basis rows, by the
+    Smith reference, which shares no code with hermite_rows."""
+    return all(in_row_span(basis, row) for row in rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,3 +251,22 @@ def test_hermite_rows_of_a_small_lattice():
     assert hermite_rows([{0: -4, 1: 6}, {0: 6, 1: 2}, {}]) == [{0: 2, 1: 8}, {1: 22}]
     assert hermite_rows([{2: -1}, {0: 3, 2: 5}]) == [{0: 3}, {2: 1}]
     assert hermite_rows([]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices_and_mixes(), st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+def test_lattice_coordinates_rebuild_a_combination(case, cs):
+    rows, _ = case
+    n = len(rows[0]) if rows else 1
+    h = hermite_rows(as_sparse(rows))
+    vector = [sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)]
+    coords = lattice_coordinates(h)(as_sparse([vector])[0])
+    assert [sum(c * h[i].get(j, 0) for i, c in coords.items()) for j in range(n)] == vector
+
+
+def test_lattice_coordinates_off_the_lattice():
+    coordinates = lattice_coordinates(hermite_rows([{0: 2, 1: 8}, {1: 22}]))
+    assert coordinates({0: 4, 1: 38}) == {0: 2, 1: 1}
+    assert coordinates({0: 1}) is None  # the pivot 2 does not divide 1
+    assert coordinates({2: 1}) is None  # no pivot in column 2
+    assert coordinates({}) == {}

@@ -142,12 +142,12 @@ class TestCustomLattice:
             f"root {a2.roots[0].to_strings()} is not a member of the custom lattice"
         )
 
-    def test_one_smith_normal_form_for_all_roots(self, monkeypatch):
+    def test_one_hermite_basis_for_all_roots(self, monkeypatch):
         rs = build_root_system(parse_series("A3"))
         calls = []
-        eliminate = linalg.smith_eliminate
+        hermite = linalg.hermite_rows
         monkeypatch.setattr(
-            linalg, "smith_eliminate", lambda *a, **k: calls.append(a) or eliminate(*a, **k)
+            linalg, "hermite_rows", lambda *a, **k: calls.append(a) or hermite(*a, **k)
         )
         lattice = custom_lattice([a.coords for a in default_order(rs).simple], rs)
         assert len(calls) == 1
@@ -156,11 +156,11 @@ class TestCustomLattice:
         assert report.verdict.integral
         assert len(calls) == 1
 
-    def test_one_smith_normal_form_per_adjoint_report(self, monkeypatch):
+    def test_one_hermite_basis_per_adjoint_root_system(self, monkeypatch):
         calls = []
-        eliminate = linalg.smith_eliminate
+        hermite = linalg.hermite_rows
         monkeypatch.setattr(
-            linalg, "smith_eliminate", lambda *a, **k: calls.append(a) or eliminate(*a, **k)
+            linalg, "hermite_rows", lambda *a, **k: calls.append(a) or hermite(*a, **k)
         )
         # lam and its dominant representative share the root-lattice test
         report = analyze_orbit("A2", ["1", "0", "-1"], AD)

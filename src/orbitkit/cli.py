@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 2 usage, 3 input parse, 4 cap exceeded (a series with
 more than rootsys.MAX_ROOTS roots, a nerve with more than
-cech.MAX_SIMPLICES simplices), 5 internal theorem violation.
+cech.MAX_SIMPLICES simplices), 5 internal theorem violation, or an audit
+that fails (kind "oracle" when a numeric check raises).
 Rationals are serialized as "p/q" strings in lowest terms, never floats,
 and JSON output is canonical (sorted keys), so identical inputs are
 byte-identical across runs.
@@ -20,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import CapExceededError, InputError, TheoremViolationError
+from .errors import CapExceededError, InputError, OracleError, TheoremViolationError
 from .linalg import parse_rational, shorten
 
 # each command imports its own stack, so that a Cech command never loads the
@@ -320,22 +321,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if audit.ok and rank_ok else EXIT_THEOREM
 
 
-class _LazySubcommands(argparse._SubParsersAction):
-    """Subcommands whose parsers are built, and filled by fill(parser), only
-    when that subcommand is parsed, so that a call builds the parsers of its
-    own command alone.  Until then the command's name maps to its fill."""
+class _Deferred:
+    """A subcommand's parser as add_parser makes it: fill plus add_parser's
+    keywords (prog, and any a newer Python adds).  Its first parse builds the
+    ArgumentParser from those keywords and fills it by fill(parser), so that
+    a call builds the parsers of its own command alone."""
 
-    def add_parser(self, name, *, help, fill):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = fill
+    def __init__(self, fill, **kwargs):
+        self._fill, self._kwargs, self._parser = fill, kwargs, None
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        fill = self._name_parser_map.get(values[0])
-        if callable(fill):  # a built ArgumentParser is not callable
-            built = argparse.ArgumentParser(prog=f"{self._prog_prefix} {values[0]}")
-            fill(built)
-            self._name_parser_map[values[0]] = built
-        super().__call__(parser, namespace, values, option_string)
+    def parse_known_args(self, args, namespace):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._fill(self._parser)
+        return self._parser.parse_known_args(args, namespace)
 
 
 def _fill_orbit(p_orbit: argparse.ArgumentParser) -> None:
@@ -355,7 +354,7 @@ def _fill_orbit(p_orbit: argparse.ArgumentParser) -> None:
 
 
 def _fill_cech(p_cech: argparse.ArgumentParser) -> None:
-    cech_sub = p_cech.add_subparsers(dest="cech_command", required=True, action=_LazySubcommands)
+    cech_sub = p_cech.add_subparsers(dest="cech_command", required=True, parser_class=_Deferred)
     cech_sub.add_parser("h", help="cohomology group of a nerve", fill=_fill_h)
     cech_sub.add_parser("chern", help="class of an integer 2-cocycle", fill=_fill_chern)
 
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orbitkit",
         description="Exact coadjoint-orbit analysis and finite-nerve Cech cohomology.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_LazySubcommands)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
     sub.add_parser("orbit", help="analyze one coadjoint orbit", fill=_fill_orbit)
     sub.add_parser("cech", help="finite-nerve Cech cohomology", fill=_fill_cech)
     sub.add_parser("audit", help="numeric su(n) oracle cross-checks", fill=_fill_audit)
@@ -415,6 +414,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _emit_error("cap_exceeded", str(exc), EXIT_CAP)
     except TheoremViolationError as exc:
         return _emit_error("theorem_violation", str(exc), EXIT_THEOREM)
+    except OracleError as exc:
+        return _emit_error("oracle", str(exc), EXIT_THEOREM)
     except OSError as exc:
         return _emit_error("io", str(exc), EXIT_PARSE)
 

@@ -14,7 +14,8 @@ class InputError(OrbitkitError, ValueError):
 
 
 class CapExceededError(OrbitkitError, RuntimeError):
-    """An enumeration (Weyl closure) grew past its configured cap."""
+    """A size bound was passed: the roots of a series, the simplices of a
+    nerve's closure, or the elements of an enumerated Weyl group."""
 
 
 class TheoremViolationError(OrbitkitError, RuntimeError):
@@ -22,3 +23,7 @@ class TheoremViolationError(OrbitkitError, RuntimeError):
 
     Seeing this means an arithmetic bug, not a property of the input.
     """
+
+
+class OracleError(OrbitkitError, RuntimeError):
+    """Numeric diagnostic failure (clustering ambiguity, residual blow-up)."""

@@ -10,8 +10,10 @@ The oracle builds no exact object: the caller hands in one decomposition,
 its match_roots against the exact root system and one pipeline OrbitReport.
 
 Tolerances, separated by orders of magnitude from double-precision noise:
-construction 1e-12, spectral matching 1e-8, KKS blocks (relative), rank
-and root audit 1e-9, finite differences 1e-6 (central, step 1e-5).
+construction 1e-12, spectral matching 1e-8, KKS blocks (relative), root
+audit 1e-9, rank 1e-9 and finite differences 1e-6 (central, step 1e-5),
+the last two relative to |lambda|: both are linear in lambda, so scaling
+lambda scales them and leaves every verdict as it is.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError, OrbitkitError
+from .errors import InputError, OracleError
 from .frozen import frozen
 from .rootsys import RootSystem, Weight
 
@@ -37,10 +39,6 @@ AUDIT_TOL = 1e-9
 KKS_REL_TOL = 1e-9
 FD_TOL = 1e-6
 FD_STEP = 1e-5
-
-
-class OracleError(OrbitkitError, RuntimeError):
-    """Numeric diagnostic failure (clustering ambiguity, residual blow-up)."""
 
 
 @frozen
@@ -285,6 +283,7 @@ def numeric_kks_check(
             )
 
     rng = np.random.default_rng(seed)
+    scale = np.linalg.norm(v_lam)
     equiv_residual = 0.0
     for _ in range(samples):
         i, j = (int(k) for k in rng.integers(0, alg.dim, size=2))
@@ -294,7 +293,7 @@ def numeric_kks_check(
         fd = (plus - minus) / (2 * FD_STEP)
         residual = abs(fd - exact)
         equiv_residual = max(equiv_residual, residual)
-        if residual > FD_TOL:
+        if residual > FD_TOL * scale:
             raise OracleError(f"equivariance residual {residual:.2e} at basis pair {(i, j)}")
     return KKSCheckReport(block_residual, equiv_residual, samples)
 
@@ -309,7 +308,7 @@ def stabilizer_rank(lam: Weight, alg: MatrixAlgebra) -> int:
     """Numeric rank of X -> lambda([X, .]), which is the orbit dimension."""
     v_lam = lambda_vector(lam, alg)
     m = np.array([[_eval_functional(v_lam, _br(x, y)) for y in alg.basis] for x in alg.basis])
-    return int(np.linalg.matrix_rank(m, tol=RANK_TOL))
+    return int(np.linalg.matrix_rank(m, tol=RANK_TOL * np.linalg.norm(v_lam)))
 
 
 @frozen

@@ -146,15 +146,18 @@ def check_admissibility(
 
 
 def admissible_positive_system(
-    lam: Weight, rs: RootSystem, singular: tuple[Weight, ...]
+    lam: Weight, rs: RootSystem
 ) -> tuple[RootOrder, AdmissibilityCertificate]:
     """Positive system making lam dominant, with its explicit admissibility
-    certificate for singular, the singular set of lam; certificate failure is
-    a theorem violation.  A root is positive when p or r is, p and r its scan
-    entries for lam and rho: the chamber of lam + t rho for all small t > 0."""
-    scan = [p or r for p, r in zip(root_numerators(lam, rs), rs.rho_numerators)]
+    certificate for the singular set of lam, the roots whose scan entry for
+    lam is zero; certificate failure is a theorem violation.  A root is
+    positive when p or r is, p and r its scan entries for lam and rho: the
+    chamber of lam + t rho for all small t > 0."""
+    nums = root_numerators(lam, rs)
+    scan = [p or r for p, r in zip(nums, rs.rho_numerators)]
     order = RootOrder(rs, *sign_split(rs, scan))
-    cert = check_admissibility(lam, order, singular)
+    sing = tuple([a for a, p in zip(rs.roots, nums) if not p])
+    cert = check_admissibility(lam, order, sing)
     if not cert.holds():
         raise TheoremViolationError(
             f"admissibility certificate failed for lambda={lam.to_strings()}: {cert}"

@@ -10,7 +10,6 @@ from . import quantize
 from .errors import TheoremViolationError
 from .frozen import frozen
 from .rootsys import (
-    RootOrder,
     RootSystem,
     SeriesSpec,
     Weight,
@@ -31,7 +30,6 @@ class OrbitReport:
     series: SeriesSpec
     lam: Weight
     stabilizer: orbit_mod.StabilizerReport
-    order: RootOrder
     polarization: orbit_mod.Polarization
     kks: orbit_mod.KKSMatrix
     lagrangian: bool
@@ -57,8 +55,8 @@ class OrbitReport:
             "dim_orbit": self.dim_orbit,
             "dim_stabilizer": self.stabilizer.dim_g_lambda,
             "dim_g": self.stabilizer.dim_g,
-            "positive_system": [r.to_strings() for r in self.order.positive],
-            "simple_roots": [r.to_strings() for r in self.order.simple],
+            "positive_system": [r.to_strings() for r in self.polarization.order.positive],
+            "simple_roots": [r.to_strings() for r in self.polarization.order.simple],
             "b_roots": [r.to_strings() for r in self.polarization.b_roots],
             "kks_blocks": [
                 {"root": a.to_strings(), "value": str(c)}
@@ -97,7 +95,7 @@ def analyze_orbit(
     rs = build_root_system(parse_series(series)) if isinstance(series, str) else series
     lam = ambient_weight(lam_coords, rs)
     stab = orbit_mod.stabilizer_report(lam, rs)
-    order, cert = orbit_mod.admissible_positive_system(lam, rs, stab.singular)
+    order, cert = orbit_mod.admissible_positive_system(lam, rs)
     pol = orbit_mod._build_polarization(order, stab.singular, cert)
     kks = orbit_mod.kks_matrix(lam, pol)
     lagr, witness = orbit_mod.lagrangian_check(pol, kks)
@@ -112,7 +110,6 @@ def analyze_orbit(
         series=spec,
         lam=lam,
         stabilizer=stab,
-        order=order,
         polarization=pol,
         kks=kks,
         lagrangian=lagr,

@@ -192,7 +192,7 @@ class Weight:
 
 
 def weight_from_strings(items: Sequence[str]) -> Weight:
-    """Build a Weight from "p/q" strings (the JSON wire format), as the CLI reads them."""
+    """Build a Weight from "p/q" strings, the JSON wire format of a report."""
     try:
         coords = tuple([parse_rational(s) for s in items])
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,7 +1,10 @@
 """Reference argparse parser: `orbitkit.cli.build_parser` as it was before
 each subcommand's parser was built only when that subcommand is parsed,
 kept verbatim as the oracle whose help, usage, error bytes, exit codes and
-namespaces the lazily built parser must match.
+namespaces the deferred parser must match.  The deferred parser hands
+argparse's `add_parser` a `parser_class` that builds the real parser on its
+first parse, so this comparison also checks that each Python's `add_parser`
+still lists the help and passes on the keywords that parser is built from.
 
 Run as a script to compare the two on every argv of ARGVS at each width of
 COLUMNS, without pytest:

@@ -152,7 +152,7 @@ def test_criterion_4_kks_validation():
     rs, weights = suite_weights("A2", 3, seed=4)
     ts = [Fraction(k, 7) for k in range(1, 11)]
     for lam in weights:
-        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        order, _ = admissible_positive_system(lam, rs)
         base = kks_matrix(lam, polarization(lam, order))
         for t in ts:
             lam_t = Weight(tuple(t * c for c in lam.coords))
@@ -184,7 +184,7 @@ def test_criterion_6_polarization_certificates():
     for series in ("A1", "A2", "B2"):
         rs, weights = suite_weights(series, 50)
         for lam in weights:
-            order, cert = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+            order, cert = admissible_positive_system(lam, rs)
             assert cert.holds()
             pol = polarization(lam, order)
             b = {r.coords for r in pol.b_roots}
@@ -207,7 +207,7 @@ def test_criterion_6_polarization_certificates():
     # adversarial opposite-pair input
     rs = build_root_system(parse_series("A2"))
     lam = Weight((Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)))
-    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    order, _ = admissible_positive_system(lam, rs)
     good = polarization(lam, order)
     bad = Polarization(
         order=order,

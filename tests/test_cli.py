@@ -486,6 +486,33 @@ class TestAuditCommand:
         assert code == EXIT_OK
         assert "ok" in out
 
+    @pytest.mark.parametrize(
+        "s", ["1/10000000000000", "1/1000000", "1", "100000", "1000000000"]
+    )
+    def test_the_audit_does_not_depend_on_the_scale_of_lambda(self, capsys, s):
+        # the rank of X -> lambda([X, .]) does not change with the scale of
+        # lambda, and the finite-difference error grows linearly with it: an
+        # absolute rank tolerance failed at 10^-13 and an absolute residual
+        # bound raised at 10^5
+        code, out, err = run(capsys, "audit", "--n", "3", f"--lambda={s},0,-{s}",
+                             "--output", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["stabilizer_rank_matches"] is True
+
+    def test_an_oracle_error_is_a_json_error(self, capsys, monkeypatch):
+        # it escaped main as a traceback with exit 1
+        from orbitkit import oracle
+
+        def boom(*args, **kwargs):
+            raise oracle.OracleError("forced for the exit-code map")
+
+        monkeypatch.setattr(oracle, "numeric_kks_check", boom)
+        code, out, err = run(capsys, "audit", "--n", "2", "--samples", "1")
+        assert (code, out) == (EXIT_THEOREM, "")
+        assert json.loads(err) == {"error": {
+            "kind": "oracle", "message": "forced for the exit-code map", "exit_code": EXIT_THEOREM,
+        }}
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_must_be_positive(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:

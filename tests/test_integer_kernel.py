@@ -120,7 +120,7 @@ def test_orbit_callers_agree_with_the_fraction_sums(case):
     assert singular_roots(lam, rs) == ref.singular_roots(lam, rs)
     seed = ref.admissible_chamber_seed(lam, rs)
     sing = singular_roots(lam, rs)
-    order, cert = admissible_positive_system(lam, rs, sing)
+    order, cert = admissible_positive_system(lam, rs)
     assert list(order.positive) == ref.positive_split(rs, seed)
     assert is_dominant(lam, order) == ref.is_dominant(lam, order) == True  # noqa: E712
     pol = _build_polarization(order, sing, cert)
@@ -161,7 +161,7 @@ def test_admissible_order_is_the_chamber_of_the_reference_seed(case):
     # p or r per root is the sign of (lam + t rho, alpha) for every small
     # t > 0, the old seed's t among them
     rs, lam = case
-    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    order, _ = admissible_positive_system(lam, rs)
     want = positive_roots(rs, ref.admissible_chamber_seed(lam, rs))
     assert order.positive == want.positive
     assert order.simple == want.simple
@@ -178,7 +178,7 @@ def test_simple_roots_of_the_admissible_order_are_the_indecomposable_ones(case):
     # the 2 rho rule against the old search for positive roots that are not
     # a sum of two positives, in the same textbook order
     rs, lam = case
-    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    order, _ = admissible_positive_system(lam, rs)
     want = ref.simple_roots(order.positive)
     want.sort(key=lambda a: (next(i for i, x in enumerate(a.coords) if x), a.coords))
     assert order.simple == tuple(want)

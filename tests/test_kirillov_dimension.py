@@ -1,0 +1,94 @@
+"""Kirillov's dimension formula as an oracle of the report's KKS blocks.
+
+For a dominant integral lambda, dim V_lambda is the Liouville volume of the
+orbit of lambda + rho over that of the orbit of rho (Kirillov, *Lectures on
+the Orbit Method*, Ch. 5).  The KKS form of a report is block-diagonal, so
+that ratio is prod blocks(lambda + rho) / prod blocks(rho): the per-root
+constant cancels, and the ratio checks the pairings, the set of labels and
+their signs.  It is compared with two sources that do not touch the orbit
+code: dimensions from the classification tables, and on A1-A3 a brute-force
+count of semistandard tableaux.  A torus factor adds no block.
+"""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import prod
+
+import pytest
+
+from orbitkit import LatticeSpec, analyze_orbit, build_root_system, parse_series
+from orbitkit.quantize import SIMPLY_CONNECTED
+from orbitkit.rootsys import default_chamber_seed
+
+SC = LatticeSpec(SIMPLY_CONNECTED)
+
+
+def kirillov_dimension(series, lam):
+    rs = build_root_system(parse_series(series))
+    rho = default_chamber_seed(rs).coords
+    shifted = [Fraction(x) + r for x, r in zip(lam, rho)]
+    blocks = analyze_orbit(rs, shifted, SC).kks.blocks
+    base = analyze_orbit(rs, rho, SC).kks.blocks
+    assert len(blocks) == len(base)
+    return prod(blocks, start=Fraction(1)) / prod(base, start=Fraction(1))
+
+
+def semistandard_tableaux(shape, n):
+    """Count the fillings of shape by 1..n, weakly increasing along rows and
+    strictly down columns, row by row."""
+
+    def rows_below(above, rest):
+        if not rest:
+            return 1
+        return sum(
+            rows_below(row, rest[1:])
+            for row in combinations_with_replacement(range(1, n + 1), rest[0])
+            if all(x > y for x, y in zip(row, above))
+        )
+
+    return rows_below((), shape)
+
+
+HALF = Fraction(1, 2)
+TABLE = [
+    ("B2", (1, 0), 5),
+    ("B2", (HALF, HALF), 4),
+    ("C2", (1, 0), 4),
+    ("C2", (1, 1), 5),
+    ("B3", (1, 1, 0), 21),
+    ("C3", (2, 0, 0), 21),
+    ("D4", (1, 0, 0, 0), 8),
+    ("D4", (HALF, HALF, HALF, HALF), 8),
+    ("D4", (HALF, HALF, HALF, -HALF), 8),
+    ("D4", (1, 1, 0, 0), 28),
+]
+
+
+@pytest.mark.parametrize("series, lam, dim", TABLE, ids=lambda x: str(x))
+def test_kirillov_gives_the_tabled_dimensions(series, lam, dim):
+    assert kirillov_dimension(series, lam) == dim
+
+
+# every dominant lambda of A1, A2 and A3 with each Dynkin label at most 3:
+# 4 + 16 + 64 = 84 weights, as partitions with last part 0
+PARTITIONS = [
+    (rank, tuple(sum(labels[i:]) for i in range(rank)) + (0,))
+    for rank in (1, 2, 3)
+    for labels in product(range(4), repeat=rank)
+]
+
+
+def test_there_are_84_partitions():
+    assert len(PARTITIONS) == 84
+
+
+@pytest.mark.parametrize("rank, shape", PARTITIONS, ids=lambda x: str(x))
+def test_kirillov_counts_the_semistandard_tableaux(rank, shape):
+    assert kirillov_dimension(f"A{rank}", shape) == semistandard_tableaux(shape, rank + 1)
+
+
+def test_a_torus_factor_adds_no_block():
+    # (2, 0) on A1 is V of dimension 3; the torus coordinate 5 changes nothing
+    assert kirillov_dimension("A1xT1", (2, 0, 5)) == kirillov_dimension("A1", (2, 0)) == 3
+    rs = build_root_system(parse_series("A1xT1"))
+    assert len(analyze_orbit(rs, default_chamber_seed(rs).coords, SC).kks.blocks) == 1

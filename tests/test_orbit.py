@@ -144,7 +144,7 @@ class TestAdmissibleSystem:
     def test_regular_weight(self, a2, a2_order):
         fw = fundamental_weights(a2_order)
         rho = fw[0] + fw[1]
-        order, cert = admissible_positive_system(rho, a2, singular_roots(rho, a2))
+        order, cert = admissible_positive_system(rho, a2)
         assert cert.holds()
         assert {r.coords for r in order.positive} == {
             r.coords for r in a2_order.positive
@@ -153,7 +153,7 @@ class TestAdmissibleSystem:
     def test_a2_fundamental_chamber(self, a2, a2_order):
         # frozen from the exhaustive check over the three positive roots
         omega1 = fundamental_weights(a2_order)[0]
-        order, cert = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
+        order, cert = admissible_positive_system(omega1, a2)
         assert cert.holds()
         alpha1, alpha2 = a2_order.simple
         assert {r.coords for r in order.positive} == {
@@ -166,15 +166,32 @@ class TestAdmissibleSystem:
 
     def test_zero_weight_vacuous(self, a2):
         zero = w(0, 0, 0)
-        order, cert = admissible_positive_system(zero, a2, singular_roots(zero, a2))
+        order, cert = admissible_positive_system(zero, a2)
         assert cert.holds()
         assert len(order.positive) == 3
+
+    def test_certificate_is_about_the_singular_set_of_lambda(self, a2, monkeypatch):
+        # the certificate holds for () and for every root too, so it is the
+        # set it was checked against that shows whose certificate it is
+        lam = w(1, 1, -2)
+        checked = []
+
+        def recording(lam, order, singular):
+            checked.append({a.coords for a in singular})
+            return check_admissibility(lam, order, singular)
+
+        monkeypatch.setattr("orbitkit.orbit.check_admissibility", recording)
+        order, cert = admissible_positive_system(lam, a2)
+        s_lam = {frac_vec((1, -1, 0)), frac_vec((-1, 1, 0))}
+        assert checked == [s_lam] == [{a.coords for a in singular_roots(lam, a2)}]
+        assert cert.holds()
+        assert len(s_lam & order.positive_set) == 1
 
     def test_lambda_dominant_for_chosen_chamber(self, b2):
         rng = random.Random(12)
         for _ in range(40):
             lam = random_weight(b2, rng)
-            order, cert = admissible_positive_system(lam, b2, singular_roots(lam, b2))
+            order, cert = admissible_positive_system(lam, b2)
             assert cert.dominant
             assert all(pairing(lam, a, b2) >= 0 for a in order.positive)
 
@@ -191,20 +208,20 @@ class TestAdmissibleSystem:
 class TestPolarization:
     def test_a1_rank_one(self, a1):
         lam = w("1/2", "-1/2")
-        order, _ = admissible_positive_system(lam, a1, singular_roots(lam, a1))
+        order, _ = admissible_positive_system(lam, a1)
         pol = polarization(lam, order)
         assert [r.coords for r in pol.b_roots] == [frac_vec((1, -1))]
 
     def test_a2_regular_full_flag(self, a2, a2_order):
         fw = fundamental_weights(a2_order)
         rho = fw[0] + fw[1]
-        order, _ = admissible_positive_system(rho, a2, singular_roots(rho, a2))
+        order, _ = admissible_positive_system(rho, a2)
         pol = polarization(rho, order)
         assert len(pol.b_roots) == 3
 
     def test_a2_singular_removes_wall(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
+        order, _ = admissible_positive_system(omega1, a2)
         pol = polarization(omega1, order)
         alpha1, alpha2 = a2_order.simple
         assert {r.coords for r in pol.b_roots} == {
@@ -216,7 +233,7 @@ class TestPolarization:
         rng = random.Random(14)
         for _ in range(40):
             lam = random_weight(b2, rng)
-            order, _ = admissible_positive_system(lam, b2, singular_roots(lam, b2))
+            order, _ = admissible_positive_system(lam, b2)
             pol = polarization(lam, order)
             coords = {r.coords for r in pol.b_roots}
             assert not any(tuple(-c for c in v) in coords for v in coords)
@@ -232,7 +249,7 @@ class TestPolarization:
 class TestKKSMatrix:
     def test_zero_weight_empty(self, a2):
         zero = w(0, 0, 0)
-        order, _ = admissible_positive_system(zero, a2, singular_roots(zero, a2))
+        order, _ = admissible_positive_system(zero, a2)
         kks = kks_matrix(zero, polarization(zero, order))
         assert kks.basis_labels == ()
         assert kks.dim == 0
@@ -241,7 +258,7 @@ class TestKKSMatrix:
         values = {}
         for t in (Fraction(1), Fraction(3, 2), Fraction(5)):
             lam = Weight((t / 2, -t / 2))
-            order, _ = admissible_positive_system(lam, a1, singular_roots(lam, a1))
+            order, _ = admissible_positive_system(lam, a1)
             kks = kks_matrix(lam, polarization(lam, order))
             assert len(kks.basis_labels) == 1
             values[t] = kks.block_value(kks.basis_labels[0])
@@ -252,7 +269,7 @@ class TestKKSMatrix:
 
     def test_a2_fundamental_blocks_equal(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
+        order, _ = admissible_positive_system(omega1, a2)
         kks = kks_matrix(omega1, polarization(omega1, order))
         values = [kks.block_value(a) for a in kks.basis_labels]
         assert len(values) == 2
@@ -263,7 +280,7 @@ class TestKKSMatrix:
         rng = random.Random(16)
         for _ in range(25):
             lam = random_weight(b2, rng)
-            order, _ = admissible_positive_system(lam, b2, singular_roots(lam, b2))
+            order, _ = admissible_positive_system(lam, b2)
             kks = kks_matrix(lam, polarization(lam, order))
             n = kks.dim
             for i in range(n):
@@ -280,7 +297,7 @@ class TestKKSMatrix:
         for rs in (a2, b2):
             for _ in range(25):
                 lam = random_weight(rs, rng)
-                order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+                order, _ = admissible_positive_system(lam, rs)
                 kks = kks_matrix(lam, polarization(lam, order))
                 exact_rank = rank(mat(kks.entries)) if kks.dim else 0
                 assert exact_rank == kks.dim == orbit_dimension(lam, rs)
@@ -289,7 +306,7 @@ class TestKKSMatrix:
         rng = random.Random(20)
         for _ in range(10):
             lam = random_weight(a2, rng, sum_zero=True)
-            order, _ = admissible_positive_system(lam, a2, singular_roots(lam, a2))
+            order, _ = admissible_positive_system(lam, a2)
             kks = kks_matrix(lam, polarization(lam, order))
             for t in (Fraction(2), Fraction(1, 3), Fraction(7, 5)):
                 lam_t = Weight(tuple(t * c for c in lam.coords))
@@ -313,7 +330,7 @@ class TestLongRootSeries:
         assert len(rep.singular) == 4
         assert rep.dim_g_lambda == 7
         assert orbit_dimension(lam, rs) == 14
-        order, cert = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        order, cert = admissible_positive_system(lam, rs)
         assert cert.holds()
         pol = polarization(lam, order)
         assert len(pol.b_roots) == 7
@@ -328,7 +345,7 @@ class TestLongRootSeries:
         assert len(rep.singular) == 6
         assert rep.dim_g_lambda == 9
         assert orbit_dimension(lam, rs) == 6
-        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        order, _ = admissible_positive_system(lam, rs)
         kks = kks_matrix(lam, polarization(lam, order))
         assert kks.dim == 6
 
@@ -339,7 +356,7 @@ class TestLagrangianCheck:
         for rs in (a2, b2):
             for _ in range(25):
                 lam = random_weight(rs, rng)
-                order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+                order, _ = admissible_positive_system(lam, rs)
                 pol = polarization(lam, order)
                 kks = kks_matrix(lam, pol)
                 ok, witness = lagrangian_check(pol, kks)
@@ -347,7 +364,7 @@ class TestLagrangianCheck:
 
     def test_adversarial_opposite_pair(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
+        order, _ = admissible_positive_system(omega1, a2)
         good = polarization(omega1, order)
         kks = kks_matrix(omega1, good)
         alpha = good.b_roots[0]
@@ -364,7 +381,7 @@ class TestLagrangianCheck:
 
     def test_a2_fundamental_explicit(self, a2, a2_order):
         omega1 = fundamental_weights(a2_order)[0]
-        order, _ = admissible_positive_system(omega1, a2, singular_roots(omega1, a2))
+        order, _ = admissible_positive_system(omega1, a2)
         pol = polarization(omega1, order)
         kks = kks_matrix(omega1, pol)
         assert lagrangian_check(pol, kks) == (True, None)

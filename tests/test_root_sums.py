@@ -152,7 +152,7 @@ def admissibility_cases(draw):
     lam = draw(near_regular(rs))
     kind = draw(st.sampled_from(("admissible", "chamber", "signs")))
     if kind == "admissible":
-        order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+        order, _ = admissible_positive_system(lam, rs)
     elif kind == "chamber":
         order = positive_roots(rs, draw(chamber_seeds(rs)))
     else:
@@ -229,7 +229,7 @@ def test_polarization_labels_and_singular_roots_are_closed(case):
     b_roots + singular is closed for the admissible order of lambda."""
     series, lam = case
     rs = system(series)
-    order, _ = admissible_positive_system(lam, rs, singular_roots(lam, rs))
+    order, _ = admissible_positive_system(lam, rs)
     pol = polarization(lam, order)
     ref.check_closed(pol.b_roots + singular_roots(lam, rs), rs, "polarization label set")
 
@@ -289,6 +289,6 @@ def test_sc_integrality_matches_every_coroot(case):
 def test_regular_report_certificates_hold_at_rank_22(series):
     rs = system(series)
     lam = Weight(tuple(range(rs.ambient_dim, 0, -1)))
-    order, cert = admissible_positive_system(lam, rs, ())
+    order, cert = admissible_positive_system(lam, rs)
     assert cert.holds()
     assert ref.admissibility_conditions(order, ()) == (True, True)

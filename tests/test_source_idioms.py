@@ -17,6 +17,11 @@ One sparse row update in `linalg`.  dst += c*src on a {column: value} row,
 keeping the column index rows_in[j] exact, is the private kernel
 `_add_indexed`; only it and the index builder `_column_index` add to a
 `rows_in` set, so no elimination writes the update out again.
+
+argparse's public surface only.  A private argparse name (`_SubParsersAction`,
+`_name_parser_map`, ...) may change shape in any Python release, so no module
+imports or reads one; the CLI defers its subcommand parsers through
+`add_subparsers(parser_class=...)`.
 """
 
 import ast
@@ -167,3 +172,39 @@ def test_the_index_rule_sees_nested_updates():
         "    holders[0].add(1)\n"
     )
     assert index_adders(source) == ["_add_indexed", "smith"]
+
+
+def private_argparse_names(source: str) -> list[int]:
+    """Lines that name a private attribute of argparse or import one from it."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "argparse"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases and node.attr.startswith("_"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "argparse" \
+                and any(a.name.startswith("_") for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_argparse_names(path):
+    assert private_argparse_names(path.read_text()) == []
+
+
+def test_the_argparse_rule_sees_each_form():
+    source = (
+        "import argparse\n"
+        "class A(argparse._SubParsersAction): pass\n"
+        "from argparse import _ChoicesPseudoAction, ArgumentParser\n"
+        "import argparse as ap\n"
+        "x = ap._name_parser_map + argparse.ArgumentParser + parser._actions\n"
+        "y = argparse.ArgumentError + self._prog_prefix\n"
+    )
+    assert private_argparse_names(source) == [2, 3, 5]

@@ -3,7 +3,8 @@
 The analytic condition "2-pi-i times lambda lifts to a character of the
 torus" is replaced by exact membership in a character lattice; the lattice
 normalization absorbs the 2-pi-i factor.  Which lattice applies depends on
-the global form of the group, so it is a parameter.
+the global form of the group, so it is a parameter.  The central torus counts:
+``sc`` is P + Z^k and ``adjoint`` Q + Z^k on G x T^k (Broecker-tom Dieck, Ch. V).
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from typing import Callable, Sequence
 from .errors import InputError, TheoremViolationError
 from .frozen import frozen
 from .linalg import Vec, _row_span_member, mat
-from .rootsys import (
-    RootSystem,
-    Weight,
-    coroot_value,
-    default_order,
-    numerator_scan,
-    require_ambient,
-)
+from .rootsys import RootSystem, Weight, default_order, require_ambient
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .orbit import singular_roots  # noqa: F401
 from .weyl import dominant_representative
@@ -33,6 +27,8 @@ CUSTOM = "custom"
 
 NONZERO_IRREDUCIBLE = "nonzero_irreducible"
 ZERO_SECTION_SPACE = "zero_section_space"
+
+_P_DENOMINATOR = {"A": 0, "B": 2, "C": 1, "D": 2, "T": 1}  # on P, x_0's denominator divides it
 
 
 @frozen
@@ -61,10 +57,12 @@ class LatticeSpec:
 
 def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpec:
     """Validated custom lattice: must contain every root and pair integrally
-    with every coroot (root lattice <= lattice <= weight lattice).  The simple
-    coroots span the coroot lattice, so each generator is tested as a weight
-    of the simply connected lattice."""
-    gens = tuple([tuple([Fraction(x) for x in g]) for g in generators])
+    with every coroot (root lattice <= lattice <= weight lattice).  Its torus
+    part is free: U(2) = (SU(2) x U(1)) / Z_2 mixes the two parts on A1xT1."""
+    try:
+        gens = mat(generators)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"bad lattice generator: {exc}") from exc
     for g in gens:
         if len(g) != rs.ambient_dim:
             raise InputError(
@@ -78,32 +76,37 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
         raise InputError(
             f"root {alpha.to_strings()} is not a member of the custom lattice"
         )
-    weight_lattice = LatticeSpec(SIMPLY_CONNECTED)
+    factors = [b for b in rs.spec.blocks() if b[0] != "T"]
     for g in gens:
-        if not is_integral(Weight(g), weight_lattice, rs):
+        if not _in_block_lattice(Weight(g), factors, False):
             raise InputError(
                 f"generator {list(map(str, g))} pairs non-integrally with a coroot"
             )
     return lattice
 
 
+def _in_block_lattice(lam: Weight, blocks, root_lattice: bool) -> bool:
+    """Whether lam is in P, or Q if root_lattice, on each factor block and in
+    Z^k on the torus.  On a block x (Bourbaki, Ch. VI, Plates I-IV), P is x_i -
+    x_j in Z on A_n, Z^n on C_n, Z^n or (Z + 1/2)^n on B_n and D_n; Q is Z^n,
+    with sum 0 on A_n and an even sum on C_n and D_n."""
+    nums, d = lam.integer_form
+    for letter, _, start, stop in blocks:
+        x = nums[start:stop]  # x_i - x_0 is in Z on every lattice; x_0 and the sum decide
+        k = 1 if root_lattice else _P_DENOMINATOR[letter]
+        if any((v - x[0]) % d for v in x) or k * x[0] % d or root_lattice and (
+                sum(x) if letter == "A" else letter in "CD" and sum(x) % (2 * d)):
+            return False
+    return True
+
+
 def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
-    """Exact lattice membership of lam, per the lattice kind.  The simple
-    coroots span the coroot lattice and the simple roots the root lattice,
-    so sc and adjoint are tested against the simple roots alone; adjoint
-    through the root system's cached root-lattice test."""
+    """Exact lattice membership of lam: sc and adjoint by the block rule, a
+    custom lattice through its cached membership test."""
     require_ambient(lam.coords, rs)
-    if lattice.kind == SIMPLY_CONNECTED:
-        # <lam, alpha^vee> = k / D with k an integer, lam = numerators / D
-        nums, d = lam.integer_form
-        supports = default_order(rs).simple_supports
-        return all(
-            coroot_value(p, s) % d == 0
-            for p, s in zip(numerator_scan(nums, supports), supports)
-        )
-    if lattice.kind == ADJOINT:
-        return rs.root_lattice_member(lam.coords)
-    return lattice.member(lam.coords)
+    if lattice.kind == CUSTOM:
+        return lattice.member(lam.coords)
+    return _in_block_lattice(lam, rs.spec.blocks(), lattice.kind == ADJOINT)
 
 
 @frozen

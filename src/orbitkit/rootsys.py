@@ -26,8 +26,8 @@ reflection maps numerators over D to numerators over the same D.
 :func:`numerator_scan` is the one kernel: it returns (w, alpha) D for each
 root of a support list.  :func:`root_numerators` runs it over all of the
 roots, and every report fact read off pairings with lambda (singular set,
-admissible order, KKS blocks) reads such a scan; dominance, straightening
-and ``sc`` integrality scan the simple roots.  :func:`sign_split` reads a
+admissible order, KKS blocks) reads such a scan; dominance and
+straightening scan the simple roots.  :func:`sign_split` reads a
 positive system off a scan: rho's (``RootSystem.rho_numerators``), a seed's,
 or ``p or r`` per root for lambda's entry p and rho's r; its simple roots are
 the positive alpha with <2 rho, alpha^vee> = 2, read off one more scan.
@@ -47,11 +47,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from math import lcm
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
-from .linalg import Vec, _row_span_member, mat, parse_rational, solve, vec
+from .linalg import Vec, mat, parse_rational, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
@@ -244,13 +244,6 @@ class RootSystem:
         return sign_split(self, self.rho_numerators)
 
     @cached_property
-    def root_lattice_member(self) -> Callable[[Vec], bool]:
-        """Membership test for the root lattice, the integer span of the
-        simple roots: one row Hermite basis per root system.  The test holds
-        no reference back to the root system, so caching it makes no cycle."""
-        return _row_span_member(tuple([a.coords for a in self._default_split[1]]))
-
-    @cached_property
     def ambient_dim(self) -> int:
         return self.spec.ambient_dim
 
@@ -384,7 +377,10 @@ def require_ambient(coords: Sequence, space: RootSystem | SeriesSpec) -> None:
 def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:
     """Ingest ambient coordinates, projecting A-blocks onto their sum-zero
     hyperplane when needed; the projection is flagged on the result."""
-    c = list(vec(coords))
+    try:
+        c = list(vec(coords))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"bad weight coordinate: {exc}") from exc
     require_ambient(c, rs)
     projected = False
     for letter, _, start, stop in rs.spec.blocks():

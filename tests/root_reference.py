@@ -10,7 +10,7 @@ agree with:
   integers (`pairing`, `coroot_pairing`, `reflect`), and the callers that
   read them: the singular set, the admissible chamber seed, the positive
   system's sign split, dominance, the KKS blocks, straightening and `sc`
-  integrality.
+  integrality, which `torus_integral` completes with the central torus.
 """
 
 from fractions import Fraction
@@ -134,6 +134,14 @@ def is_integral_sc(lam, order):
         coroot_pairing(lam, alpha, order.rs).denominator == 1
         for alpha in order.simple
     )
+
+
+def torus_integral(lam, rs):
+    """Every central-torus coordinate of lam (the trailing torus_rank ones)
+    is an integer: the Z^k summand of both P + Z^k and Q + Z^k, which the
+    old `sc` and `adjoint` branches did not read."""
+    k = rs.spec.torus_rank
+    return all(Fraction(x).denominator == 1 for x in lam.coords[len(lam.coords) - k:])
 
 
 def root_sums(left, right, rs):

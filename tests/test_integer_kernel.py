@@ -131,8 +131,10 @@ def test_orbit_callers_agree_with_the_fraction_sums(case):
     ref_dom, ref_word = ref.dominant_representative(lam, default)
     assert word == ref_word
     assert dom.coords == ref_dom.coords
-    assert is_integral(lam, SC, rs) == ref.is_integral_sc(lam, default)
-    assert is_integral(dom, SC, rs) == ref.is_integral_sc(dom, default)
+    # P + Z^k: the old coroot test, and every torus coordinate in Z
+    torus = ref.torus_integral(lam, rs)
+    assert is_integral(lam, SC, rs) == (ref.is_integral_sc(lam, default) and torus)
+    assert is_integral(dom, SC, rs) == (ref.is_integral_sc(dom, default) and torus)
 
 
 @st.composite
@@ -201,10 +203,12 @@ def test_t1_equations_are_the_singular_roots_positive_for_rho(case):
         st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4))),
         min_size=system(s).ambient_dim, max_size=system(s).ambient_dim))))
 def test_sc_integrality_agrees_on_weights_near_the_lattice(case):
-    # denominators 1, 2 and 4 make integral and half-integral weights common
+    # denominators 1, 2 and 4 make integral and half-integral weights common;
+    # P + Z^k is the old coroot test with every torus coordinate in Z
     rs, coords = case
     lam = Weight(tuple(coords))
-    assert is_integral(lam, SC, rs) == ref.is_integral_sc(lam, default_order(rs))
+    want = ref.is_integral_sc(lam, default_order(rs)) and ref.torus_integral(lam, rs)
+    assert is_integral(lam, SC, rs) == want
 
 
 def test_a_seed_on_a_wall_is_refused_with_the_same_root():

@@ -8,6 +8,11 @@ constant cancels, and the ratio checks the pairings, the set of labels and
 their signs.  It is compared with two sources that do not touch the orbit
 code: dimensions from the classification tables, and on A1-A3 a brute-force
 count of semistandard tableaux.  A torus factor adds no block.
+
+A non-dominant input, a Weyl image of a tabled lambda, gives the same
+dimension through its report's `verdict.dominant_rep`.  On products with
+T1 and T2 the verdict is `nonzero_irreducible` exactly when every coroot
+pairing of lambda is an integer and so is every torus coordinate.
 """
 
 from fractions import Fraction
@@ -16,9 +21,12 @@ from math import prod
 
 import pytest
 
-from orbitkit import LatticeSpec, analyze_orbit, build_root_system, parse_series
-from orbitkit.quantize import SIMPLY_CONNECTED
+from orbitkit import LatticeSpec, Weight, analyze_orbit, build_root_system, parse_series
+from orbitkit.quantize import NONZERO_IRREDUCIBLE, SIMPLY_CONNECTED
 from orbitkit.rootsys import default_chamber_seed
+
+import root_reference as ref
+from models import signed_permutation_images
 
 SC = LatticeSpec(SIMPLY_CONNECTED)
 
@@ -92,3 +100,66 @@ def test_a_torus_factor_adds_no_block():
     assert kirillov_dimension("A1xT1", (2, 0, 5)) == kirillov_dimension("A1", (2, 0)) == 3
     rs = build_root_system(parse_series("A1xT1"))
     assert len(analyze_orbit(rs, default_chamber_seed(rs).coords, SC).kks.blocks) == 1
+
+
+def weyl_images(series, lam, count):
+    """Up to count images of lam under the Weyl group of the single factor
+    series other than lam itself, spread over their sorted list: none is
+    dominant, since an orbit meets the dominant chamber once."""
+    point = tuple(Fraction(x) for x in lam)
+    images = sorted(signed_permutation_images(point, series[0]) - {point})
+    return images[::max(1, len(images) // count)][:count]
+
+
+@pytest.mark.parametrize("series, lam, dim", TABLE, ids=lambda x: str(x))
+def test_non_dominant_inputs_give_the_dimension_through_dominant_rep(series, lam, dim):
+    rs = build_root_system(parse_series(series))
+    for mu in weyl_images(series, lam, 6):
+        verdict = analyze_orbit(rs, mu, SC).verdict
+        assert verdict.integral and not verdict.is_dominant_input
+        assert kirillov_dimension(series, verdict.dominant_rep.coords) == dim
+
+
+@pytest.mark.parametrize("rank, shape", [p for p in PARTITIONS if any(p[1])],
+                         ids=lambda x: str(x))
+def test_reversed_partitions_give_the_tableau_count(rank, shape):
+    verdict = analyze_orbit(f"A{rank}", shape[::-1], SC).verdict
+    assert not verdict.is_dominant_input
+    dim = kirillov_dimension(f"A{rank}", verdict.dominant_rep.coords)
+    assert dim == semistandard_tableaux(shape, rank + 1)
+
+
+THIRD = Fraction(1, 3)
+SEMISIMPLE = {
+    "A1": [(1, -1), (HALF, -HALF), (HALF / 2, -HALF / 2), (0, 0)],
+    "B2": [(HALF, HALF), (1, 0), (HALF, 0)],
+    "C2": [(1, 1), (HALF, HALF)],
+    "D3": [(HALF, HALF, HALF), (1, 0, 0), (HALF, HALF, 0)],
+}
+TORUS = {1: [(0,), (3,), (-HALF,), (THIRD,)],
+         2: [(0, 0), (1, -2), (HALF, 1), (1, THIRD)]}
+TORUS_CASES = [
+    (semisimple, k, lam, t)
+    for semisimple, k in (("A1", 1), ("A1", 2), ("B2", 1), ("C2", 2), ("D3", 1))
+    for lam in SEMISIMPLE[semisimple]
+    for t in TORUS[k]
+]
+
+
+@pytest.mark.parametrize("semisimple, k, lam, torus", TORUS_CASES, ids=lambda x: str(x))
+def test_torus_products_are_irreducible_iff_every_coordinate_is_integral(
+    semisimple, k, lam, torus
+):
+    series = f"{semisimple}xT{k}"
+    rs = build_root_system(parse_series(series))
+    weight = Weight(tuple(Fraction(x) for x in lam + torus))
+    every_coroot = all(ref.coroot_pairing(weight, a, rs).denominator == 1 for a in rs.roots)
+    want = every_coroot and ref.torus_integral(weight, rs)
+    verdict = analyze_orbit(rs, weight.coords, SC).verdict
+    assert (verdict.borel_weil == NONZERO_IRREDUCIBLE) == want
+    if want:
+        # V_lambda is the semisimple part's irreducible, the torus acting by a character
+        dom = verdict.dominant_rep.coords
+        dim = kirillov_dimension(series, dom)
+        assert dim == kirillov_dimension(semisimple, dom[:len(lam)])
+        assert dim.denominator == 1 and dim >= 1

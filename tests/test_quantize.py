@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitkit import (
     InputError,
@@ -35,6 +35,7 @@ from orbitkit.quantize import (
 
 import root_reference as ref
 from models import frac_vec
+from snf_reference import in_row_span
 
 SC = LatticeSpec(SIMPLY_CONNECTED)
 AD = LatticeSpec(ADJOINT)
@@ -74,12 +75,26 @@ class TestIsIntegral:
             assert is_integral(lam, SC, a2)
 
     def test_torus_coordinates(self):
+        # the central torus counts: sc is P + Z^k and adjoint Q + Z^k
         rs = build_root_system(parse_series("A1xT1"))
-        lam = w("1/2", "-1/2", "7/3")
-        # no root constrains the torus direction on the weight lattice
-        assert is_integral(lam, SC, rs)
-        # but the root lattice cannot reach a nonzero torus coordinate
-        assert not is_integral(lam, AD, rs)
+        assert not is_integral(w("1/2", "-1/2", "7/3"), SC, rs)
+        assert is_integral(w("1/2", "-1/2", "2"), SC, rs)
+        assert not is_integral(w("1/2", "-1/2", "2"), AD, rs)
+        assert is_integral(w(1, -1, 2), AD, rs)
+        assert not is_integral(w(1, -1, "1/2"), AD, rs)
+
+    @pytest.mark.parametrize("series, lam, lattice, integral", [
+        ("A1xT1", ["1/2", "-1/2", "1/3"], SC, False),
+        ("T2", ["1/7", "3/5"], SC, False),
+        ("A1xT1", ["1", "-1", "1"], AD, True),
+        ("T2", ["2", "-5"], SC, True),
+        ("B2xT1", ["1/2", "1/2", "3"], SC, True),
+        ("B2xT1", ["1/2", "1/2", "3"], AD, False),
+    ])
+    def test_torus_verdicts_of_reports(self, series, lam, lattice, integral):
+        verdict = analyze_orbit(series, lam, lattice).verdict
+        assert verdict.integral is integral
+        assert verdict.borel_weil == (NONZERO_IRREDUCIBLE if integral else ZERO_SECTION_SPACE)
 
     def test_b2_spinor_weight(self, b2):
         # (1/2, 1/2) pairs integrally with both coroot lengths but misses the
@@ -156,23 +171,30 @@ class TestCustomLattice:
         assert report.verdict.integral
         assert len(calls) == 1
 
-    def test_one_hermite_basis_per_adjoint_root_system(self, monkeypatch):
+    def test_sc_and_adjoint_reports_build_no_hermite_basis(self, monkeypatch):
         calls = []
         hermite = linalg.hermite_rows
         monkeypatch.setattr(
             linalg, "hermite_rows", lambda *a, **k: calls.append(a) or hermite(*a, **k)
         )
-        # lam and its dominant representative share the root-lattice test
-        report = analyze_orbit("A2", ["1", "0", "-1"], AD)
-        assert report.verdict.integral
-        assert len(calls) == 1
-        assert not analyze_orbit("A2", ["1", "0", "0"], AD).verdict.integral
-        assert len(calls) == 2
-        # a root system reused across reports builds the test once
-        rs = build_root_system(parse_series("A2"))
-        for lam in (["1", "0", "-1"], ["2", "-1", "-1"], ["1/3", "1/3", "-2/3"]):
-            analyze_orbit(rs, lam, AD)
-        assert len(calls) == 3
+        # the block rule reads closed forms: no lattice basis on either kind
+        for series, lam in (("A2", ["1", "0", "-1"]), ("A2", ["1", "0", "0"]),
+                            ("D4xT1", ["1/2", "1/2", "1/2", "-1/2", "2"]),
+                            ("B2xC2", ["1", "0", "1", "1"])):
+            for lattice in (SC, AD):
+                analyze_orbit(series, lam, lattice)
+        assert calls == []
+
+    def test_u2_mixes_the_torus_with_the_semisimple_part(self):
+        # U(2) = (SU(2) x U(1)) / Z_2 on A1xT1: its characters are
+        # (a/2, -a/2, a/2 + b) for integers a, b, so the sandwich check reads
+        # the simple factor only and leaves the torus part free
+        rs = build_root_system(parse_series("A1xT1"))
+        u2 = custom_lattice([["1/2", "-1/2", "1/2"], ["-1/2", "1/2", "1/2"]], rs)
+        assert is_integral(w("1/2", "-1/2", "1/2"), u2, rs)
+        assert not is_integral(w("1/2", "-1/2", "1/2"), SC, rs)
+        assert is_integral(w("1/2", "-1/2", 0), SC, rs)
+        assert not is_integral(w("1/2", "-1/2", 0), u2, rs)
 
     def test_no_generators_is_rejected(self, a1):
         with pytest.raises(InputError, match="custom lattice needs at least one generator"):
@@ -253,6 +275,51 @@ def test_root_lattice_check_names_the_first_missing_root_as_the_reference(case):
     # to name the missing one
     rs, gens = case
     assert _outcome(custom_lattice, gens, rs) == _outcome(ref.custom_lattice, gens, rs)
+
+
+BLOCK_SERIES = (
+    "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "C1", "C2", "C3", "C4", "D2", "D3", "D4",
+    "T1", "T2", "A1xT1", "A2xT1", "B2xT2", "C3xT1", "D4xT1", "A1xA1xT1", "B2xD3",
+    "A2xC2xT1", "D2xB2xT2", "A3xB4",
+)
+OFFSETS = (0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+
+
+@st.composite
+def block_weights(draw):
+    """Each block gets integers plus one common offset, 0 or 1/2 most often
+    (so spinor weights, all coordinates in Z + 1/2, are common), now and then
+    with one coordinate nudged off it; an A block is projected to sum zero
+    or not."""
+    rs = _rs(draw(st.sampled_from(BLOCK_SERIES)))
+    coords = []
+    for letter, _, start, stop in rs.spec.blocks():
+        shift = draw(st.sampled_from(OFFSETS))
+        block = [draw(st.integers(-3, 3)) + shift for _ in range(start, stop)]
+        if draw(st.integers(0, 4)) == 0:
+            block[draw(st.integers(0, stop - start - 1))] += draw(st.sampled_from(OFFSETS[2:]))
+        if letter == "A" and draw(st.booleans()):
+            mean = Fraction(sum(block), len(block))
+            block = [x - mean for x in block]
+        coords += block
+    return rs, Weight(tuple(coords))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_weights())
+@example((_rs("D4xT1"), w("1/2", "1/2", "1/2", "-1/2", 3)))
+@example((_rs("A2xT1"), w(2, 2, -1, -2)))
+def test_block_rule_matches_the_coroot_and_root_span_tests(case):
+    # sc: every coroot pairing is an integer; adjoint: the simple roots span
+    # lam's semisimple part; both: every torus coordinate is an integer
+    rs, lam = case
+    torus = ref.torus_integral(lam, rs)
+    every_coroot = all(ref.coroot_pairing(lam, a, rs).denominator == 1 for a in rs.roots)
+    assert is_integral(lam, SC, rs) == (every_coroot and torus)
+    k = rs.spec.torus_rank
+    semisimple = lam.coords[:rs.ambient_dim - k] + (0,) * k
+    simple = [a.coords for a in default_order(rs).simple]
+    assert is_integral(lam, AD, rs) == (in_row_span(simple, semisimple) and torus)
 
 
 class TestExtendability:

@@ -277,12 +277,13 @@ def test_integrality_is_invariant_under_simple_reflections(case):
 @given(st.sampled_from(SERIES).flatmap(
     lambda s: st.tuples(st.just(s), rational_weights(system(s)))))
 def test_sc_integrality_matches_every_coroot(case):
+    # P + Z^k: every coroot pairing is an integer, and every torus coordinate
     series, lam = case
     rs = system(series)
     every_coroot = all(
         (2 * pairing(lam, a, rs) / pairing(a, a, rs)).denominator == 1 for a in rs.roots
     )
-    assert is_integral(lam, SC, rs) == every_coroot
+    assert is_integral(lam, SC, rs) == (every_coroot and ref.torus_integral(lam, rs))
 
 
 @pytest.mark.parametrize("series", ["B22", "D22", "C22xT1"])

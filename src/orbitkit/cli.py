@@ -1,9 +1,10 @@
 """Command-line surface: orbit reports, Cech computations, oracle audits.
 
-Exit codes: 0 ok, 2 usage, 3 input parse, 4 cap exceeded (a series with
-more than rootsys.MAX_ROOTS roots, a nerve with more than
-cech.MAX_SIMPLICES simplices), 5 internal theorem violation, or an audit
-that fails (kind "oracle" when a numeric check raises).
+Exit codes: 0 ok, 2 usage, 3 input parse (also an audit's lambda with a
+nonzero root pairing within RANK_TOL |lambda|, before any numeric check), 4
+cap exceeded (a series with more than rootsys.MAX_ROOTS roots, a nerve with
+more than cech.MAX_SIMPLICES simplices), 5 internal theorem violation, or an
+audit that fails (kind "oracle" when a numeric check raises).
 Rationals are serialized as "p/q" strings in lowest terms, never floats,
 and JSON output is canonical (sorted keys), so identical inputs are
 byte-identical across runs.
@@ -16,13 +17,12 @@ import json
 import re
 import sys
 from decimal import Decimal
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, InputError, OracleError, TheoremViolationError
-from .linalg import parse_rational, shorten
+from .linalg import shorten
 
 # each command imports its own stack, so that a Cech command never loads the
 # orbit modules and an orbit report never loads the Cech one
@@ -95,18 +95,6 @@ def _seed(text: str) -> int:
     return _bounded_int(text, 0)
 
 
-def _rational(token: str, what: str) -> Fraction:
-    """parse_rational of one token; an error quotes only that token, shortened."""
-    try:
-        return parse_rational(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad {what} {shorten(token)!r}: {exc}") from exc
-
-
-def _parse_lambda(text: str) -> list[Fraction]:
-    return [_rational(t, "lambda coordinate") for t in text.split(",")]
-
-
 def _read_text(path: Path) -> str:
     """Text of an input file; bytes that are not UTF-8 are an input error."""
     try:
@@ -135,20 +123,10 @@ def _resolve_lattice(flag: str, rs):
         gens = data.get("generators") if isinstance(data, dict) else data
         if not isinstance(gens, list):
             raise InputError("lattice file must hold a list of generator rows")
-        rows = []
         for row in gens:
             if not isinstance(row, list):
                 raise InputError(f"bad lattice generator {shorten(repr(row))}: not a list")
-            # JSON floats are inexact (and 1e400 is infinite): entries are
-            # integers or "p/q" strings only
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, str)):
-                    raise InputError(
-                        f"bad lattice generator entry {shorten(repr(x))}: entries "
-                        'must be integers or "p/q" strings'
-                    )
-            rows.append([_rational(str(x), "lattice generator entry") for x in row])
-        return quantize.custom_lattice(rows, rs)
+        return quantize.custom_lattice(gens, rs)
     raise InputError(f"unknown lattice flag {flag!r}; use sc, adjoint or custom:FILE")
 
 
@@ -158,7 +136,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
     rs = build_root_system(parse_series(args.series))
     lattice = _resolve_lattice(args.lattice, rs)
-    report = analyze_orbit(rs, _parse_lambda(args.lam), lattice)
+    report = analyze_orbit(rs, args.lam.split(","), lattice)
     payload = report.to_json_dict()
     payload["lattice"] = args.lattice
     if args.output == "json":
@@ -272,16 +250,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     n = args.n
     alg = oracle.special_unitary_basis(n)
     rs = build_root_system(SeriesSpec((("A", n - 1),)))
-    roots = oracle.numeric_root_decomposition(alg)
-    matches = oracle.match_roots(roots, rs)
-    max_match = max(res for _, _, res in matches)
-    audit = oracle.root_property_audit(roots)
     if args.lam:
-        coords = _parse_lambda(args.lam)
+        coords = args.lam.split(",")
     else:
         coords = fundamental_weights(default_order(rs))[0].coords
     report = analyze_orbit(rs, coords, _resolve_lattice("sc", rs))
     lam = report.lam
+    oracle.require_resolvable(lam, rs)
+    roots = oracle.numeric_root_decomposition(alg)
+    matches = oracle.match_roots(roots, rs)
+    max_match = max(res for _, _, res in matches)
+    audit = oracle.root_property_audit(roots)
     kks = oracle.numeric_kks_check(report, alg, matches, samples=args.samples, seed=args.seed)
     rank_ok = oracle.stabilizer_rank(lam, alg) == report.dim_orbit
     payload = {

@@ -17,7 +17,8 @@ carrying a block too when asked, and leaves the rest to
 :func:`hermite_rows` puts a lattice basis in the one form that does not
 depend on the elimination that found it, and :func:`lattice_coordinates`
 reads a vector's coordinates in that basis, or finds it off the lattice:
-integer row-span membership is the two together.
+integer row-span membership is the two together.  :func:`exact` reads
+every number that enters the package, to MAX_RATIONAL_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+from .errors import InputError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -65,6 +68,34 @@ def parse_integer(token: str) -> int:
     if len(token) > MAX_RATIONAL_DIGITS:  # digits are counted only when they can pass
         _refuse_digits(token, sum(map(str.isdecimal, token)))
     return int(token)
+
+
+def exact(value, what: str) -> Fraction:
+    """value as a Fraction: a str by parse_rational, a float or a bool
+    refused, anything else by Fraction, to MAX_RATIONAL_DIGITS digits.  A
+    refusal is an InputError "bad {what} {value, shortened!r}: {reason}"."""
+    try:
+        if isinstance(value, str):
+            return parse_rational(value)
+        if isinstance(value, (float, bool)):
+            raise TypeError(f"{type(value).__name__} is not an exact number")
+        x = Fraction(value)
+        if max(abs(x.numerator), x.denominator) >= 10**MAX_RATIONAL_DIGITS:
+            raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
+        return x
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        try:
+            shown = shorten(value if isinstance(value, str) else repr(value))
+        except ValueError:  # CPython writes no int of more than 4300 digits
+            shown = f"<long {type(value).__name__}>"
+        raise InputError(f"bad {what} {shown!r}: {exc}") from exc
+
+
+def exact_vec(values, what: str) -> list[Fraction]:
+    """exact of each entry of values, refused unless values is iterable."""
+    if not isinstance(values, Iterable):
+        raise InputError(f"bad {what} list: {type(values).__name__} is not iterable")
+    return [exact(x, what) for x in values]
 
 
 def vec(values: Iterable) -> Vec:
@@ -168,12 +199,13 @@ def smith_eliminate(
     the free part of a Chern class goes through :func:`hermite_rows` and
     depends on no pivot order.  Step t pivots on the
     first entry of least nonzero magnitude, in row-major order, of the
-    trailing block d[t:][t:]; the search stops at the first ±1, since
-    nothing is smaller.  The pivot is swapped to (t, t) and made positive,
-    then row t and column t are reduced by floor division, a unit pivot as
-    any other.  Nonzero remainders restart step t; a unit leaves none.  A
-    pivot that fails to divide some trailing entry (never a unit) has the
-    first such row added to row t, and step t restarts.
+    trailing block d[t:][t:]; the search stops at the first entry equal to
+    the last pivot (1 at first), since it divides every entry.  The pivot is
+    swapped to (t, t) and made positive, then row t and column t are reduced
+    by floor division, a unit pivot as any other.  Nonzero remainders restart
+    step t; a unit leaves none.  A pivot that fails to divide some trailing
+    entry (never the last pivot again) has the first such row added to row
+    t, and step t restarts.
 
     The work follows the nonzero entries: rows and columns keep their
     identities while swaps move their positions, and a column→rows index
@@ -211,6 +243,7 @@ def smith_eliminate(
             add_into(y[dst], y[src], c)
 
     t = 0
+    last = 1  # the last pivot, which divides every trailing entry
     while True:
         skip[t] = t  # the pivot row may move onto a zero row's position
         best = None
@@ -220,7 +253,7 @@ def smith_eliminate(
             if best is None or least < best[0]:
                 j = min(colpos[j] for j, x in row.items() if abs(x) == least)
                 best = (least, pos, j)
-                if least == 1:
+                if least == last:
                     break
         if best is None:
             break
@@ -254,12 +287,13 @@ def smith_eliminate(
             continue  # remainders became new smaller pivot candidates
 
         # pivot must divide the whole trailing block for the invariant chain
-        if p > 1:
+        if p > last:
             rest = (at[i] for i in nonzero_rows(t + 1))
             offender = next((i for i in rest if any(x % p for x in d[i].values())), None)
             if offender is not None:
                 add_row(r, offender, 1)
                 continue
+        last = p
         t += 1
 
     factors = [d[at[i]][colat[i]] for i in range(t)]

@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, OracleError
 from .frozen import frozen
-from .rootsys import RootSystem, Weight
+from .rootsys import RootSystem, Weight, root_numerators
 
 if TYPE_CHECKING:
     from .pipeline import OrbitReport
@@ -302,6 +302,16 @@ def _coadjoint_pullback(v_lam: np.ndarray, x: np.ndarray, y: np.ndarray, t: floa
     """<Ad*(exp(-t x)) lambda, y> = lambda(Ad(exp(t x)) y)."""
     g = expm(t * x)
     return _eval_functional(v_lam, g @ y @ np.linalg.inv(g))
+
+
+def require_resolvable(lam: Weight, rs: RootSystem) -> None:
+    """Refuse (InputError) a lambda that doubles cannot tell from a singular
+    one: its least nonzero root pairing is at most RANK_TOL |lambda|, compared
+    exactly on its integer numerators, in which both sides scale alike."""
+    least = min([abs(p) for p in root_numerators(lam, rs) if p], default=0)
+    if least and least**2 <= Fraction(RANK_TOL) ** 2 * sum([x * x for x in lam.integer_form[0]]):
+        raise InputError(f"lambda has a nonzero root pairing within the rank tolerance "
+                         f"{RANK_TOL} |lambda| of the numeric oracle")
 
 
 def stabilizer_rank(lam: Weight, alg: MatrixAlgebra) -> int:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, TheoremViolationError
 from .frozen import frozen
-from .linalg import Vec, _row_span_member, mat
+from .linalg import Vec, _row_span_member, exact_vec, mat
 from .rootsys import RootSystem, Weight, default_order, require_ambient
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .orbit import singular_roots  # noqa: F401
@@ -59,10 +59,9 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
     """Validated custom lattice: must contain every root and pair integrally
     with every coroot (root lattice <= lattice <= weight lattice).  Its torus
     part is free: U(2) = (SU(2) x U(1)) / Z_2 mixes the two parts on A1xT1."""
-    try:
-        gens = mat(generators)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"bad lattice generator: {exc}") from exc
+    if not isinstance(generators, Iterable):
+        raise InputError("custom lattice generators must be a list of rows")
+    gens = tuple([tuple(exact_vec(row, "lattice generator entry")) for row in generators])
     for g in gens:
         if len(g) != rs.ambient_dim:
             raise InputError(

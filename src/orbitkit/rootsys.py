@@ -11,8 +11,8 @@ A fixed Euclidean realization is used throughout:
 with the pairing given by the ambient dot product; torus factors contribute
 trailing coordinates and no roots.  Roots are tuples of plain ints, each with
 at most two nonzero coordinates; weights may hold ints or Fractions, which
-compare, hash and print alike.  All arithmetic is exact, and every value is
-immutable after construction.
+compare, hash and print alike; ``linalg.exact`` reads any other number.  All
+arithmetic is exact, and every value is immutable after construction.
 
 Weights meet roots in integers.  Each :class:`Weight` caches its integer
 form: numerators over D, the lcm of its coordinate denominators.  Each
@@ -51,7 +51,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
-from .linalg import Vec, mat, parse_rational, solve, vec
+from .linalg import Vec, exact, exact_vec, mat, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
@@ -151,7 +151,8 @@ class Weight:
     projected: bool = False
 
     def __post_init__(self):
-        coords = tuple([c if type(c) in (int, Fraction) else Fraction(c) for c in self.coords])
+        coords = tuple([c if type(c) in (int, Fraction) else exact(c, "weight coordinate")
+                        for c in self.coords])
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "Weight") -> "Weight":
@@ -166,7 +167,8 @@ class Weight:
         return Weight(tuple([-a for a in self.coords]))
 
     def __rmul__(self, c) -> "Weight":
-        return Weight(tuple([Fraction(c) * a for a in self.coords]))
+        c = exact(c, "weight scalar")
+        return Weight(tuple([c * a for a in self.coords]))
 
     def _check_arith(self, other: "Weight"):
         if len(self.coords) != len(other.coords):
@@ -193,11 +195,7 @@ class Weight:
 
 def weight_from_strings(items: Sequence[str]) -> Weight:
     """Build a Weight from "p/q" strings, the JSON wire format of a report."""
-    try:
-        coords = tuple([parse_rational(s) for s in items])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational in weight: {exc}") from exc
-    return Weight(coords)
+    return Weight(tuple(exact_vec(items, "weight coordinate")))
 
 
 @frozen
@@ -377,10 +375,7 @@ def require_ambient(coords: Sequence, space: RootSystem | SeriesSpec) -> None:
 def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:
     """Ingest ambient coordinates, projecting A-blocks onto their sum-zero
     hyperplane when needed; the projection is flagged on the result."""
-    try:
-        c = list(vec(coords))
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"bad weight coordinate: {exc}") from exc
+    c = exact_vec(coords, "lambda coordinate")
     require_ambient(c, rs)
     projected = False
     for letter, _, start, stop in rs.spec.blocks():
@@ -480,9 +475,5 @@ def weight_from_fundamental(coeffs: Sequence, order: RootOrder) -> Weight:
         raise InputError(
             f"expected {len(fw)} fundamental coefficients, got {len(coeffs)}"
         )
-    coords = [Fraction(0)] * order.rs.ambient_dim
-    for c, w in zip(coeffs, fw):
-        c = Fraction(c)
-        for i, x in enumerate(w.coords):
-            coords[i] += c * x
-    return Weight(tuple(coords))
+    zero = Weight(tuple([Fraction(0)] * order.rs.ambient_dim))
+    return sum([exact(c, "fundamental coefficient") * w for c, w in zip(coeffs, fw)], zero)

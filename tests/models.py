@@ -61,3 +61,18 @@ def brute_dominant_points(orbit_points, simple_roots):
 
 def frac_vec(items):
     return tuple(Fraction(x) for x in items)
+
+
+def signed_permutations(n: int, series: str):
+    """(p, signs, det) for each element of the permutation model of one
+    factor, acting as in signed_permutation_images: (w v)_i = signs[i] *
+    v[p[i]], of determinant det = sign(p) * prod(signs)."""
+    if series == "A":
+        sign_choices = [(1,) * n]
+    else:
+        sign_choices = [s for s in product((1, -1), repeat=n)
+                        if series != "D" or s.count(-1) % 2 == 0]
+    for p in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        for signs in sign_choices:
+            yield p, signs, (-1) ** (inversions + signs.count(-1))

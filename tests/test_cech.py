@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -508,6 +509,29 @@ def unit_heavy_matrices(draw):
 @example([[2, 4], [4, 2]])
 def test_smith_normal_form_matches_reference(rows):
     assert smith_normal_form(rows) == snf_reference(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((0, 0, 2, -2, 4, 6, -6, 12, 3)), min_size=5, max_size=5),
+                max_size=6))
+@example([[2, 0, 0], [0, 2, 0], [0, 0, 4], [4, 6, 2]])
+def test_smith_normal_form_matches_reference_when_pivots_repeat(rows):
+    """Torsion-rich matrices, whose invariant factors repeat a non-unit: the
+    pivot search stops at the last pivot's magnitude, and a pivot equal to
+    it skips the divisibility pass, with the same (d, u, v)."""
+    assert smith_normal_form(rows) == snf_reference(rows)
+
+
+def test_h2_of_many_projective_planes_takes_time_linear_in_the_copies():
+    """3000 disjoint copies of RP^2: every pivot of the residue is a 2, which
+    the pivot search takes at once, with no rescan of the residue per pivot."""
+    copies = 3000
+    nerve = build_nerve([tuple(v + 6 * c for v in s) for c in range(copies) for s in PROJECTIVE_PLANE])
+    start = time.perf_counter()
+    group = cohomology(nerve, 2)
+    elapsed = time.perf_counter() - start
+    assert (group.free_rank, group.torsion) == (0, (2,) * copies)
+    assert elapsed < 2.0
 
 
 # -- unit pivots first ----------------------------------------------------------

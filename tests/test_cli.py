@@ -499,6 +499,26 @@ class TestAuditCommand:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["stabilizer_rank_matches"] is True
 
+    @pytest.mark.parametrize("lam", [
+        "1,1099511627777/1099511627776,-2199023255553/1099511627776",  # lambda_2 = 1 + 2^-40
+        "1,1.00000000000000000001,-2.00000000000000000001",
+    ])
+    def test_a_lambda_that_doubles_cannot_resolve_is_refused_before_any_numeric_check(
+        self, capsys, monkeypatch, lam
+    ):
+        # both exited 5: the first with a false rank verdict, the second with
+        # a KKS block mismatch of kind oracle, though each exact report is right
+        from orbitkit import oracle
+
+        def numeric(*args, **kwargs):
+            raise AssertionError("a numeric check ran")
+
+        monkeypatch.setattr(oracle, "numeric_root_decomposition", numeric)
+        code, out, err = run(capsys, "audit", "--n", "3", f"--lambda={lam}", "--samples", "1")
+        assert (code, out) == (EXIT_PARSE, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "input" and "rank tolerance" in error["message"]
+
     def test_an_oracle_error_is_a_json_error(self, capsys, monkeypatch):
         # it escaped main as a traceback with exit 1
         from orbitkit import oracle

@@ -245,3 +245,27 @@ def test_audit_builds_each_exact_and_numeric_fact_once(capsys, monkeypatch):
             "match_roots": 1,
             "build_root_system": 1,
         }
+
+
+@pytest.mark.parametrize("delta, refused", [
+    (Fraction(1, 10**9), True),  # 10^-9 <= 10^-9 |lambda|, |lambda| about 2.45
+    (Fraction(24, 10**10), True),
+    (Fraction(25, 10**10), False),
+    (Fraction(1, 10**8), False),
+    (0, False),  # a singular lambda: the zero pairing is exact in doubles too
+])
+def test_a_lambda_is_resolvable_past_the_rank_tolerance(delta, refused):
+    rs = build_root_system(parse_series("A2"))
+    lam = Weight((1, 1 - delta, delta - 2))
+    if refused:
+        with pytest.raises(InputError, match="rank tolerance"):
+            oracle.require_resolvable(lam, rs)
+    else:
+        oracle.require_resolvable(lam, rs)
+    # the rule reads the ratio to |lambda|, so scaling lambda keeps the verdict
+    scaled = Weight(tuple([10**12 * x for x in lam.coords]))
+    if refused:
+        with pytest.raises(InputError):
+            oracle.require_resolvable(scaled, rs)
+    else:
+        oracle.require_resolvable(scaled, rs)

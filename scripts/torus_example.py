@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Write a randomly relabelled torus or cube-grid nerve and an integer 2-cochain on it.
+"""Write a randomly relabelled torus, Klein-bottle or cube-grid nerve and an integer 2-cochain on it.
 
 The torus nerve is the triangulated n x n torus grid, vertex (i, j) -> i*n + j;
-with --cube it is the Freudenthal triangulation of an n x n x n block of
-cubes instead, vertex (x, y, z) -> (x*(n+1) + y)*(n+1) + z.  Its vertices
-are relabelled by a permutation drawn from random.Random(seed).  The
-cochain is delta(b) for a random 1-cochain b with values in [-3, 3], drawn
-from the same generator, plus 2 on one randomly chosen face.  On the torus
-it is a cocycle whose class is twice a generator of H^2 = Z; on the cube
-grid it is not closed, so `cech chern` exits 3 and names a witness.
+with --klein the wrap in the second direction reflects the first coordinate,
+which makes it a Klein bottle, and with --cube it is the Freudenthal
+triangulation of an n x n x n block of cubes instead, vertex (x, y, z) ->
+(x*(n+1) + y)*(n+1) + z.  Its vertices are relabelled by a permutation drawn
+from random.Random(seed).  The cochain is delta(b) for a random 1-cochain b
+with values in [-3, 3], drawn from the same generator, plus 2 on one randomly
+chosen face.  On the torus it is a cocycle whose class is twice a generator
+of H^2 = Z, on the Klein bottle one whose class in H^2 = Z/2 is trivial; on
+the cube grid it is not closed, so `cech chern` exits 3 and names a witness.
 
 Usage: python3 scripts/torus_example.py --n 32 --seed 32 --out examples/torus32
 writes examples/torus32.nerve and examples/torus32.cochain; n = 12 with
@@ -25,8 +27,12 @@ import itertools
 import random
 
 
-def torus_triangles(n: int) -> list[tuple[int, int, int]]:
+def torus_triangles(n: int, klein: bool = False) -> list[tuple[int, int, int]]:
+    """A Klein bottle when the wrap in the second direction reflects the first."""
+
     def v(i, j):
+        if klein and j == n:
+            i = n - 1 - i
         return (i % n) * n + j % n
 
     tris = []
@@ -57,7 +63,9 @@ def main() -> None:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="path prefix of the two files")
-    parser.add_argument("--cube", action="store_true", help="an n x n x n cube grid")
+    shape = parser.add_mutually_exclusive_group()
+    shape.add_argument("--cube", action="store_true", help="an n x n x n cube grid")
+    shape.add_argument("--klein", action="store_true", help="an n x n Klein bottle")
     parser.add_argument("--cochain", help="cochain path (default: PREFIX.cochain)")
     args = parser.parse_args()
     n, rng = args.n, random.Random(args.seed)
@@ -65,7 +73,8 @@ def main() -> None:
     if args.cube:
         count, top, name = (n + 1) ** 3, cube_tetrahedra(n), f"{n}x{n}x{n} cube grid"
     else:
-        count, top, name = n * n, torus_triangles(n), f"{n}x{n} torus"
+        surface = "Klein bottle" if args.klein else "torus"
+        count, top, name = n * n, torus_triangles(n, args.klein), f"{n}x{n} {surface}"
     perm = rng.sample(range(count), count)
     tops = sorted(tuple(sorted(perm[x] for x in s)) for s in top)
     tris = sorted({f for s in tops for f in itertools.combinations(s, 3)})

@@ -2,12 +2,14 @@
 
 The nerve of a cover is an abstract simplicial complex; cochains live on its
 strictly increasing simplex tuples and the coboundary is the alternating
-face sum.  Cohomology over both rings comes from the integer Smith normal
-form of the sparse coboundary matrices; that of delta_0, the incidence
-matrix of the nerve's graph, is read off a union-find.  Integer 2-cocycle
+face sum.  Cohomology over both rings comes from the invariant factors of
+the coboundary matrices: those of delta_0, and of delta_k when no k-simplex
+has a third coface (delta_1 of a surface, the top delta of a
+pseudomanifold), off a signed union-find (Harary 1953, Zaslavsky 1982), and
+any other's from a sparse integer Smith normal form.  Integer 2-cocycle
 classes (the Chern-class data of transition functions) pair with the
-2-cycles that the same elimination finds, put in Hermite normal form, so
-their coordinates depend on the nerve and the class alone.
+2-cycles that an elimination of delta_1 finds, put in Hermite normal form,
+so their coordinates depend on the nerve and the class alone.
 
 A single nerve is the input; refinements and the direct limit are out of
 scope, so the cover is assumed to have contractible intersections.
@@ -26,7 +28,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import CapExceededError, InputError
 from .frozen import frozen
 from .linalg import (
-    hermite_rows, lattice_coordinates, parse_integer, parse_rational, smith_eliminate, unit_reduce,
+    exact, hermite_rows, lattice_coordinates, parse_integer, parse_rational, smith_eliminate,
+    unit_reduce,
 )
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
@@ -199,8 +202,9 @@ def make_cochain(
 ) -> Cochain:
     """Cochain defined on exactly the degree-k simplices; omitted ones are 0.
 
-    Values are exact: a float is refused on both rings, and on Z a value
-    that is not an integer is refused rather than truncated.
+    Values are read by linalg.exact, which refuses floats, bools and
+    numbers past MAX_RATIONAL_DIGITS digits on both rings; on Z a value that
+    is not an integer is refused rather than truncated.
     """
     if ring not in (RING_Z, RING_Q):
         raise InputError(f"unknown ring {ring!r}")
@@ -210,12 +214,7 @@ def make_cochain(
         key = tuple(s)
         if key not in known:
             raise InputError(f"simplex {key} is not a {degree}-simplex of the nerve")
-        if isinstance(v, float):
-            raise InputError(f"value {v!r} on simplex {key} is a float; give an int or Fraction")
-        try:
-            x = Fraction(v)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"value {v!r} on simplex {key}: {exc}") from exc
+        x = exact(v, f"cochain value on simplex {key}")
         if ring == RING_Z:
             if x.denominator != 1:
                 raise InputError(f"value {v} on simplex {key} is not an integer")
@@ -258,35 +257,76 @@ def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:
 
 
 def _invariant_factors(nerve: Nerve, k: int) -> list[int]:
-    """Invariant factors of delta_k: its unit pivots first, then the Smith
-    normal form of what they leave.  delta_0, the incidence matrix of the
-    nerve's graph, is totally unimodular (Schrijver, *Theory of Linear and
-    Integer Programming*, §19.3): its factors are V - c ones, c the number
-    of components, one per edge that joins two components."""
+    """Invariant factors of delta_k, ones first.  delta_0 is the incidence
+    matrix of the nerve's graph; delta_k is the transpose of that of a
+    signed graph whenever no k-simplex has a third coface.  Both are read
+    off _signed_factors; any other delta_k comes from its unit pivots and
+    the Smith normal form of what they leave."""
     if k == 0:
-        return [1] * _joining_edges(nerve)
-    if not nerve.of_dim(k + 1):
+        at = {v: i for i, (v,) in enumerate(nerve.of_dim(0))}
+        return _signed_factors(len(at), ((at[a], at[b], 0) for a, b in nerve.of_dim(1)), ())
+    cofaces = nerve.of_dim(k + 1)
+    if not cofaces:
         return []
+    pairs = _coface_pairs(cofaces, k)
+    if pairs is not None:
+        return _signed_factors(len(cofaces), *pairs)
     units, residue, width = unit_reduce(coboundary_matrix(nerve, k), len(nerve.of_dim(k)))
     return [1] * units + smith_eliminate(residue, width)[0]
 
 
-def _joining_edges(nerve: Nerve) -> int:
-    """Union-find over the edges (Tarjan, *J. ACM* 22, 1975), with path
-    halving; a vertex is its position in of_dim(0), never its id."""
-    at = {v: i for i, (v,) in enumerate(nerve.of_dim(0))}
-    parent = list(range(len(at)))
-    joined = 0
-    for a, b in nerve.of_dim(1):
-        a, b = at[a], at[b]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            joined += 1
-    return joined
+def _coface_pairs(cofaces: Sequence[Simplex], k: int) -> Optional[tuple[list, list]]:
+    """The signed graph of delta_k on the positions of the (k+1)-simplices:
+    each k-face with two cofaces is an edge (i, j, parity), parity 1 when
+    the face has the same sign in both, and each with one a half-edge at
+    its coface.  (edges, half-edges), or None at the first third coface."""
+    # the faces omit s[k+1], ..., s[0]; a face maps to 2 * node + (1 if its
+    # sign is -1), then to -1 once its second coface is seen
+    bits = [omit % 2 for omit in range(k + 1, -1, -1)]
+    first: dict[Simplex, int] = {}
+    edges = []
+    for i, s in enumerate(cofaces):
+        for f, bit in zip(combinations(s, k + 1), bits):
+            code = 2 * i + bit
+            seen = first.setdefault(f, code)
+            if seen != code:
+                if seen < 0:
+                    return None
+                first[f] = -1
+                edges.append((seen >> 1, i, 1 ^ (seen ^ code) & 1))
+    return edges, [code >> 1 for code in first.values() if code >= 0]
+
+
+def _signed_factors(
+    nodes: int, edges: Iterable[tuple[int, int, int]], halves: Iterable[int]
+) -> list[int]:
+    """Invariant factors of the incidence matrix of a signed graph (Harary,
+    *Michigan Math. J.* 2, 1953; Zaslavsky, *Discrete Appl. Math.* 4, 1982):
+    a component of c nodes gives c - 1 ones, then a 1 if it has a
+    half-edge, else a 2 if a cycle in it has odd parity.  A union-find with
+    path halving (Tarjan, *J. ACM* 22, 1975) keeps each node's parity
+    against its parent."""
+    parent, parity = list(range(nodes)), [0] * nodes
+
+    def find(x: int) -> tuple[int, int]:
+        p = 0
+        while (up := parent[x]) != x:
+            parity[x] ^= parity[up]
+            parent[x] = x_next = parent[up]
+            p ^= parity[x]
+            x = x_next
+        return x, p
+
+    joins, odd = 0, []
+    for i, j, w in edges:
+        (ri, pi), (rj, pj) = find(i), find(j)
+        if ri != rj:
+            parent[ri], parity[ri] = rj, pi ^ pj ^ w
+            joins += 1
+        elif pi ^ pj != w:
+            odd.append(ri)
+    halved = {find(x)[0] for x in halves}
+    return [1] * (joins + len(halved)) + [2] * len({find(x)[0] for x in odd} - halved)
 
 
 @frozen
@@ -303,11 +343,12 @@ class CohomologyGroup:
 def cohomology(nerve: Nerve, k: int, ring: str = RING_Z) -> CohomologyGroup:
     """H^k of the nerve from the invariant factors of delta_k and delta_{k-1}.
 
-    Those of delta_0, all ones, are counted by a union-find over the edges;
-    any other comes from unit_reduce and one sparse elimination of its
-    residue, neither of which builds a transform, and from k at the
-    dimension up delta_k has no rows and no factors.  Only the levels an
-    elimination reads get an index map.  A rank is the number of invariant
+    Those of delta_0, and of delta_k when no k-simplex has a third coface
+    (on a surface every level), are read off a signed union-find with no
+    index map; any other comes from unit_reduce and one sparse elimination
+    of its residue, neither of which builds a transform, and only the
+    levels eliminated get an index map.  From k at the dimension up
+    delta_k has no rows and no factors.  A rank is the number of invariant
     factors, over Q as over Z; the ring only decides whether the torsion
     factors of delta_{k-1} are kept.
     """

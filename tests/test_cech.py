@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -284,6 +284,22 @@ class TestCoboundary:
         nerve = build_nerve(TETRA_BOUNDARY)
         with pytest.raises(InputError, match="float"):
             make_cochain(nerve, 2, {(0, 1, 2): value}, ring)
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_Q])
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            # a cochain canonical_json could not write
+            ("2e5000", "more than 100 digits"),
+            (10**100, "more than 100 digits"),
+            (True, "bool is not an exact number"),  # was read as 1
+        ],
+    )
+    def test_values_are_read_as_every_number_is(self, ring, value, reason):
+        nerve = build_nerve(PROJECTIVE_PLANE)
+        with pytest.raises(InputError, match=reason):
+            make_cochain(nerve, 2, {(0, 1, 4): value}, ring)
+        assert make_cochain(nerve, 2, {(0, 1, 4): 10**100 - 1}, ring).values[(0, 1, 4)] == 10**100 - 1
 
     def test_rational_ring_keeps_fractions(self):
         nerve = build_nerve(TETRA_BOUNDARY)
@@ -879,18 +895,21 @@ def test_the_union_find_factors_of_delta0_are_its_smith_factors(nerve):
 
 
 def test_cohomology_indexes_only_the_levels_it_eliminates():
+    # every level of a surface is thin: no index map is built
     nerve = build_nerve(grid_triangles(4))
-    assert cohomology(nerve, 0).describe() == "Z"
+    assert [cohomology(nerve, k).describe() for k in range(3)] == ["Z", "Z + Z", "Z"]
     assert nerve._indices == {}
-    assert cohomology(nerve, 1).describe() == "Z + Z"
-    assert set(nerve._indices) == {1}
+    # on a cube grid each edge lies in up to six triangles, so delta_1 is
+    # eliminated; each triangle lies in at most two tetrahedra
+    cube = build_nerve(cube_tetrahedra(2))
+    assert [cohomology(cube, k).describe() for k in range(4)] == ["Z", "0", "0", "0"]
+    assert set(cube._indices) == {1}
     # each level's map is {simplex: position in the sorted level}
-    for k, level in enumerate(nerve.simplices):
-        assert nerve.index_of(k) == {s: i for i, s in enumerate(level)}
+    for k, level in enumerate(cube.simplices):
+        assert cube.index_of(k) == {s: i for i, s in enumerate(level)}
 
 
 def test_no_elimination_past_the_dimension(monkeypatch):
-    nerve = build_nerve(grid_triangles(4))
     widths = []
 
     def counted(rows, width, *carry):
@@ -898,9 +917,114 @@ def test_no_elimination_past_the_dimension(monkeypatch):
         return unit_reduce(rows, width, *carry)
 
     monkeypatch.setattr(cech, "unit_reduce", counted)
-    assert [cohomology(nerve, k).describe() for k in (2, 3, 10**21)] == ["Z", "0", "0"]
-    # delta_1 once, for H^2; delta_2 and above have no rows
-    assert widths == [len(nerve.of_dim(1))]
+    nerve = build_nerve(grid_triangles(4))
+    assert [cohomology(nerve, k).describe() for k in (1, 2, 3, 10**21)] == ["Z + Z", "Z", "0", "0"]
+    assert widths == []  # delta_1 of a surface is thin; delta_2 and above have no rows
+    # the solid 5-simplex: a triangle lies in three tetrahedra and an edge
+    # in four triangles, a tetrahedron in two 4-simplices
+    solid = build_nerve([range(6)])
+    assert [cohomology(solid, k).describe() for k in (2, 3, 5, 6, 10**21)] == ["0"] * 5
+    # delta_2 and delta_1 for H^2, delta_2 for H^3, nothing past it
+    assert widths == [len(solid.of_dim(2)), len(solid.of_dim(1)), len(solid.of_dim(2))]
+
+
+# -- delta_k off a signed union-find ------------------------------------------
+
+def relabelled(simplices, perm):
+    return [tuple(sorted(perm[x] for x in s)) for s in simplices]
+
+
+@st.composite
+def pieces(draw):
+    """The top simplices of a relabelled piece, now and then with some
+    dropped so that it has a boundary: a torus, Klein bottle or projective
+    plane, a d-sphere (the boundary of the (d+1)-simplex), a cube grid, or
+    a fin, three triangles on one edge."""
+    kind = draw(st.sampled_from(("torus", "klein", "rp2", "sphere", "cube", "fin")))
+    if kind in ("torus", "klein"):
+        top = grid_triangles(draw(st.integers(3, 5)), kind == "klein")
+    elif kind == "rp2":
+        top = PROJECTIVE_PLANE
+    elif kind == "sphere":
+        top = sphere_facets(draw(st.integers(1, 4)))
+    else:
+        top = cube_tetrahedra(1) if kind == "cube" else [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    if draw(st.booleans()):
+        drop = draw(st.sets(st.integers(0, len(top) - 1), max_size=len(top) // 3))
+        top = [s for i, s in enumerate(top) if i not in drop]
+    count = 1 + max(itertools.chain.from_iterable(top))
+    return relabelled(top, draw(st.permutations(range(count))))
+
+
+@st.composite
+def unions(draw):
+    """A disjoint union of one to three pieces."""
+    top, offset = [], 0
+    for piece in draw(st.lists(pieces(), min_size=1, max_size=3)):
+        top += [tuple(v + offset for v in s) for s in piece]
+        offset += 1 + max(itertools.chain.from_iterable(piece))
+    return build_nerve(top)
+
+
+def has_a_third_coface(nerve, k):
+    """Whether some k-simplex lies in three (k+1)-simplices, counted afresh."""
+    counts = Counter(f for s in nerve.of_dim(k + 1) for f in itertools.combinations(s, k + 1))
+    return any(n > 2 for n in counts.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(unions())
+@example(build_nerve(grid_triangles(3, klein=True) + [(0, 1, 9)]))  # a fin on the Klein bottle
+@example(build_nerve(cube_tetrahedra(2)))
+@example(build_nerve(sphere_facets(3) + [(5, 6, 7, 8)]))  # a 3-sphere beside a solid tetrahedron
+def test_the_signed_union_find_factors_are_the_smith_factors(nerve):
+    for k in range(nerve.dimension + 1):
+        calls = []
+
+        def counted(rows, width, *carry):
+            calls.append(k)
+            return unit_reduce(rows, width, *carry)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cech, "unit_reduce", counted)
+            factors = cech._invariant_factors(nerve, k)
+        rows = coboundary_matrix(nerve, k)
+        assert factors == unit_reduced_factors(rows, len(nerve.of_dim(k))), k
+        # the elimination runs exactly when some k-simplex has a third coface
+        assert bool(calls) == (k > 0 and has_a_third_coface(nerve, k)), k
+
+
+@st.composite
+def signed_graphs(draw):
+    """Edges (i, j, parity) in any order, loops too, and half-edges."""
+    nodes = draw(st.integers(0, 8))
+    node = st.integers(0, nodes - 1) if nodes else st.nothing()
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 1)), max_size=12 if nodes else 0))
+    return nodes, edges, draw(st.lists(node, max_size=3 if nodes else 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_graphs())
+@example((3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], []))  # an odd triangle: a 2
+@example((3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], [1]))
+@example((4, [(0, 1, 0), (2, 3, 1), (1, 3, 1), (0, 2, 1)], []))  # linked at non-roots
+def test_signed_factors_on_any_signed_graph(graph):
+    nodes, edges, halves = graph
+    # same sign on both ends for parity 1; a loop of parity 1 is twice its node
+    rows = [({i: 2} if w else {}) if i == j else {i: 1, j: 2 * w - 1} for i, j, w in edges]
+    rows += [{i: -1} for i in halves]
+    assert cech._signed_factors(nodes, edges, halves) == unit_reduced_factors(rows, nodes)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_the_signed_factors_of_surfaces_are_textbook(n):
+    # a closed surface's top factors: 2n^2 - 1 ones, then a 2 when it is
+    # not orientable; H^2 = Z or Z/2
+    for klein, last in ((False, []), (True, [2])):
+        nerve = build_nerve(grid_triangles(n, klein))
+        assert cech._invariant_factors(nerve, 1) == [1] * (2 * n * n - 1) + last
+    rp2 = build_nerve(PROJECTIVE_PLANE)
+    assert cech._invariant_factors(rp2, 1) == [1] * 9 + [2]
 
 
 # -- chern class --------------------------------------------------------------

@@ -9,7 +9,9 @@ ladder:
   D22 report on the adjoint lattice, where every root is singular;
 * `cech h --k 0`, `cech h --k 1` and `cech chern` on examples/torus32.*,
   and on 64 x 64, 128 x 128 and 256 x 256 tori that
-  scripts/torus_example.py writes into a temp dir.
+  scripts/torus_example.py writes into a temp dir;
+* `audit` of su(3) and su(5) at the first fundamental weight, the numeric
+  oracle's cross-check.
 
 Each CLI command runs REPEATS times in a fresh process; the file keeps every
 wall time, the child's peak RSS (from os.wait4, so it is that child's
@@ -57,6 +59,7 @@ SEEDS = (1, 2)
 WORKLOADS = ("orbit-survey", "orbit-rank4", "cech-h", "cech-chern")
 REPEATS = 3
 TORUS_SIZES = (64, 128, 256)
+AUDIT_SIZES = (3, 5)
 INPROCESS_REPEATS = 7
 # (name, series, lambda, lattice) at the root cap, timed in process and by the CLI
 CAP_CASES = (
@@ -201,6 +204,8 @@ def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
         ladder.append((f"cech chern {name}",
                        ["cech", "chern", "--nerve", prefix + ".nerve", "--cocycle",
                         prefix + ".cochain", "--output", "json"]))
+    ladder += [(f"audit --n {n}", ["audit", "--n", str(n), "--output", "json"])
+               for n in AUDIT_SIZES]
     return ladder
 
 

@@ -242,7 +242,7 @@ def cmd_cech(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    # imported lazily: numpy/scipy are only needed for the oracle surface
+    # imported lazily: numpy is only needed for the oracle surface
     from . import oracle
     from .pipeline import analyze_orbit
     from .rootsys import SeriesSpec, build_root_system, default_order, fundamental_weights

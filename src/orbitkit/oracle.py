@@ -10,9 +10,9 @@ The oracle builds no exact object: the caller hands in one decomposition,
 its match_roots against the exact root system and one pipeline OrbitReport.
 
 Tolerances, separated by orders of magnitude from double-precision noise:
-construction 1e-12, spectral matching 1e-8, KKS blocks (relative), root
-audit 1e-9, rank 1e-9 and finite differences 1e-6 (central, step 1e-5),
-the last two relative to |lambda|: both are linear in lambda, so scaling
+construction 1e-12, spectral matching 1e-8, root audit 1e-9, and KKS
+blocks 1e-9, rank 1e-9 and finite differences 1e-6 (central, step 1e-5),
+the last three relative to |lambda|: each is linear in lambda, so scaling
 lambda scales them and leaves every verdict as it is.
 """
 
@@ -22,8 +22,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, OracleError
 from .frozen import frozen
@@ -36,7 +34,7 @@ CONSTRUCTION_TOL = 1e-12
 SPECTRAL_TOL = 1e-8
 RANK_TOL = 1e-9
 AUDIT_TOL = 1e-9
-KKS_REL_TOL = 1e-9
+KKS_TOL = 1e-9  # <= 4 RANK_TOL, so a resolvable block with its sign flipped fails
 FD_TOL = 1e-6
 FD_STEP = 1e-5
 
@@ -199,29 +197,27 @@ def _solve_sum_zero(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
 def match_roots(
     numeric: Sequence[NumericRoot], rs: RootSystem
 ) -> list[tuple[NumericRoot, Weight, float]]:
-    """Perfect bipartite matching of numeric functionals onto exact roots.
-
-    Raises unless the matching is a bijection with per-root residual below
-    the spectral tolerance.
-    """
+    """Each numeric functional rounded to the nearest integer vector, the
+    exact roots being integer vectors at least 1 apart.  Raises unless each
+    residual is within the spectral tolerance and each exact root is taken once."""
     exact = rs.roots
     if len(numeric) != len(exact):
         raise OracleError(
             f"root count mismatch: numeric {len(numeric)} vs exact {len(exact)}"
         )
-    ex = np.array([[float(c) for c in w.coords] for w in exact])
-    cost = np.array(
-        [[np.linalg.norm(nr.functional - e) for e in ex] for nr in numeric]
-    )
-    rows, cols = linear_sum_assignment(cost)
-    out = []
-    for r, c in zip(rows, cols):
-        residual = float(cost[r, c])
-        if residual > SPECTRAL_TOL:
+    out, taken = [], set()
+    for nr in numeric:
+        nearest = np.rint(nr.functional)
+        residual = float(np.linalg.norm(nr.functional - nearest))
+        if not residual <= SPECTRAL_TOL:
             raise OracleError(
-                f"numeric root {numeric[r].functional} is {residual:.2e} from its match"
+                f"numeric root {nr.functional} is {residual:.2e} from the nearest integer vector"
             )
-        out.append((numeric[r], exact[c], residual))
+        k = rs.index.get(tuple([int(c) for c in nearest]))
+        if k is None or k in taken:
+            raise OracleError(f"numeric root {nr.functional} matches no exact root left")
+        taken.add(k)
+        out.append((nr, exact[k], residual))
     return out
 
 
@@ -267,23 +263,22 @@ def numeric_kks_check(
     report's root system); (b) verify moment-map equivariance by central
     finite differences."""
     v_lam = lambda_vector(report.lam, alg)
+    scale = np.linalg.norm(v_lam)
     spaces = {ex.coords: nr.eigenvector for nr, ex, _ in matches}
     block_residual = 0.0
     for alpha, value in zip(report.kks.basis_labels, report.kks.blocks):
         a, b = _real_pair(spaces[alpha.coords])
         numeric = _eval_functional(v_lam, _br(a, b))
         expected = float(value)
-        # relative, except against an exact 0
-        residual = abs(numeric - expected) / (abs(expected) or 1.0)
+        residual = abs(numeric - expected)
         block_residual = max(block_residual, residual)
-        if residual > KKS_REL_TOL:
+        if residual > KKS_TOL * scale:
             raise OracleError(
                 f"KKS block mismatch at root {alpha.to_strings()}: "
                 f"numeric {numeric}, exact {expected}"
             )
 
     rng = np.random.default_rng(seed)
-    scale = np.linalg.norm(v_lam)
     equiv_residual = 0.0
     for _ in range(samples):
         i, j = (int(k) for k in rng.integers(0, alg.dim, size=2))
@@ -299,9 +294,12 @@ def numeric_kks_check(
 
 
 def _coadjoint_pullback(v_lam: np.ndarray, x: np.ndarray, y: np.ndarray, t: float) -> float:
-    """<Ad*(exp(-t x)) lambda, y> = lambda(Ad(exp(t x)) y)."""
-    g = expm(t * x)
-    return _eval_functional(v_lam, g @ y @ np.linalg.inv(g))
+    """<Ad*(exp(-t x)) lambda, y> = lambda(Ad(exp(t x)) y).  x is
+    skew-Hermitian: exp(t x) = V diag(e^{i t w}) V^H for (w, V) = eigh(-i x),
+    a unitary g with inverse g^H."""
+    w, v = np.linalg.eigh(-1j * x)
+    g = (v * np.exp(1j * t * w)) @ v.conj().T
+    return _eval_functional(v_lam, g @ y @ g.conj().T)
 
 
 def require_resolvable(lam: Weight, rs: RootSystem) -> None:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, TheoremViolationError
 from .frozen import frozen
-from .linalg import Vec, _row_span_member, exact_vec, mat
+from .linalg import Vec, _row_span_member, exact_vec
 from .rootsys import RootSystem, Weight, default_order, require_ambient
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .orbit import singular_roots  # noqa: F401
@@ -33,7 +33,7 @@ _P_DENOMINATOR = {"A": 0, "B": 2, "C": 1, "D": 2, "T": 1}  # on P, x_0's denomin
 
 @frozen
 class LatticeSpec:
-    """Character lattice selector.
+    """Character lattice selector; its generators are read by linalg.exact.
 
     Custom lattices should be built through :func:`custom_lattice`, which
     validates the sandwich root lattice <= lattice <= weight lattice against
@@ -46,28 +46,29 @@ class LatticeSpec:
     def __post_init__(self):
         if self.kind not in (SIMPLY_CONNECTED, ADJOINT, CUSTOM):
             raise InputError(f"unknown lattice kind {self.kind!r}")
-        if self.kind == CUSTOM and not self.generators:
+        if not isinstance(self.generators, Iterable):
+            raise InputError("custom lattice generators must be a list of rows")
+        gens = tuple([tuple(exact_vec(row, "lattice generator entry")) for row in self.generators])
+        if self.kind == CUSTOM and not gens:
             raise InputError("custom lattice needs at least one generator")
+        object.__setattr__(self, "generators", gens)
 
     @cached_property
     def member(self) -> Callable[[Vec], bool]:
         """Integer-span membership test, one row Hermite basis for all uses."""
-        return _row_span_member(mat(self.generators))
+        return _row_span_member(self.generators)
 
 
 def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpec:
     """Validated custom lattice: must contain every root and pair integrally
     with every coroot (root lattice <= lattice <= weight lattice).  Its torus
     part is free: U(2) = (SU(2) x U(1)) / Z_2 mixes the two parts on A1xT1."""
-    if not isinstance(generators, Iterable):
-        raise InputError("custom lattice generators must be a list of rows")
-    gens = tuple([tuple(exact_vec(row, "lattice generator entry")) for row in generators])
-    for g in gens:
+    lattice = LatticeSpec(CUSTOM, generators)
+    for g in lattice.generators:
         if len(g) != rs.ambient_dim:
             raise InputError(
                 f"lattice generator has {len(g)} coordinates, expected {rs.ambient_dim}"
             )
-    lattice = LatticeSpec(CUSTOM, gens)
     # every root is an integer combination of the simple roots; the roots
     # are scanned only to name the first one missing
     if not all(lattice.member(a.coords) for a in default_order(rs).simple):
@@ -76,7 +77,7 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
             f"root {alpha.to_strings()} is not a member of the custom lattice"
         )
     factors = [b for b in rs.spec.blocks() if b[0] != "T"]
-    for g in gens:
+    for g in lattice.generators:
         if not _in_block_lattice(Weight(g), factors, False):
             raise InputError(
                 f"generator {list(map(str, g))} pairs non-integrally with a coroot"

@@ -55,6 +55,14 @@ def test_the_ladder_times_the_cap_reports_and_the_zero_d22_adjoint_one(bench_rec
         "--output", "json"]
 
 
+def test_the_ladder_times_the_su3_and_su5_audits(bench_record, monkeypatch):
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs: None)
+    ladder = dict(bench_record.cli_ladder("<dir>"))
+    for n in ("3", "5"):
+        assert ladder[f"audit --n {n}"] == ["audit", "--n", n, "--output", "json"]
+    assert [name for name in ladder if name.startswith("audit")] == ["audit --n 3", "audit --n 5"]
+
+
 def test_an_inprocess_row_times_build_and_report_in_a_child(bench_record):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     row = bench_record.inprocess_row("B2 zero adjoint", "B2", "0,0", "adjoint", env)

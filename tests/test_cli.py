@@ -519,6 +519,15 @@ class TestAuditCommand:
         error = json.loads(err)["error"]
         assert error["kind"] == "input" and "rank tolerance" in error["message"]
 
+    def test_a_lambda_near_a_wall_passes_the_kks_check_on_the_scale_of_lambda(self, capsys):
+        # its least pairing, 10^-8, is above RANK_TOL |lambda|, yet the block
+        # check, relative to the block, exited 5 with kind oracle
+        code, out, err = run(capsys, "audit", "--n", "3", "--lambda=1,0.99999999,-1.99999999",
+                             "--output", "json")
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["root_audit_ok"] is payload["stabilizer_rank_matches"] is True
+
     def test_an_oracle_error_is_a_json_error(self, capsys, monkeypatch):
         # it escaped main as a traceback with exit 1
         from orbitkit import oracle

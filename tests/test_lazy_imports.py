@@ -139,3 +139,11 @@ def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(orbitkit, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         orbitkit.no_such_name
+
+
+def test_the_audit_runs_without_scipy():
+    # a None entry in sys.modules fails every import of scipy or of a submodule
+    code = ("sys.modules['scipy'] = None\n"
+            "from orbitkit.cli import main\n"
+            "code = main(['audit', '--n', '3', '--samples', '2'])")
+    assert last_line_after(code, "code") == "0"

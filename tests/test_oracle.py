@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitkit import (
     LatticeSpec,
@@ -19,11 +23,13 @@ from orbitkit import (
 from orbitkit import oracle, pipeline, rootsys
 from orbitkit.quantize import SIMPLY_CONNECTED
 from orbitkit.cli import main
+from orbitkit.orbit import KKSMatrix
 from orbitkit.errors import InputError
 
 
-def su(n):
-    return oracle.special_unitary_basis(n)
+# each su(n) built and verified once: the construction check of su(5) alone
+# takes about 1 s, and the near-wall property audits many lambdas per n
+su = lru_cache(maxsize=None)(oracle.special_unitary_basis)
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +115,39 @@ class TestRootDecomposition:
             assert abs(np.trace(x @ x.conj().T).real - 1.0) < 1e-10
 
 
+class TestMatchRefusals:
+    """match_roots refuses, with an OracleError, any decomposition that does
+    not round onto the exact roots one to one."""
+
+    @staticmethod
+    def moved(root, functional):
+        return oracle.NumericRoot(functional, root.eigenvector)
+
+    def test_a_root_count_mismatch(self, a2):
+        roots = oracle.numeric_root_decomposition(su(3))
+        with pytest.raises(oracle.OracleError, match="root count mismatch: numeric 5 vs exact 6"):
+            oracle.match_roots(roots[:-1], a2)
+
+    @pytest.mark.parametrize("offset", [2 * oracle.SPECTRAL_TOL, 0.4, float("nan")])
+    def test_a_functional_past_the_spectral_tolerance(self, a2, offset):
+        roots = oracle.numeric_root_decomposition(su(3))
+        f = roots[2].functional + offset * np.array([1.0, -1.0, 0.0])
+        roots[2] = self.moved(roots[2], f)
+        with pytest.raises(oracle.OracleError, match="from the nearest integer vector"):
+            oracle.match_roots(roots, a2)
+
+    @pytest.mark.parametrize("target", [
+        # within the tolerance of roots[0]'s root, so two round onto it
+        lambda roots: roots[0].functional + oracle.SPECTRAL_TOL / 10,
+        lambda roots: np.array([2.0, -2.0, 0.0]),  # an integer vector, not a root
+    ], ids=["taken twice", "not a root"])
+    def test_a_functional_that_rounds_to_no_root_left(self, a2, target):
+        roots = oracle.numeric_root_decomposition(su(3))
+        roots[1] = self.moved(roots[1], target(roots))
+        with pytest.raises(oracle.OracleError, match="matches no exact root left"):
+            oracle.match_roots(roots, a2)
+
+
 class TestRootPropertyAudit:
     @pytest.mark.parametrize("n", [2, 3])
     def test_audit_passes(self, n):
@@ -128,16 +167,21 @@ class TestRootPropertyAudit:
             assert np.max(np.abs(br)) < 1e-12
 
 
+def kks_bound(lam, alg):
+    """The KKS block tolerance at lam: KKS_TOL |lambda|."""
+    return oracle.KKS_TOL * np.linalg.norm(oracle.lambda_vector(lam, alg))
+
+
 class TestKKSCheck:
     def test_su2_fundamental(self, a1):
         lam = Weight((Fraction(1, 2), Fraction(-1, 2)))
         report = kks_check(lam, su(2), samples=20)
-        assert report.block_residual < oracle.KKS_REL_TOL
+        assert report.block_residual < kks_bound(lam, su(2))
 
     def test_su3_fundamental(self, a2, a2_order):
         lam = fundamental_weights(a2_order)[0]
         report = kks_check(lam, su(3), samples=100, seed=1)
-        assert report.block_residual < oracle.KKS_REL_TOL
+        assert report.block_residual < kks_bound(lam, su(3))
         assert report.equivariance_residual < oracle.FD_TOL
 
     def test_zero_weight(self, a2):
@@ -153,7 +197,30 @@ class TestKKSCheck:
         for _ in range(20):
             lam = random_sum_zero_weight(n, rng)
             report = kks_check(lam, alg, samples=5, seed=0)
-            assert report.block_residual < oracle.KKS_REL_TOL
+            assert report.block_residual <= kks_bound(lam, alg)
+
+    @pytest.mark.parametrize("coords, tamper", [
+        # the least block, 2 (lambda, alpha) = 5e-9, just past the rank
+        # tolerance: flipped, it is 1e-8 off, against KKS_TOL |lambda| = 2.45e-9
+        ((1, 1 - Fraction(25, 10**10), Fraction(25, 10**10) - 2), -1),
+        ((3, 1, -4), -1),
+        ((5, 2, -1, -6), Fraction(1000001, 1000000)),
+        ((4, 3, 1, -2, -6), Fraction(1000001, 1000000)),
+    ])
+    def test_a_tampered_block_is_caught(self, coords, tamper):
+        # an exact report with its least block flipped in sign, or scaled by
+        # 1 + 10^-6, must fail the check
+        lam = Weight(coords)
+        rs, matches = a_system_and_matches(len(coords))
+        oracle.require_resolvable(lam, rs)
+        report = analyze_orbit(rs, lam.coords, LatticeSpec(SIMPLY_CONNECTED))
+        blocks = list(report.kks.blocks)
+        least = min(range(len(blocks)), key=lambda i: abs(blocks[i]))
+        blocks[least] *= tamper
+        tampered = SimpleNamespace(lam=report.lam, kks=KKSMatrix(report.kks.basis_labels,
+                                                                 tuple(blocks)))
+        with pytest.raises(oracle.OracleError, match="KKS block mismatch"):
+            oracle.numeric_kks_check(tampered, su(len(coords)), matches, samples=1)
 
     def test_dimension_guard(self):
         with pytest.raises(InputError):
@@ -269,3 +336,49 @@ def test_a_lambda_is_resolvable_past_the_rank_tolerance(delta, refused):
             oracle.require_resolvable(scaled, rs)
     else:
         oracle.require_resolvable(scaled, rs)
+
+
+def decimal(x, k):
+    """x, a multiple of 10^-k, as a decimal string with k places."""
+    sign = "-" if x < 0 else ""
+    whole, part = divmod(abs(int(x * 10**k)), 10**k)
+    return f"{sign}{whole}.{part:0{k}d}"
+
+
+@st.composite
+def near_wall_lambdas(draw):
+    """(n, --lambda value): integer coordinates, then one moved to relative
+    distance about 10^-k from the wall of a root, k = 1..14, written as
+    decimals or as exact fractions (a third of a power of ten)."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 14))
+    coords = [Fraction(c) for c in draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))]
+    i, j = draw(st.permutations(range(n)))[:2]
+    as_decimal = draw(st.booleans())
+    offset = Fraction(max(1, *map(abs, coords)), 10**k * (1 if as_decimal else 3))
+    coords[j] = coords[i] + draw(st.sampled_from([1, -1])) * offset
+    return n, ",".join([decimal(c, k) if as_decimal else str(c) for c in coords])
+
+
+@settings(max_examples=120, deadline=None)
+@given(near_wall_lambdas())
+@example((3, "1,0.99999999,-1.99999999"))
+@example((3, "1,0.999999999,-1.999999999"))  # 10^-9 <= RANK_TOL |lambda|: refused
+@example((5, "3,-2,0,1.00000000000001,-2"))
+@example((2, "7,20999999999999/3000000000000"))
+def test_the_audit_passes_or_refuses_a_lambda_near_a_wall(case):
+    # exit 5 would mean a disagreement with the exact report; refused (3) are
+    # exactly the lambdas whose least pairing is within RANK_TOL |lambda|
+    n, lam = case
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(oracle, "special_unitary_basis", su)
+        code = main(["audit", f"--n={n}", f"--lambda={lam}", "--samples=2", "--output=json"])
+    assert code in (0, 3), err.getvalue()
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        assert payload["root_audit_ok"] is payload["stabilizer_rank_matches"] is True
+    else:
+        error = json.loads(err.getvalue())["error"]
+        assert error["kind"] == "input" and "rank tolerance" in error["message"]

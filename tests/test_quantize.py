@@ -28,6 +28,7 @@ from orbitkit import linalg
 from orbitkit.linalg import mat_vec
 from orbitkit.quantize import (
     ADJOINT,
+    CUSTOM,
     NONZERO_IRREDUCIBLE,
     SIMPLY_CONNECTED,
     ZERO_SECTION_SPACE,
@@ -199,6 +200,23 @@ class TestCustomLattice:
     def test_no_generators_is_rejected(self, a1):
         with pytest.raises(InputError, match="custom lattice needs at least one generator"):
             custom_lattice([], a1)
+
+    def test_a_lattice_built_directly_reads_its_generators_as_exact_numbers(self, a1):
+        # LatticeSpec(CUSTOM, ((0.5, -0.5),)) kept the floats, and
+        # is_integral(w(1, -1), that, a1) answered True
+        with pytest.raises(InputError, match="float is not an exact number"):
+            LatticeSpec(CUSTOM, ((0.5, -0.5),))
+        with pytest.raises(InputError, match="bool is not an exact number"):
+            LatticeSpec(CUSTOM, ((True, -1),))
+        with pytest.raises(InputError, match="bad lattice generator entry '1e5000'"):
+            LatticeSpec(CUSTOM, (("1e5000", 0),))
+        with pytest.raises(InputError, match="must be a list of rows"):
+            LatticeSpec(CUSTOM, 5)
+        lattice = LatticeSpec(CUSTOM, (("1/2", "-1/2"),))
+        assert lattice.generators == ((Fraction(1, 2), Fraction(-1, 2)),)
+        assert lattice == LatticeSpec(CUSTOM, ((Fraction(1, 2), Fraction(-1, 2)),))
+        assert is_integral(w(1, -1), lattice, a1)
+        assert not is_integral(w("1/4", "-1/4"), lattice, a1)
 
     def test_intermediate_lattice_a3(self):
         # index-2 sublattice of the A3 weight lattice containing the roots:

@@ -13,6 +13,10 @@ computes in ints and Fractions, so none of them writes a float literal,
 calls `float`, imports numpy or scipy, or uses a `math` name other than the
 integer functions lcm, comb, factorial and prod.
 
+numpy alone in the oracle.  No module, `oracle.py` included, imports scipy:
+exp of a skew-Hermitian matrix comes from one `numpy.linalg.eigh`, and the
+numeric roots are matched by rounding, so scipy is a test dependency only.
+
 One sparse row update in `linalg`.  dst += c*src on a {column: value} row,
 keeping the column index rows_in[j] exact, is the private kernel
 `_add_indexed`; only it and the index builder `_column_index` add to a
@@ -130,6 +134,38 @@ def test_the_exactness_rule_sees_each_form():
         "import mathx, fractions\n"
     )
     assert inexact_lines(source) == [1, 2, 3, 4, 5, 7, 8, 9]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy or a scipy submodule."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_the_scipy_rule_sees_each_form():
+    source = (
+        "import scipy\n"
+        "from scipy.linalg import expm\n"
+        "import numpy as np, scipy.optimize as opt\n"
+        "from . import scipy\n"
+        "from .scipy import x\n"
+        "import scipyx, numpy.scipy\n"
+    )
+    assert scipy_imports(source) == [1, 2, 3]
 
 
 INDEX_KEEPERS = {"_add_indexed", "_column_index"}

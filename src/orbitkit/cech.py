@@ -81,6 +81,21 @@ class Cochain:
     ring: str
     values: Mapping[Simplex, object]
 
+    def __post_init__(self):
+        """Values other than ints (ints, Fractions on Q) go through linalg.exact."""
+        if self.ring not in (RING_Z, RING_Q):
+            raise InputError(f"unknown ring {self.ring!r}")
+        kept = {int} if self.ring == RING_Z else {int, Fraction}
+        if set(map(type, self.values.values())) <= kept:
+            return
+        values = dict(self.values)
+        for s, v in values.items():
+            x = exact(v, f"cochain value on simplex {s}")
+            if self.ring == RING_Z and x.denominator != 1:
+                raise InputError(f"value {v} on simplex {s} is not an integer")
+            values[s] = x.numerator if self.ring == RING_Z else x
+        object.__setattr__(self, "values", MappingProxyType(values))
+
     def value(self, simplex: Sequence[int]):
         """Value on an arbitrary index tuple, with the alternating sign
         convention; repeated indices give zero."""
@@ -206,20 +221,13 @@ def make_cochain(
     numbers past MAX_RATIONAL_DIGITS digits on both rings; on Z a value that
     is not an integer is refused rather than truncated.
     """
-    if ring not in (RING_Z, RING_Q):
-        raise InputError(f"unknown ring {ring!r}")
     known = nerve.index_of(degree)
     out: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
     for s, v in values.items():
         key = tuple(s)
         if key not in known:
             raise InputError(f"simplex {key} is not a {degree}-simplex of the nerve")
-        x = exact(v, f"cochain value on simplex {key}")
-        if ring == RING_Z:
-            if x.denominator != 1:
-                raise InputError(f"value {v} on simplex {key} is not an integer")
-            x = int(x)
-        out[key] = x
+        out[key] = exact(v, f"cochain value on simplex {key}")
     return Cochain(degree, ring, MappingProxyType(out))
 
 
@@ -405,13 +413,16 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     """
     if a.degree != 2 or a.ring != RING_Z:
         raise InputError("chern_class expects an integer 2-cochain")
+    if not a.values.keys() <= nerve.index_of(2).keys():
+        stray = next(s for s in a.values if s not in nerve.index_of(2))
+        raise InputError(f"simplex {stray} is not a 2-simplex of the nerve")
     get = a.values.get
     for s in nerve.of_dim(3):
         # the faces of s in lexicographic order omit s[3], s[2], s[1], s[0]
         w, x, y, z = (get(f, 0) for f in combinations(s, 3))
         if x + z != w + y:
             return ChernClass(False, s, (), ())
-    value = [int(get(s, 0)) for s in nerve.of_dim(2)]
+    value = [get(s, 0) for s in nerve.of_dim(2)]
     _, residue, width, carried, zeros = unit_reduce(
         coboundary_matrix(nerve, 1), len(nerve.of_dim(1)), [{i: 1} for i in range(len(value))]
     )

@@ -1,10 +1,13 @@
 """Floating-point su(n) models that independently re-derive the exact results.
 
 The generalized Gell-Mann basis (made anti-Hermitian) realizes su(n) with the
-invariant form -trace(XY).  Roots come out of a simultaneous eigenspace
-decomposition of the adjoint action of the diagonal torus, the KKS blocks
-from explicit bracket evaluations, and moment-map equivariance from central
-finite differences of the coadjoint flow.
+invariant form -trace(XY).  The brackets of all basis pairs are formed once
+per algebra (MatrixAlgebra.brackets): the construction checks, ad, the
+stabilizer rank and the exact equivariance values read them.  Roots come out
+of a simultaneous eigenspace decomposition of the adjoint action of the
+diagonal torus, each functional read on the coordinate directions i e_m, the
+KKS blocks from explicit bracket evaluations, and moment-map equivariance
+from central finite differences of the coadjoint flow.
 
 The oracle builds no exact object: the caller hands in one decomposition,
 its match_roots against the exact root system and one pipeline OrbitReport.
@@ -19,6 +22,8 @@ lambda scales them and leaves every verdict as it is.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -49,6 +54,17 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The basis as one (dim, n, n) array."""
+        return np.array(self.basis)
+
+    @cached_property
+    def brackets(self) -> np.ndarray:
+        """brackets[i, j] = [x_i, x_j], a (dim, dim, n, n) array."""
+        products = self.stacked[:, None] @ self.stacked
+        return products - products.swapaxes(0, 1)
+
     def form(self, x: np.ndarray, y: np.ndarray) -> float:
         """Invariant pairing -trace(xy); real on the compact algebra."""
         return float(np.real(-np.trace(x @ y)))
@@ -56,15 +72,10 @@ class MatrixAlgebra:
 
 def _gellmann_hermitian(n: int) -> list[np.ndarray]:
     mats = []
-    for j in range(n):
-        for k in range(j + 1, n):
+    for j, k in combinations(range(n), 2):
+        for entry in (1, -1j):  # symmetric, then antisymmetric
             m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1
-            m[k, j] = 1
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
+            m[j, k], m[k, j] = entry, np.conj(entry)
             mats.append(m)
     for l in range(1, n):
         diag = [1.0] * l + [-float(l)] + [0.0] * (n - l - 1)
@@ -76,8 +87,7 @@ def special_unitary_basis(n: int) -> MatrixAlgebra:
     """Anti-Hermitian generalized Gell-Mann basis of su(n), invariants verified."""
     if not 2 <= n <= 5:
         raise InputError(f"su(n) oracle supports 2 <= n <= 5, got {n}")
-    herm = _gellmann_hermitian(n)
-    basis = tuple([1j * m for m in herm])
+    basis = tuple([1j * m for m in _gellmann_hermitian(n)])
     cartan = tuple([
         i for i, m in enumerate(basis) if np.allclose(m, np.diag(np.diag(m)))
     ])
@@ -87,29 +97,24 @@ def special_unitary_basis(n: int) -> MatrixAlgebra:
 
 
 def _verify_construction(alg: MatrixAlgebra) -> None:
-    for m in alg.basis:
-        if np.abs(np.trace(m)) > CONSTRUCTION_TOL:
-            raise OracleError("basis matrix is not trace-free")
-        if np.max(np.abs(m + m.conj().T)) > CONSTRUCTION_TOL:
-            raise OracleError("basis matrix is not anti-Hermitian")
-    gram = np.array([[alg.form(x, y) for y in alg.basis] for x in alg.basis])
-    for i, x in enumerate(alg.basis):
-        for j, y in enumerate(alg.basis):
-            b = x @ y - y @ x
-            coeffs = np.linalg.solve(gram, np.array([alg.form(b, z) for z in alg.basis]))
-            recon = sum(c * z for c, z in zip(coeffs, alg.basis))
-            if np.max(np.abs(b - recon)) > CONSTRUCTION_TOL:
-                raise OracleError("bracket does not close within the basis span")
-    dim = alg.dim
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                x, y, z = alg.basis[i], alg.basis[j], alg.basis[k]
-                jac = (
-                    _br(x, _br(y, z)) + _br(y, _br(z, x)) + _br(z, _br(x, y))
-                )
-                if np.max(np.abs(jac)) > CONSTRUCTION_TOL:
-                    raise OracleError("Jacobi identity residual too large")
+    basis, brackets, dim = alg.stacked, alg.brackets, alg.dim
+    if np.max(np.abs(np.trace(basis, axis1=1, axis2=2))) > CONSTRUCTION_TOL:
+        raise OracleError("basis matrix is not trace-free")
+    if np.max(np.abs(basis + basis.conj().swapaxes(1, 2))) > CONSTRUCTION_TOL:
+        raise OracleError("basis matrix is not anti-Hermitian")
+    gram = -np.real(np.einsum("ipq,jqp->ij", basis, basis))
+    pairings = -np.real(np.einsum("ijpq,kqp->kij", brackets, basis))
+    # consts[k, i, j]: the coefficient of x_k in [x_i, x_j]
+    consts = np.linalg.solve(gram, pairings.reshape(dim, -1)).reshape(dim, dim, dim)
+    closed = np.einsum("kij,kpq->ijpq", consts, basis)
+    if np.max(np.abs(brackets - closed)) > CONSTRUCTION_TOL:
+        raise OracleError("bracket does not close within the basis span")
+    # jacobi[i, j, k, l]: the coefficient of x_l in [x_i, [x_j, x_k]], then
+    # summed cyclically in place: each array is dim^4 doubles, 2.5 MiB at n = 5
+    jacobi = np.einsum("mjk,lim->ijkl", consts, consts)
+    jacobi += jacobi.transpose(1, 2, 0, 3) + jacobi.transpose(2, 0, 1, 3)
+    if max(jacobi.max(), -jacobi.min()) > CONSTRUCTION_TOL:
+        raise OracleError("Jacobi identity residual too large")
 
 
 def _br(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -123,16 +128,9 @@ class NumericRoot:
 
 
 def _ad_matrix(alg: MatrixAlgebra, h: np.ndarray) -> np.ndarray:
-    """ad(h) as an operator on complex coefficient vectors over the basis."""
-    cols = []
-    for b in alg.basis:
-        br = _br(h, b)
-        cols.append([-np.trace(br @ a) / 2.0 for a in alg.basis])
-    return np.array(cols, dtype=complex).T
-
-
-def _torus_element(alg: MatrixAlgebra, t: Sequence[float]) -> np.ndarray:
-    return 1j * np.diag(np.asarray(t, dtype=float))
+    """ad(h) as an operator on complex coefficient vectors over the basis:
+    entry (a, b) is -trace([h, x_b] x_a) / 2 = trace(h [x_a, x_b]) / 2."""
+    return np.einsum("pq,abqp->ab", h, alg.brackets) / 2.0
 
 
 def numeric_root_decomposition(alg: MatrixAlgebra) -> list[NumericRoot]:
@@ -144,54 +142,31 @@ def numeric_root_decomposition(alg: MatrixAlgebra) -> list[NumericRoot]:
     # generic sum-zero torus direction; powers of 3 keep all differences distinct
     t_gen = np.array([3.0**-j for j in range(n)])
     t_gen -= t_gen.mean()
-    h_gen = _torus_element(alg, t_gen)
-    ad_gen = _ad_matrix(alg, h_gen)
-    eigvals, eigvecs = np.linalg.eig(ad_gen)
+    eigvals, eigvecs = np.linalg.eig(_ad_matrix(alg, 1j * np.diag(t_gen)))
 
     nonzero = [i for i, v in enumerate(eigvals) if abs(v) > 1e-7]
     if len(nonzero) != n * n - n:
         raise OracleError(
             f"expected {n * n - n} nonzero adjoint eigenvalues, got {len(nonzero)}"
         )
-    vals = [eigvals[i] for i in nonzero]
-    for i, v in enumerate(vals):
-        for w in vals[i + 1 :]:
-            if abs(v - w) < 1e-7:
-                raise OracleError("eigenvalue clustering ambiguity in root split")
+    vals = eigvals[nonzero]
+    if np.any(np.abs(np.subtract.outer(vals, vals))[np.triu_indices(len(vals), 1)] < 1e-7):
+        raise OracleError("eigenvalue clustering ambiguity in root split")
 
-    # evaluate each functional on the sum-zero torus basis e_m - e_{m+1}
-    tau = []
-    for m in range(n - 1):
-        t = np.zeros(n)
-        t[m], t[m + 1] = 1.0, -1.0
-        tau.append(t)
-    ad_tau = [_ad_matrix(alg, _torus_element(alg, t)) for t in tau]
-
+    # alpha(i diag(t)) = i (vec_alpha . t), so vec_alpha[m] is read on i e_m,
+    # whose ad preserves su(n) though i e_m is not in it
+    ad_coords = [_ad_matrix(alg, 1j * np.diag(e)) for e in np.eye(n)]
     roots = []
     for i in nonzero:
         v = eigvecs[:, i]
         v = v / np.linalg.norm(v)
-        # alpha(i diag(t)) = i * (vec_alpha . t); recover vec_alpha by solving
-        imags = []
-        for ad_t in ad_tau:
-            mu = v.conj() @ (ad_t @ v)
-            if abs(np.real(mu)) > SPECTRAL_TOL:
-                raise OracleError("root eigenvalue has non-imaginary part")
-            imags.append(float(np.imag(mu)))
-        vec_alpha = _solve_sum_zero(np.array(tau), np.array(imags))
+        mu = np.array([v.conj() @ (ad @ v) for ad in ad_coords])
+        if np.max(np.abs(np.real(mu))) > SPECTRAL_TOL:
+            raise OracleError("root eigenvalue has non-imaginary part")
         x = sum(c * b for c, b in zip(v, alg.basis))
         x = x / np.sqrt(np.real(np.trace(x @ x.conj().T)))
-        roots.append(NumericRoot(vec_alpha, x))
+        roots.append(NumericRoot(np.imag(mu), x))
     return roots
-
-
-def _solve_sum_zero(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Least-squares solve of vec . tau_m = values_m within the sum-zero plane."""
-    n = tau.shape[1]
-    rows = np.vstack([tau, np.ones((1, n))])
-    rhs = np.append(values, 0.0)
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    return sol
 
 
 def match_roots(
@@ -232,6 +207,11 @@ def _eval_functional(v_lam: np.ndarray, h: np.ndarray) -> float:
     """lambda(h) for h in the torus: h = i diag(t) evaluates to v_lam . t."""
     t = np.imag(np.diag(h))
     return float(v_lam @ t)
+
+
+def _kks_form(alg: MatrixAlgebra, v_lam: np.ndarray) -> np.ndarray:
+    """omega_lambda(x_i, x_j) = lambda([x_i, x_j]) over all basis pairs."""
+    return np.imag(np.diagonal(alg.brackets, axis1=2, axis2=3)) @ v_lam
 
 
 def lambda_vector(lam: Weight, alg: MatrixAlgebra) -> np.ndarray:
@@ -279,14 +259,14 @@ def numeric_kks_check(
             )
 
     rng = np.random.default_rng(seed)
+    omega = _kks_form(alg, v_lam)
     equiv_residual = 0.0
     for _ in range(samples):
         i, j = (int(k) for k in rng.integers(0, alg.dim, size=2))
         x, y = alg.basis[i], alg.basis[j]
-        exact = _eval_functional(v_lam, _br(x, y))
         plus, minus = (_coadjoint_pullback(v_lam, x, y, t) for t in (FD_STEP, -FD_STEP))
         fd = (plus - minus) / (2 * FD_STEP)
-        residual = abs(fd - exact)
+        residual = abs(fd - omega[i, j])
         equiv_residual = max(equiv_residual, residual)
         if residual > FD_TOL * scale:
             raise OracleError(f"equivariance residual {residual:.2e} at basis pair {(i, j)}")
@@ -315,8 +295,8 @@ def require_resolvable(lam: Weight, rs: RootSystem) -> None:
 def stabilizer_rank(lam: Weight, alg: MatrixAlgebra) -> int:
     """Numeric rank of X -> lambda([X, .]), which is the orbit dimension."""
     v_lam = lambda_vector(lam, alg)
-    m = np.array([[_eval_functional(v_lam, _br(x, y)) for y in alg.basis] for x in alg.basis])
-    return int(np.linalg.matrix_rank(m, tol=RANK_TOL * np.linalg.norm(v_lam)))
+    omega = _kks_form(alg, v_lam)
+    return int(np.linalg.matrix_rank(omega, tol=RANK_TOL * np.linalg.norm(v_lam)))
 
 
 @frozen
@@ -340,7 +320,6 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
     """
     failures = []
     max_res = 0.0
-    checks = 0
 
     def record(res: float, message: str):
         nonlocal max_res
@@ -351,18 +330,16 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
     by_key = {tuple(np.round(r.functional, 6)): r for r in roots}
 
     for r in roots:
-        checks += 1
         # conjugation with respect to the compact form sends the space to -alpha
         conj = -r.eigenvector.conj().T
         neg = by_key.get(tuple(np.round(-r.functional, 6)))
         if neg is None:
             failures.append(f"no negative counterpart for {r.functional}")
             continue
-        record(_off_span_norm(conj, [neg.eigenvector]), "conjugate space mismatch")
+        record(_off_span_norm(conj, neg.eigenvector), "conjugate space mismatch")
 
     for r1 in roots:
         for r2 in roots:
-            checks += 1
             br = _br(r1.eigenvector, r2.eigenvector)
             total = r1.functional + r2.functional
             target = by_key.get(tuple(np.round(total, 6)))
@@ -374,21 +351,17 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
                 )
             elif target is not None:
                 record(
-                    _off_span_norm(br, [target.eigenvector]),
+                    _off_span_norm(br, target.eigenvector),
                     "bracket missed target root space",
                 )
             else:
                 record(float(np.max(np.abs(br))), "bracket should vanish")
-    return RootAuditReport(checks, tuple(failures), max_res)
+    # one conjugate check per root, one bracket check per ordered pair
+    return RootAuditReport(len(roots) * (len(roots) + 1), tuple(failures), max_res)
 
 
-def _off_span_norm(x: np.ndarray, span: list[np.ndarray]) -> float:
-    """Frobenius norm of the component of x orthogonal to the given matrices."""
-    rem = x.copy()
-    for s in span:
-        denom = np.trace(s @ s.conj().T)
-        coeff = np.trace(rem @ s.conj().T) / denom
-        rem = rem - coeff * s
-    norm = float(np.linalg.norm(rem))
-    scale = float(np.linalg.norm(x))
+def _off_span_norm(x: np.ndarray, s: np.ndarray) -> float:
+    """Frobenius norm of the component of x orthogonal to the matrix s."""
+    rem = x - np.trace(x @ s.conj().T) / np.trace(s @ s.conj().T) * s
+    norm, scale = float(np.linalg.norm(rem)), float(np.linalg.norm(x))
     return norm / scale if scale > 1e-12 else norm

@@ -51,6 +51,8 @@ class LatticeSpec:
         gens = tuple([tuple(exact_vec(row, "lattice generator entry")) for row in self.generators])
         if self.kind == CUSTOM and not gens:
             raise InputError("custom lattice needs at least one generator")
+        if len({len(g) for g in gens}) > 1:
+            raise InputError("lattice generator rows have unequal lengths")
         object.__setattr__(self, "generators", gens)
 
     @cached_property
@@ -64,11 +66,7 @@ def custom_lattice(generators: Sequence[Sequence], rs: RootSystem) -> LatticeSpe
     with every coroot (root lattice <= lattice <= weight lattice).  Its torus
     part is free: U(2) = (SU(2) x U(1)) / Z_2 mixes the two parts on A1xT1."""
     lattice = LatticeSpec(CUSTOM, generators)
-    for g in lattice.generators:
-        if len(g) != rs.ambient_dim:
-            raise InputError(
-                f"lattice generator has {len(g)} coordinates, expected {rs.ambient_dim}"
-            )
+    require_ambient(lattice.generators[0], rs, "lattice generator")
     # every root is an integer combination of the simple roots; the roots
     # are scanned only to name the first one missing
     if not all(lattice.member(a.coords) for a in default_order(rs).simple):
@@ -105,6 +103,7 @@ def is_integral(lam: Weight, lattice: LatticeSpec, rs: RootSystem) -> bool:
     custom lattice through its cached membership test."""
     require_ambient(lam.coords, rs)
     if lattice.kind == CUSTOM:
+        require_ambient(lattice.generators[0], rs, "lattice generator")
         return lattice.member(lam.coords)
     return _in_block_lattice(lam, rs.spec.blocks(), lattice.kind == ADJOINT)
 

@@ -365,11 +365,13 @@ def pairing(xi: Weight, eta: Weight, rs: RootSystem) -> Fraction:
     return Fraction(sum(nx[i] * e for i, e in enumerate(ne) if e), dx * de)
 
 
-def require_ambient(coords: Sequence, space: RootSystem | SeriesSpec) -> None:
-    """The one weight-dimension rule: a weight on space has one coordinate per
-    ambient dimension."""
+def require_ambient(
+    coords: Sequence, space: RootSystem | SeriesSpec, what: str = "weight"
+) -> None:
+    """The one weight-dimension rule: a weight, or a lattice generator, on
+    space has one coordinate per ambient dimension."""
     if len(coords) != space.ambient_dim:
-        raise InputError(f"weight has {len(coords)} coordinates, expected {space.ambient_dim}")
+        raise InputError(f"{what} has {len(coords)} coordinates, expected {space.ambient_dim}")
 
 
 def ambient_weight(coords: Iterable, rs: RootSystem) -> Weight:

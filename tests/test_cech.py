@@ -19,6 +19,7 @@ from orbitkit import (
 from orbitkit.cech import (
     RING_Q,
     RING_Z,
+    Cochain,
     coboundary_matrix,
     parse_cochain_lines,
     parse_nerve_lines,
@@ -1028,6 +1029,48 @@ def test_the_signed_factors_of_surfaces_are_textbook(n):
 
 
 # -- chern class --------------------------------------------------------------
+
+class TestCochainBuiltDirectly:
+    """A Cochain built without make_cochain reads its values as make_cochain
+    does; chern_class truncated 1.5, 3/2 and True to a valid class."""
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (1.5, "float is not an exact number"),
+            (Fraction(3, 2), r"value 3/2 on simplex \(0, 1, 2\) is not an integer"),
+            (True, "bool is not an exact number"),
+            ("1.5", "not an integer"),  # was a bare ValueError
+        ],
+    )
+    def test_chern_class_never_sees_a_value_it_would_truncate(self, value, reason):
+        sphere = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match=reason):
+            chern_class(sphere, Cochain(2, RING_Z, {(0, 1, 2): value}))
+
+    @pytest.mark.parametrize("value", [2, Fraction(4, 2), "2"])
+    def test_an_integer_in_any_exact_form_is_read_as_an_int(self, value):
+        sphere = build_nerve(TETRA_BOUNDARY)
+        c = Cochain(2, RING_Z, {(0, 1, 2): value})
+        assert type(c.values[(0, 1, 2)]) is int
+        assert chern_class(sphere, c).free_coords == (2,)
+
+    def test_rational_values_are_read_exactly(self):
+        c = Cochain(2, RING_Q, {(0, 1, 2): "-3/4", (0, 1, 3): 2, (0, 2, 3): Fraction(1, 3)})
+        assert dict(c.values) == {(0, 1, 2): Fraction(-3, 4), (0, 1, 3): 2, (0, 2, 3): Fraction(1, 3)}
+        with pytest.raises(InputError, match="float is not an exact number"):
+            Cochain(2, RING_Q, {(0, 1, 2): 0.5})
+
+    def test_unknown_ring_is_refused(self):
+        with pytest.raises(InputError, match="unknown ring 'R'"):
+            Cochain(2, "R", {})
+
+    def test_chern_class_refuses_a_simplex_off_the_nerve(self):
+        # a key outside the nerve was silently ignored
+        sphere = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match=r"simplex \(0, 1, 4\) is not a 2-simplex"):
+            chern_class(sphere, Cochain(2, RING_Z, {(0, 1, 2): 1, (0, 1, 4): 1}))
+
 
 class TestChernClass:
     def test_zero_cocycle_trivial(self):

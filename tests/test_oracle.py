@@ -81,6 +81,45 @@ class TestConstruction:
             lhs = alg.form(oracle._br(x, y), z) + alg.form(y, oracle._br(x, z))
             assert abs(lhs) < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bracket_tensor_matches_the_per_pair_formulas(self, n):
+        # brackets, ad and the KKS form against one bracket per basis pair;
+        # entries are O(1), so 1e-14 is a few ulps of float64
+        alg = su(n)
+        h = 1j * np.diag(np.linspace(0.7, -0.7, n))
+        v_lam = np.linspace(1.5, -1.5, n)
+        ad, omega = oracle._ad_matrix(alg, h), oracle._kks_form(alg, v_lam)
+        for i, x in enumerate(alg.basis):
+            for j, y in enumerate(alg.basis):
+                assert np.max(np.abs(alg.brackets[i, j] - oracle._br(x, y))) < 1e-14
+                assert abs(ad[i, j] + np.trace(oracle._br(h, y) @ x) / 2) < 1e-14
+                assert abs(omega[i, j] - oracle._eval_functional(v_lam, oracle._br(x, y))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda basis: (basis[0] + 1j * np.eye(3), *basis[1:]), "not trace-free"),
+        (lambda basis: (basis[0] / 1j, *basis[1:]), "not anti-Hermitian"),
+        (lambda basis: basis[:-1], "does not close"),  # the last Cartan matrix dropped
+    ],
+    ids=["trace", "hermitian", "closure"],
+)
+def test_construction_refuses_a_tampered_su3_basis(tamper, message):
+    basis = tamper(su(3).basis)
+    cartan = tuple([i for i in su(3).cartan_indices if i < len(basis)])
+    with pytest.raises(oracle.OracleError, match=message):
+        oracle._verify_construction(oracle.MatrixAlgebra(3, basis, cartan))
+
+
+def test_construction_accepts_a_basis_that_is_not_orthonormal():
+    # x_i + x_{i+1} + ... + x_7 spans su(3) too; its structure constants are
+    # not antisymmetric in all three indices, so Jacobi read off them with
+    # two indices swapped fails here, as it does not on the Gell-Mann basis
+    shear = np.eye(8) + np.triu(np.ones((8, 8)), 1)
+    basis = tuple(np.tensordot(shear, su(3).stacked, axes=1))
+    oracle._verify_construction(oracle.MatrixAlgebra(3, basis, su(3).cartan_indices))
+
 
 class TestRootDecomposition:
     def test_su2_pair(self):

@@ -218,6 +218,15 @@ class TestCustomLattice:
         assert is_integral(w(1, -1), lattice, a1)
         assert not is_integral(w("1/4", "-1/4"), lattice, a1)
 
+    def test_a_lattice_built_directly_refuses_rows_off_the_ambient_dimension(self, a1):
+        # ((1, -1), (2,)) was accepted and its short row read as zero-padded
+        with pytest.raises(InputError, match="lattice generator rows have unequal lengths"):
+            LatticeSpec(CUSTOM, ((1, -1), (2,)))
+        # a row too long for A1 reached is_integral, which raised a bare ValueError
+        wide = LatticeSpec(CUSTOM, ((1, -1, 0),))
+        with pytest.raises(InputError, match="lattice generator has 3 coordinates, expected 2"):
+            is_integral(w(1, -1), wide, a1)
+
     def test_intermediate_lattice_a3(self):
         # index-2 sublattice of the A3 weight lattice containing the roots:
         # generated by the root lattice and 2*omega1

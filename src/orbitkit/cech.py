@@ -28,8 +28,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import CapExceededError, InputError
 from .frozen import frozen
 from .linalg import (
-    exact, hermite_rows, lattice_coordinates, parse_integer, parse_rational, smith_eliminate,
-    unit_reduce,
+    MAX_RATIONAL_DIGITS, exact, hermite_rows, lattice_coordinates, parse_integer, parse_rational,
+    smith_eliminate, unit_reduce,
 )
 # Not called here; perfbench/test_perfbench.py checks that the tracer wraps it.
 from .linalg import rank as rational_rank  # noqa: F401
@@ -82,18 +82,26 @@ class Cochain:
     values: Mapping[Simplex, object]
 
     def __post_init__(self):
-        """Values other than ints (ints, Fractions on Q) go through linalg.exact."""
+        """Values are read as linalg.exact reads them, to MAX_RATIONAL_DIGITS
+        digits; on Z one that is not an integer is refused rather than
+        truncated."""
         if self.ring not in (RING_Z, RING_Q):
             raise InputError(f"unknown ring {self.ring!r}")
-        kept = {int} if self.ring == RING_Z else {int, Fraction}
-        if set(map(type, self.values.values())) <= kept:
-            return
         values = dict(self.values)
-        for s, v in values.items():
-            x = exact(v, f"cochain value on simplex {s}")
-            if self.ring == RING_Z and x.denominator != 1:
-                raise InputError(f"value {v} on simplex {s} is not an integer")
-            values[s] = x.numerator if self.ring == RING_Z else x
+        # ints within the bound, as the parsers and coboundary give on Z, are
+        # what exact would return: one type test and one bound for them all
+        if not (
+            self.ring == RING_Z
+            and set(map(type, values.values())) <= {int}
+            and max(map(abs, values.values()), default=0) < 10**MAX_RATIONAL_DIGITS
+        ):
+            for s, v in values.items():
+                x = exact(v, f"cochain value on simplex {s}")
+                if self.ring == RING_Z:
+                    if x.denominator != 1:
+                        raise InputError(f"value {v} on simplex {s} is not an integer")
+                    x = x.numerator
+                values[s] = x
         object.__setattr__(self, "values", MappingProxyType(values))
 
     def value(self, simplex: Sequence[int]):
@@ -209,7 +217,7 @@ def parse_cochain_lines(
                 f"cochain file line {lineno}: simplex {s} is not in the nerve"
             )
         values[s] += val
-    return Cochain(degree, ring, MappingProxyType(values))
+    return Cochain(degree, ring, values)
 
 
 def make_cochain(
@@ -221,14 +229,16 @@ def make_cochain(
     numbers past MAX_RATIONAL_DIGITS digits on both rings; on Z a value that
     is not an integer is refused rather than truncated.
     """
+    if ring not in (RING_Z, RING_Q):
+        raise InputError(f"unknown ring {ring!r}")
     known = nerve.index_of(degree)
     out: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
     for s, v in values.items():
         key = tuple(s)
         if key not in known:
             raise InputError(f"simplex {key} is not a {degree}-simplex of the nerve")
-        out[key] = exact(v, f"cochain value on simplex {key}")
-    return Cochain(degree, ring, MappingProxyType(out))
+        out[key] = v
+    return Cochain(degree, ring, out)
 
 
 def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
@@ -245,7 +255,7 @@ def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
         s: sum((x * column[j] for j, x in row.items()), zero)
         for s, row in zip(nerve.of_dim(k + 1), coboundary_matrix(nerve, k))
     }
-    return Cochain(k + 1, c.ring, MappingProxyType(values))
+    return Cochain(k + 1, c.ring, values)
 
 
 def coboundary_matrix(nerve: Nerve, k: int) -> list[dict[int, int]]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -72,10 +71,15 @@ class MatrixAlgebra:
 
 def _gellmann_hermitian(n: int) -> list[np.ndarray]:
     mats = []
-    for j, k in combinations(range(n), 2):
-        for entry in (1, -1j):  # symmetric, then antisymmetric
+    for j in range(n):
+        for k in range(j + 1, n):
             m = np.zeros((n, n), dtype=complex)
-            m[j, k], m[k, j] = entry, np.conj(entry)
+            m[j, k] = 1
+            m[k, j] = 1
+            mats.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = -1j
+            m[k, j] = 1j
             mats.append(m)
     for l in range(1, n):
         diag = [1.0] * l + [-float(l)] + [0.0] * (n - l - 1)
@@ -87,7 +91,8 @@ def special_unitary_basis(n: int) -> MatrixAlgebra:
     """Anti-Hermitian generalized Gell-Mann basis of su(n), invariants verified."""
     if not 2 <= n <= 5:
         raise InputError(f"su(n) oracle supports 2 <= n <= 5, got {n}")
-    basis = tuple([1j * m for m in _gellmann_hermitian(n)])
+    herm = _gellmann_hermitian(n)
+    basis = tuple([1j * m for m in herm])
     cartan = tuple([
         i for i, m in enumerate(basis) if np.allclose(m, np.diag(np.diag(m)))
     ])
@@ -142,16 +147,20 @@ def numeric_root_decomposition(alg: MatrixAlgebra) -> list[NumericRoot]:
     # generic sum-zero torus direction; powers of 3 keep all differences distinct
     t_gen = np.array([3.0**-j for j in range(n)])
     t_gen -= t_gen.mean()
-    eigvals, eigvecs = np.linalg.eig(_ad_matrix(alg, 1j * np.diag(t_gen)))
+    h_gen = 1j * np.diag(t_gen)
+    ad_gen = _ad_matrix(alg, h_gen)
+    eigvals, eigvecs = np.linalg.eig(ad_gen)
 
     nonzero = [i for i, v in enumerate(eigvals) if abs(v) > 1e-7]
     if len(nonzero) != n * n - n:
         raise OracleError(
             f"expected {n * n - n} nonzero adjoint eigenvalues, got {len(nonzero)}"
         )
-    vals = eigvals[nonzero]
-    if np.any(np.abs(np.subtract.outer(vals, vals))[np.triu_indices(len(vals), 1)] < 1e-7):
-        raise OracleError("eigenvalue clustering ambiguity in root split")
+    vals = [eigvals[i] for i in nonzero]
+    for i, v in enumerate(vals):
+        for w in vals[i + 1 :]:
+            if abs(v - w) < 1e-7:
+                raise OracleError("eigenvalue clustering ambiguity in root split")
 
     # alpha(i diag(t)) = i (vec_alpha . t), so vec_alpha[m] is read on i e_m,
     # whose ad preserves su(n) though i e_m is not in it
@@ -320,6 +329,7 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
     """
     failures = []
     max_res = 0.0
+    checks = 0
 
     def record(res: float, message: str):
         nonlocal max_res
@@ -330,6 +340,7 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
     by_key = {tuple(np.round(r.functional, 6)): r for r in roots}
 
     for r in roots:
+        checks += 1
         # conjugation with respect to the compact form sends the space to -alpha
         conj = -r.eigenvector.conj().T
         neg = by_key.get(tuple(np.round(-r.functional, 6)))
@@ -340,6 +351,7 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
 
     for r1 in roots:
         for r2 in roots:
+            checks += 1
             br = _br(r1.eigenvector, r2.eigenvector)
             total = r1.functional + r2.functional
             target = by_key.get(tuple(np.round(total, 6)))
@@ -356,12 +368,13 @@ def root_property_audit(roots: Sequence[NumericRoot]) -> RootAuditReport:
                 )
             else:
                 record(float(np.max(np.abs(br))), "bracket should vanish")
-    # one conjugate check per root, one bracket check per ordered pair
-    return RootAuditReport(len(roots) * (len(roots) + 1), tuple(failures), max_res)
+    return RootAuditReport(checks, tuple(failures), max_res)
 
 
 def _off_span_norm(x: np.ndarray, s: np.ndarray) -> float:
     """Frobenius norm of the component of x orthogonal to the matrix s."""
-    rem = x - np.trace(x @ s.conj().T) / np.trace(s @ s.conj().T) * s
-    norm, scale = float(np.linalg.norm(rem)), float(np.linalg.norm(x))
+    coeff = np.trace(x @ s.conj().T) / np.trace(s @ s.conj().T)
+    rem = x - coeff * s
+    norm = float(np.linalg.norm(rem))
+    scale = float(np.linalg.norm(x))
     return norm / scale if scale > 1e-12 else norm

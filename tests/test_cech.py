@@ -313,6 +313,17 @@ class TestCoboundary:
         with pytest.raises(InputError):
             make_cochain(nerve, 2, {(0, 1, 2): "two"})
 
+    def test_a_decimal_on_z_is_named_as_given(self):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match=r"^value 1\.5 on simplex \(0, 1, 2\) is not an integer$"):
+            make_cochain(nerve, 2, {(0, 1, 2): "1.5"})
+
+    @pytest.mark.parametrize("values", [{(0, 1, 2): "two"}, {(0, 1, 7): 1}])
+    def test_an_unknown_ring_is_named_before_any_value_or_key(self, values):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match="unknown ring 'R'"):
+            make_cochain(nerve, 2, values, "R")
+
     def test_alternating_evaluation(self):
         nerve = build_nerve(TETRA_BOUNDARY)
         c = make_cochain(nerve, 2, {(0, 1, 2): 7})
@@ -1064,6 +1075,19 @@ class TestCochainBuiltDirectly:
     def test_unknown_ring_is_refused(self):
         with pytest.raises(InputError, match="unknown ring 'R'"):
             Cochain(2, "R", {})
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_Q])
+    def test_an_int_past_the_digit_bound_is_refused(self, ring):
+        # every value, an int too, is read to MAX_RATIONAL_DIGITS digits
+        with pytest.raises(InputError, match="more than 100 digits"):
+            Cochain(1, ring, {(0, 1): 10**150})
+        assert Cochain(1, ring, {(0, 1): 10**100 - 1}).values[(0, 1)] == 10**100 - 1
+
+    def test_repeated_lines_adding_up_past_the_digit_bound_are_refused(self):
+        sphere = build_nerve(TETRA_BOUNDARY)
+        line = f"0 1 2 {9 * 10**99}"
+        with pytest.raises(InputError, match="more than 100 digits"):
+            parse_cochain_lines([line, line], sphere, 2)
 
     def test_chern_class_refuses_a_simplex_off_the_nerve(self):
         # a key outside the nerve was silently ignored

@@ -231,14 +231,17 @@ def make_cochain(
     """
     if ring not in (RING_Z, RING_Q):
         raise InputError(f"unknown ring {ring!r}")
-    known = nerve.index_of(degree)
-    out: dict[Simplex, object] = dict.fromkeys(known, _zero(ring))
-    for s, v in values.items():
-        key = tuple(s)
-        if key not in known:
-            raise InputError(f"simplex {key} is not a {degree}-simplex of the nerve")
-        out[key] = v
-    return Cochain(degree, ring, out)
+    given = {tuple(s): v for s, v in values.items()}
+    _check_simplices(given, nerve, degree)
+    return Cochain(degree, ring, dict.fromkeys(nerve.index_of(degree), _zero(ring)) | given)
+
+
+def _check_simplices(values: Mapping[Simplex, object], nerve: Nerve, k: int) -> None:
+    """InputError at the first key of values that is not a k-simplex."""
+    known = nerve.index_of(k)
+    if not values.keys() <= known.keys():
+        stray = next(s for s in values if s not in known)
+        raise InputError(f"simplex {stray} is not a {k}-simplex of the nerve")
 
 
 def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
@@ -250,6 +253,7 @@ def coboundary(c: Cochain, nerve: Nerve) -> Cochain:
     always yields zero.
     """
     k, zero = c.degree, _zero(c.ring)
+    _check_simplices(c.values, nerve, k)
     column = [c.values.get(s, zero) for s in nerve.of_dim(k)]
     values = {
         s: sum((x * column[j] for j, x in row.items()), zero)
@@ -410,10 +414,10 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     of delta_1 with the identity carried, and the elimination of its
     residue; their row Hermite normal form h, on the 2-simplices in sorted
     order, is a basis that depends on the nerve alone, and w_i = <a, h_i>.
-    With no 3-simplices H_2 = Z_2 and free_coords is w: on a torus, the
-    pairing of a with the fundamental cycle that is +1 on the first sorted
-    triangle.  Otherwise w vanishes on the boundaries B_2, and free_coords
-    are its coordinates in the Hermite basis of that annihilator.
+    w vanishes on the boundaries B_2, and free_coords are its coordinates in
+    the Hermite basis of that annihilator: the identity when there are no
+    3-simplices, so that free_coords is w, on a torus the pairing of a with
+    the fundamental cycle that is +1 on the first sorted triangle.
 
     torsion_coords are <a, y_i> mod d_i for the residue's Smith rows y_i
     with invariant factor d_i > 1.  With one torsion summand and free rank
@@ -423,9 +427,7 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     """
     if a.degree != 2 or a.ring != RING_Z:
         raise InputError("chern_class expects an integer 2-cochain")
-    if not a.values.keys() <= nerve.index_of(2).keys():
-        stray = next(s for s in a.values if s not in nerve.index_of(2))
-        raise InputError(f"simplex {stray} is not a 2-simplex of the nerve")
+    _check_simplices(a.values, nerve, 2)
     get = a.values.get
     for s in nerve.of_dim(3):
         # the faces of s in lexicographic order omit s[3], s[2], s[1], s[0]
@@ -438,15 +440,14 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     )
     factors, y, _ = smith_eliminate(residue, width, carried)
     cycles = hermite_rows(zeros + y[len(factors):])
-    w = [_pair(value, h) for h in cycles]
-    if nerve.of_dim(3):
-        bounds = list(map(lattice_coordinates(cycles), coboundary_matrix(nerve, 2)))
-        rank, _, v = smith_eliminate(bounds, len(cycles), columns=True)
-        ann = hermite_rows(v[len(rank):])
-        coords = lattice_coordinates(ann)({i: x for i, x in enumerate(w) if x})
-        w = [coords.get(i, 0) for i in range(len(ann))]
+    w = {i: x for i, h in enumerate(cycles) if (x := _pair(value, h))}
+    bounds = list(map(lattice_coordinates(cycles), coboundary_matrix(nerve, 2)))
+    rank, _, v = smith_eliminate(bounds, len(cycles), columns=True)
+    ann = hermite_rows(v[len(rank):])
+    coords = lattice_coordinates(ann)(w)
+    free = tuple([coords.get(i, 0) for i in range(len(ann))])
     torsion = tuple([(_pair(value, yi) % f, f) for yi, f in zip(y, factors) if f > 1])
-    return ChernClass(True, None, tuple(w), torsion)
+    return ChernClass(True, None, free, torsion)
 
 
 def _pair(value: list[int], row: Mapping[int, int]) -> int:

@@ -51,11 +51,15 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
-from .linalg import Vec, exact, exact_vec, mat, solve, vec
+from .linalg import MAX_RATIONAL_DIGITS, Vec, exact, exact_vec, mat, solve, vec
 
 # build_root_system refuses larger systems (exit 4 on the CLI); A31, B22,
 # C22 and D22 are the largest single factors within it
 MAX_ROOTS = 1000
+
+# an int, or a Fraction's numerator and denominator, has at most
+# MAX_RATIONAL_DIGITS digits when it is below this in magnitude
+_DIGIT_BOUND = 10**MAX_RATIONAL_DIGITS
 
 _SERIES_LETTERS = ("A", "B", "C", "D")
 _FACTOR_RE = re.compile(r"^([ABCDT])(\d+)$")
@@ -151,8 +155,15 @@ class Weight:
     projected: bool = False
 
     def __post_init__(self):
-        coords = tuple([c if type(c) in (int, Fraction) else exact(c, "weight coordinate")
-                        for c in self.coords])
+        """Coordinates are read as linalg.exact reads them; an int or
+        Fraction within its digit bound is what exact would return."""
+        b = _DIGIT_BOUND
+        coords = tuple([
+            c if type(c) is int and -b < c < b
+            or type(c) is Fraction and -b < c.numerator < b and c.denominator < b
+            else exact(c, "weight coordinate")
+            for c in self.coords
+        ])
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "Weight") -> "Weight":

@@ -324,6 +324,39 @@ class TestCoboundary:
         with pytest.raises(InputError, match="unknown ring 'R'"):
             make_cochain(nerve, 2, values, "R")
 
+    @pytest.mark.parametrize(
+        "ring, values, message",
+        [
+            # the stray key is named although a bad value comes first
+            (RING_Z, {(0, 1, 2): "two", (0, 1, 7): 1, (5, 6, 7): 1},
+             r"^simplex \(0, 1, 7\) is not a 2-simplex of the nerve$"),
+            (RING_Q, {(0, 1, 2): 1, (0, 2): 1}, r"^simplex \(0, 2\) is not a 2-simplex of the nerve$"),
+            (RING_Z, {(0, 1, 2): "two", (0, 1, 3): "1.5"},
+             r"^bad cochain value on simplex \(0, 1, 2\) 'two': "),
+        ],
+        ids=["key-before-value", "key-of-wrong-size", "value"],
+    )
+    def test_after_the_ring_a_key_is_refused_then_a_value(self, ring, values, message):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match=message):
+            make_cochain(nerve, 2, values, ring)
+
+    @pytest.mark.parametrize(
+        "cochain, message",
+        [
+            # was the zero 2-cochain: the stray key was never read
+            (Cochain(1, RING_Z, {(0, 7): 3, (0, 1, 2): 5}), r"\(0, 7\) is not a 1-simplex"),
+            (Cochain(1, RING_Z, {(0, 1): 1, (0, 1, 2): 5}), r"\(0, 1, 2\) is not a 1-simplex"),
+            (Cochain(1, RING_Q, {(0, 1): "1/2", (1, 7): Fraction(1, 3), (0, 9): 1}),
+             r"\(1, 7\) is not a 1-simplex"),
+        ],
+        ids=["edge-off-the-nerve", "triangle-on-degree-1", "rational"],
+    )
+    def test_coboundary_refuses_a_key_off_the_nerve(self, cochain, message):
+        nerve = build_nerve(TETRA_BOUNDARY)
+        with pytest.raises(InputError, match=rf"^simplex {message} of the nerve$"):
+            coboundary(cochain, nerve)
+
     def test_alternating_evaluation(self):
         nerve = build_nerve(TETRA_BOUNDARY)
         c = make_cochain(nerve, 2, {(0, 1, 2): 7})

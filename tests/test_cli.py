@@ -428,6 +428,24 @@ class TestCechCommand:
         assert code == EXIT_OK
         assert json.loads(out)["free_coords"] in ([1], [-1])
 
+    def test_chern_of_a_sphere_beside_a_solid_tetrahedron(self, capsys, tmp_path):
+        # H^2 = Z from the sphere; the solid tetrahedron brings 3-simplices,
+        # so the class is read in the Hermite basis of the boundaries'
+        # annihilator, as in the CI step that runs the same files
+        nerve = tmp_path / "sphere_tetra.nerve"
+        nerve.write_text(TETRA + "4 5 6 7\n")
+        cocycle = tmp_path / "sphere_tetra.cochain"
+        cocycle.write_text("0 1 2 1\n4 5 6 2\n4 5 7 2\n")
+        code, out, _ = run(
+            capsys, "cech", "chern", "--nerve", str(nerve), "--cocycle", str(cocycle),
+            "--output", "json",
+        )
+        assert code == EXIT_OK
+        assert out == canonical_json(
+            {"free_coords": [1], "torsion_coords": [], "trivial": False, "valid": True,
+             "witness": None}
+        )
+
     def test_malformed_nerve_line_numbered(self, capsys, tmp_path):
         nerve = tmp_path / "bad.nerve"
         nerve.write_text("0 1\n1 zebra\n")

@@ -281,6 +281,32 @@ class TestWeightWireFormat:
             weight_from_strings(["1" * 101 + "/3"])
 
 
+class TestWeightBuiltDirectly:
+    """Weight reads ints and Fractions to the 100-digit bound, as every other
+    number is read; 10**150 was kept, and 10**5000 reached to_strings as a
+    bare ValueError."""
+
+    BOUND = 10**100
+
+    @pytest.mark.parametrize(
+        "coord", [BOUND - 1, -(BOUND - 1), Fraction(BOUND - 1, 7), Fraction(-1, BOUND - 1)]
+    )
+    def test_a_coordinate_below_the_bound_is_kept(self, coord):
+        lam = Weight((coord, 0))
+        assert lam.coords == (coord, 0) and type(lam.coords[0]) is type(coord)
+        assert lam.to_strings() == [str(coord), "0"]
+
+    @pytest.mark.parametrize(
+        "coord",
+        [BOUND, -BOUND, Fraction(BOUND, 7), Fraction(-BOUND, 7), Fraction(1, BOUND), 10**150,
+         10**5000],
+        ids=["bound", "-bound", "bound/7", "-bound/7", "1/bound", "10**150", "10**5000"],
+    )
+    def test_a_coordinate_at_the_bound_is_refused(self, coord):
+        with pytest.raises(InputError, match="^bad weight coordinate .*: more than 100 digits$"):
+            Weight((coord, -1))
+
+
 class TestFundamentalBasis:
     def test_a1(self, a1):
         order = default_order(a1)

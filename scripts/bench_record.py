@@ -9,7 +9,8 @@ ladder:
   D22 report on the adjoint lattice, where every root is singular;
 * `cech h --k 0`, `cech h --k 1` and `cech chern` on examples/torus32.*,
   and on 64 x 64, 128 x 128 and 256 x 256 tori that
-  scripts/torus_example.py writes into a temp dir;
+  scripts/torus_example.py writes into a temp dir, and `cech chern` on the
+  256 x 256 Klein bottle it writes there with --klein;
 * `audit` of su(3) and su(5) at the first fundamental weight, the numeric
   oracle's cross-check.
 
@@ -59,6 +60,7 @@ SEEDS = (1, 2)
 WORKLOADS = ("orbit-survey", "orbit-rank4", "cech-h", "cech-chern")
 REPEATS = 3
 TORUS_SIZES = (64, 128, 256)
+KLEIN_SIZE = 256
 AUDIT_SIZES = (3, 5)
 INPROCESS_REPEATS = 7
 # (name, series, lambda, lattice) at the root cap, timed in process and by the CLI
@@ -184,6 +186,11 @@ def parse_row(name: str, argv: list[str], env: dict) -> dict:
     return {"name": name, "argv": argv, "parse_s_min": min(runs), "runs_s": runs}
 
 
+def chern_argv(prefix: str) -> list[str]:
+    return ["cech", "chern", "--nerve", prefix + ".nerve", "--cocycle", prefix + ".cochain",
+            "--output", "json"]
+
+
 def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
     ladder = [
         (f"orbit {name}", ["orbit", "--series", series, "--lambda=" + lam, "--lattice", lattice,
@@ -201,9 +208,12 @@ def cli_ladder(tmp: str) -> list[tuple[str, list[str]]]:
             ladder.append((f"cech h --k {k} {name}",
                            ["cech", "h", "--nerve", prefix + ".nerve", "--k", k,
                             "--output", "json"]))
-        ladder.append((f"cech chern {name}",
-                       ["cech", "chern", "--nerve", prefix + ".nerve", "--cocycle",
-                        prefix + ".cochain", "--output", "json"]))
+        ladder.append((f"cech chern {name}", chern_argv(prefix)))
+    prefix = os.path.join(tmp, f"klein{KLEIN_SIZE}")
+    subprocess.run([sys.executable, os.path.join("scripts", "torus_example.py"), "--klein",
+                    "--n", str(KLEIN_SIZE), "--seed", str(KLEIN_SIZE), "--out", prefix],
+                   check=True)
+    ladder.append((f"cech chern klein{KLEIN_SIZE}", chern_argv(prefix)))
     ladder += [(f"audit --n {n}", ["audit", "--n", str(n), "--output", "json"])
                for n in AUDIT_SIZES]
     return ladder

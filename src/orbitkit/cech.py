@@ -8,8 +8,10 @@ has a third coface (delta_1 of a surface, the top delta of a
 pseudomanifold), off a signed union-find (Harary 1953, Zaslavsky 1982), and
 any other's from a sparse integer Smith normal form.  Integer 2-cocycle
 classes (the Chern-class data of transition functions) pair with the
-2-cycles that an elimination of delta_1 finds, put in Hermite normal form,
-so their coordinates depend on the nerve and the class alone.
+2-cycles, put in Hermite normal form, so their coordinates depend on the
+nerve and the class alone.  On a surface nerve the same union-find gives
+those cycles, one per closed orientable component, and the mod-2 class of
+a closed non-orientable one; elsewhere an elimination of delta_1 does.
 
 A single nerve is the input; refinements and the direct limit are out of
 scope, so the cover is assumed to have contractible intersections.
@@ -23,7 +25,7 @@ from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import lt
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InputError
 from .frozen import frozen
@@ -325,9 +327,20 @@ def _signed_factors(
     """Invariant factors of the incidence matrix of a signed graph (Harary,
     *Michigan Math. J.* 2, 1953; Zaslavsky, *Discrete Appl. Math.* 4, 1982):
     a component of c nodes gives c - 1 ones, then a 1 if it has a
-    half-edge, else a 2 if a cycle in it has odd parity.  A union-find with
-    path halving (Tarjan, *J. ACM* 22, 1975) keeps each node's parity
-    against its parent."""
+    half-edge, else a 2 if a cycle in it has odd parity."""
+    _, joins, halved, odd = _signed_union_find(nodes, edges, halves)
+    return [1] * (joins + len(halved)) + [2] * len(odd)
+
+
+def _signed_union_find(
+    nodes: int, edges: Iterable[tuple[int, int, int]], halves: Iterable[int]
+) -> tuple[Callable[[int], tuple[int, int]], int, set[int], set[int]]:
+    """The components of a signed graph by a union-find with path halving
+    (Tarjan, *J. ACM* 22, 1975) that keeps each node's parity against its
+    parent: (find, joins, halved, odd), find giving a node's root and its
+    parity against that root, joins the number of unions, halved the roots
+    of the components with a half-edge and odd those of the other
+    components in which a cycle has odd parity."""
     parent, parity = list(range(nodes)), [0] * nodes
 
     def find(x: int) -> tuple[int, int]:
@@ -348,7 +361,7 @@ def _signed_factors(
         elif pi ^ pj != w:
             odd.append(ri)
     halved = {find(x)[0] for x in halves}
-    return [1] * (joins + len(halved)) + [2] * len({find(x)[0] for x in odd} - halved)
+    return find, joins, halved, {find(x)[0] for x in odd} - halved
 
 
 @frozen
@@ -410,20 +423,27 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
 
     The free part of H^2 is Hom(H_2, Z) (universal coefficients; Hatcher,
     *Algebraic Topology*, §3.1), and free_coords gives the class there, one
-    number per free generator.  The 2-cycles Z_2 are read off unit_reduce
-    of delta_1 with the identity carried, and the elimination of its
-    residue; their row Hermite normal form h, on the 2-simplices in sorted
-    order, is a basis that depends on the nerve alone, and w_i = <a, h_i>.
-    w vanishes on the boundaries B_2, and free_coords are its coordinates in
-    the Hermite basis of that annihilator: the identity when there are no
-    3-simplices, so that free_coords is w, on a torus the pairing of a with
-    the fundamental cycle that is +1 on the first sorted triangle.
+    number per free generator.  The 2-cycles Z_2 have a row Hermite normal
+    form h, on the 2-simplices in sorted order, that depends on the nerve
+    alone, and w_i = <a, h_i>.  w vanishes on the boundaries B_2, and
+    free_coords are its coordinates in the Hermite basis of that
+    annihilator: the identity when there are no 3-simplices, so that
+    free_coords is w.
 
-    torsion_coords are <a, y_i> mod d_i for the residue's Smith rows y_i
-    with invariant factor d_i > 1.  With one torsion summand and free rank
-    0 (RP^2, the Klein bottle) that is the class itself; otherwise it
-    depends on the splitting the elimination picks, which is the same on
-    every run for one nerve.
+    On a surface nerve -- no 3-simplices and no edge with a third coface --
+    the class is read off the signed union-find of delta_1 with no
+    elimination: h is the fundamental cycles of the closed orientable
+    components, each +1 on its first sorted triangle, in the order of that
+    triangle, and a closed non-orientable component adds the torsion
+    coordinate (sum of a over it mod 2, 2).  The one surface case left to
+    the elimination is two or more closed non-orientable components.
+
+    Elsewhere Z_2 is read off unit_reduce of delta_1 with the identity
+    carried and the elimination of its residue, and torsion_coords are
+    <a, y_i> mod d_i for the residue's Smith rows y_i with invariant factor
+    d_i > 1.  With one torsion summand and free rank 0 that is the class
+    itself; otherwise it depends on the splitting the elimination picks,
+    which is the same on every run for one nerve.
     """
     if a.degree != 2 or a.ring != RING_Z:
         raise InputError("chern_class expects an integer 2-cochain")
@@ -435,6 +455,9 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
         if x + z != w + y:
             return ChernClass(False, s, (), ())
     value = [get(s, 0) for s in nerve.of_dim(2)]
+    surface = _surface_class(nerve, value)
+    if surface is not None:
+        return surface
     _, residue, width, carried, zeros = unit_reduce(
         coboundary_matrix(nerve, 1), len(nerve.of_dim(1)), [{i: 1} for i in range(len(value))]
     )
@@ -448,6 +471,29 @@ def chern_class(nerve: Nerve, a: Cochain) -> ChernClass:
     free = tuple([coords.get(i, 0) for i in range(len(ann))])
     torsion = tuple([(_pair(value, yi) % f, f) for yi, f in zip(y, factors) if f > 1])
     return ChernClass(True, None, free, torsion)
+
+
+def _surface_class(nerve: Nerve, value: list[int]) -> Optional[ChernClass]:
+    """chern_class of the cocycle with these values on the triangles, read
+    off the signed union-find of delta_1 as its docstring says; None on a
+    nerve with a 3-simplex or an edge with a third coface, or with two or
+    more closed non-orientable components."""
+    triangles = nerve.of_dim(2)
+    if nerve.of_dim(3) or (pairs := _coface_pairs(triangles, 1)) is None:
+        return None
+    find, _, halved, odd = _signed_union_find(len(triangles), *pairs)
+    if len(odd) > 1:
+        return None
+    free: dict[int, int] = {}
+    first: dict[int, int] = {}
+    torsion = 0
+    for i, x in enumerate(value):
+        root, p = find(i)
+        if root in odd:
+            torsion += x
+        elif root not in halved:
+            free[root] = free.get(root, 0) + (-x if p ^ first.setdefault(root, p) else x)
+    return ChernClass(True, None, tuple(free.values()), ((torsion % 2, 2),) if odd else ())
 
 
 def _pair(value: list[int], row: Mapping[int, int]) -> int:

@@ -45,6 +45,19 @@ def test_the_ladder_times_both_cech_commands_up_to_the_256_torus(bench_record, m
             assert f"{command} torus{n}" in names
 
 
+def test_the_ladder_times_cech_chern_on_the_256_klein_bottle(bench_record, monkeypatch):
+    written = []
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda argv, **kwargs: written.append(argv))
+    ladder = dict(bench_record.cli_ladder("<dir>"))
+    prefix = os.path.join("<dir>", "klein256")
+    assert ladder["cech chern klein256"] == [
+        "cech", "chern", "--nerve", prefix + ".nerve", "--cocycle", prefix + ".cochain",
+        "--output", "json"]
+    assert written[-1][1:] == [os.path.join("scripts", "torus_example.py"), "--klein", "--n",
+                               "256", "--seed", "256", "--out", prefix]
+    assert [name for name in ladder if "klein" in name] == ["cech chern klein256"]
+
+
 def test_the_ladder_times_the_cap_reports_and_the_zero_d22_adjoint_one(bench_record, monkeypatch):
     monkeypatch.setattr(bench_record.subprocess, "run", lambda *args, **kwargs: None)
     ladder = dict(bench_record.cli_ladder("<dir>"))

@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter, defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1274,6 +1275,143 @@ def test_klein_and_projective_plane_classes_are_the_face_multiple_mod_2(n):
         for m in (0, 1, -1, 2, 3, -4):
             cls = chern_class(nerve, shifted_face(nerve, rng, m))
             assert (cls.free_coords, cls.torsion_coords) == ((), ((m % 2, 2),))
+
+
+# -- the class read off the signed union-find on surfaces ----------------------
+
+def disk_triangles(m):
+    """The m x m square grid triangulated without wrapping, a disk."""
+    n = m + 1
+    tris = []
+    for i in range(m):
+        for j in range(m):
+            a, b, c, d = i * n + j, (i + 1) * n + j, i * n + j + 1, (i + 1) * n + j + 1
+            tris += [(a, b, d), (a, c, d)]
+    return tris
+
+
+# each piece's triangles, and whether it is closed and non-orientable
+SURFACE_PIECES = {
+    "torus": (grid_triangles(3), False),
+    "klein": (grid_triangles(3, klein=True), True),
+    "rp2": (PROJECTIVE_PLANE, True),
+    "sphere": (TETRA_BOUNDARY, False),
+    "disk": (disk_triangles(2), False),
+}
+
+
+def surface(pieces, rng):
+    """The nerve of the pieces side by side, vertex-disjoint and relabelled
+    at random, and the triangles of each piece."""
+    triangles, top = [], 0
+    for kind in pieces:
+        piece = SURFACE_PIECES[kind][0]
+        triangles.append([tuple(top + v for v in t) for t in piece])
+        top += 1 + max(map(max, piece))
+    perm = rng.sample(range(top), top)
+    relabelled = [[tuple(sorted(perm[v] for v in t)) for t in tris] for tris in triangles]
+    return build_nerve(itertools.chain(*relabelled)), relabelled
+
+
+@st.composite
+def surface_cocycles(draw):
+    """Torus, Klein, RP^2, tetrahedron-boundary and disk pieces, each
+    disjoint from the ones before it or pinched to one of their vertices,
+    relabelled together, with delta(b) plus a few face values on them."""
+    kinds = draw(st.lists(st.sampled_from(sorted(SURFACE_PIECES)), min_size=1, max_size=3))
+    triangles, top = [], 0
+    for kind in kinds:
+        piece = SURFACE_PIECES[kind][0]
+        shift = {v: top + v for v in range(1 + max(map(max, piece)))}
+        if triangles and draw(st.booleans()):
+            # one vertex in common shares no edge, so every edge keeps two cofaces at most
+            shift[piece[0][0]] = draw(st.integers(0, top - 1))
+        top += len(shift)
+        triangles += [tuple(shift[v] for v in t) for t in piece]
+    perm = draw(st.permutations(range(top)))
+    nerve = build_nerve([tuple(sorted(perm[v] for v in t)) for t in triangles])
+    edges = nerve.of_dim(1)
+    b = dict(zip(edges, draw(st.lists(st.integers(-3, 3), min_size=len(edges),
+                                      max_size=len(edges)))))
+    values = dict(coboundary(make_cochain(nerve, 1, b), nerve).values)
+    for face in draw(st.lists(st.sampled_from(nerve.of_dim(2)), max_size=3)):
+        values[face] += draw(st.integers(-3, 3))
+    closed_non_orientable = sum(SURFACE_PIECES[kind][1] for kind in kinds)
+    return nerve, make_cochain(nerve, 2, values), closed_non_orientable
+
+
+@settings(max_examples=120, deadline=None)
+@given(surface_cocycles())
+def test_the_surface_class_is_the_class_the_elimination_gives(case):
+    nerve, a, closed_non_orientable = case
+    value = [a.values[s] for s in nerve.of_dim(2)]
+    # the closed form declines only where two summands Z/2 need the pivot order
+    assert (cech._surface_class(nerve, value) is None) == (closed_non_orientable > 1)
+    cls = chern_class(nerve, a)
+    with mock.patch.object(cech, "_surface_class", return_value=None) as declined:
+        assert chern_class(nerve, a) == cls
+    declined.assert_called_once()
+
+
+def refuse_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class of a surface went through the elimination")
+
+    monkeypatch.setattr(cech, "unit_reduce", refuse)
+
+
+def pairing(triangles, a, orientation=None):
+    """<a, the chain that is orientation (or 1) on each triangle>."""
+    signs = orientation or dict.fromkeys(triangles, 1)
+    return sum(signs[t] * a.values[t] for t in triangles)
+
+
+def test_two_tori_have_coordinates_in_the_order_of_their_first_triangles(monkeypatch):
+    rng = random.Random(2)
+    refuse_elimination(monkeypatch)
+    for _ in range(4):
+        nerve, (one, two) = surface(["torus", "torus"], rng)
+        if min(two) < min(one):
+            one, two = two, one
+        a = shifted_face(nerve, rng, 0)
+        a = make_cochain(nerve, 2, a.values | {one[0]: a.values[one[0]] + 2,
+                                               two[0]: a.values[two[0]] - 3})
+        cls = chern_class(nerve, a)
+        assert cls.free_coords == tuple(
+            pairing(tris, a, coherent_orientation(tris)) for tris in (one, two))
+        assert [abs(x) for x in cls.free_coords] == [2, 3] and cls.torsion_coords == ()
+
+
+def test_a_disk_has_no_coordinate(monkeypatch):
+    nerve, _ = surface(["disk"], random.Random(3))
+    refuse_elimination(monkeypatch)
+    cls = chern_class(nerve, make_cochain(nerve, 2, {nerve.of_dim(2)[0]: 5}))
+    assert cls == cech.ChernClass(True, None, (), ())
+
+
+@pytest.mark.parametrize("m", [0, 1, -3, 4])
+def test_a_torus_beside_rp2_has_one_free_and_one_mod_2_coordinate(monkeypatch, m):
+    rng = random.Random(m)
+    nerve, (torus, rp2) = surface(["torus", "rp2"], rng)
+    a = shifted_face(nerve, rng, 0)
+    a = make_cochain(nerve, 2, a.values | {rp2[1]: a.values[rp2[1]] + m,
+                                           torus[2]: a.values[torus[2]] + m + 1})
+    refuse_elimination(monkeypatch)
+    cls = chern_class(nerve, a)
+    assert cls.free_coords == (pairing(torus, a, coherent_orientation(torus)),)
+    assert cls.torsion_coords == ((pairing(rp2, a) % 2, 2),) == ((m % 2, 2),)
+
+
+def test_two_klein_bottles_keep_the_elimination_and_its_order():
+    rng = random.Random(5)
+    nerve, (one, two) = surface(["klein", "klein"], rng)
+    a = make_cochain(nerve, 2, {one[0]: 1})
+    value = [a.values[s] for s in nerve.of_dim(2)]
+    assert cech._surface_class(nerve, value) is None
+    with mock.patch.object(cech, "unit_reduce", wraps=cech.unit_reduce) as eliminated:
+        cls = chern_class(nerve, a)
+    eliminated.assert_called_once()
+    assert cls.free_coords == () and sorted(cls.torsion_coords) == [(0, 2), (1, 2)]
 
 
 @st.composite

@@ -26,9 +26,11 @@ The last cases are disjoint unions of n x n grids, each component a Klein
 bottle or a torus, relabelled together, with (k + 1)*m, m odd, added on one
 face of the k-th component: Klein+Klein (H^2 = Z/2 + Z/2, the class 1 on
 one summand and 0 on the other), Klein+torus (Z + Z/2) and
-torus+torus+Klein (Z^2 + Z/2).  Their torsion coordinates are listed in the
-order of the elimination's pivots (see ``cech.chern_class``), so these
-bytes pin that order.  They were appended at commit
+torus+torus+Klein (Z^2 + Z/2).  Klein+Klein, with two closed
+non-orientable components, is the one surface case that ``cech.chern_class``
+leaves to the elimination, and its torsion coordinates are listed in the
+order of the elimination's pivots, so these bytes pin that order; the
+others are read off the signed union-find in the same bytes.  They were appended at commit
 112354b2aa6aab387728af5dd84cf797594599fe.
 
 Apart from those unions, the bytes depend only on the nerve and the class,
